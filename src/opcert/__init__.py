@@ -23,9 +23,10 @@ from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
 from .serialize import ParseError, SpaceFile, dumps_canonical, dumps_report
 from .solver import SolverConfig, SolveResult, maximize_over_sphere, \
     minimize_over_ball, spectral_subgradient
-from .sysdetect import (PartnerSearchResult, detect_operator_system,
-                        find_partner, involution_error_bound,
-                        recover_involution, t1_insufficiency_probe)
+from .sysdetect import (PartnerSearchResult, RecoveredInvolution,
+                        detect_operator_system, find_partner,
+                        involution_error_bound, recover_involution,
+                        t1_insufficiency_probe)
 from .tro import (TroClosure, ambient_system_check, ambient_unitary_check,
                   generate_tro, involution, same_involution_check,
                   transfer_check)
@@ -37,8 +38,9 @@ __all__ = [
     "ConcreteOpSpace", "DefectProfile", "DeltaSpan", "Element", "FAIL",
     "GHermitianResult", "HermitianProfile", "INCONCLUSIVE",
     "InvalidInputError", "PASS", "ParseError", "PartnerSearchResult",
-    "PreconditionError", "ProductTable", "RecoveredProduct",
-    "SampledFunctionSpace", "SolveResult", "SolverConfig", "SolverError",
+    "PreconditionError", "ProductTable", "RecoveredInvolution",
+    "RecoveredProduct", "SampledFunctionSpace", "SolveResult",
+    "SolverConfig", "SolverError",
     "SpaceFile", "TroClosure", "amplify_unit", "catalog_closure",
     "catalog_entry", "catalog_names", "catalog_space",
     "certify_coisometry", "certify_isometry", "certify_unitary",

@@ -58,23 +58,23 @@ def grid_value_and_grad(space: ConcreteOpSpace, grid: np.ndarray):
 
 def row_with_unit(space: ConcreteOpSpace, u_coeffs: np.ndarray,
                   x_grid: np.ndarray) -> np.ndarray:
-    """Grid of the row block [u_n  x] for x at level n: shape (n, 2n, d)."""
-    n = x_grid.shape[0]
-    d = x_grid.shape[2]
-    full = np.zeros((n, 2 * n, d), dtype=np.complex128)
-    full[np.arange(n), np.arange(n), :] = u_coeffs
-    full[:, n:, :] = x_grid
+    """Grid of the row block [u_n  x] for x at level n: shape (..., n, 2n, d)
+    for a (..., n, n, d) stack."""
+    *lead, n, _, d = x_grid.shape
+    full = np.zeros((*lead, n, 2 * n, d), dtype=np.complex128)
+    full[..., np.arange(n), np.arange(n), :] = u_coeffs
+    full[..., n:, :] = x_grid
     return full
 
 
 def column_with_unit(space: ConcreteOpSpace, u_coeffs: np.ndarray,
                      x_grid: np.ndarray) -> np.ndarray:
-    """Grid of the column block [u_n over x] for x at level n: (2n, n, d)."""
-    n = x_grid.shape[0]
-    d = x_grid.shape[2]
-    full = np.zeros((2 * n, n, d), dtype=np.complex128)
-    full[np.arange(n), np.arange(n), :] = u_coeffs
-    full[n:, :, :] = x_grid
+    """Grid of the column block [u_n over x] for x at level n: shape
+    (..., 2n, n, d) for a (..., n, n, d) stack."""
+    *lead, n, _, d = x_grid.shape
+    full = np.zeros((*lead, 2 * n, n, d), dtype=np.complex128)
+    full[..., np.arange(n), np.arange(n), :] = u_coeffs
+    full[..., n:, :, :] = x_grid
     return full
 
 

@@ -38,20 +38,26 @@ class _DefectProblem:
         self._build = row_with_unit if direction == "row" else column_with_unit
 
     def _grid(self, c: np.ndarray) -> np.ndarray:
-        return c.reshape(self.n, self.n, self.space.dim)
+        return c.reshape(*c.shape[:-1], self.n, self.n, self.space.dim)
 
     def norm(self, c: np.ndarray) -> float:
         return self.space.grid_norm(self._grid(c))
 
-    def _invariant(self, nx: float, bn: float, c: np.ndarray) -> None:
+    def _invariant(self, nx, bn, c: np.ndarray) -> None:
+        """Raise unless every block norm lies in its [|u|^2, |u|^2 + |x|^2]
+        bracket; nx and bn are matching arrays for a stack of iterates."""
         lo = self.u_norm ** 2 - 1e-6
-        hi = self.u_norm ** 2 + nx * nx + 1e-6
-        if bn * bn < lo or bn * bn > hi:
+        hi = self.u_norm ** 2 + np.square(nx) + 1e-6
+        bad = np.flatnonzero((np.square(bn) < lo) | (np.square(bn) > hi))
+        if bad.size:
+            k = bad[0]
             raise SolverError(
-                f"block norm {bn:.6g} escapes [{lo:.6g}, {hi:.6g}] bracket",
-                iterate=c)
+                f"block norm {np.ravel(bn)[k]:.6g} escapes "
+                f"[{lo:.6g}, {np.ravel(hi)[k]:.6g}] bracket",
+                iterate=c.reshape(-1, self.dim)[k])
 
-    def value(self, c: np.ndarray) -> float:
+    def value(self, c: np.ndarray):
+        """Defect of an iterate, or of each row of a (..., dim) stack."""
         x = self._grid(c)
         nx = self.space.grid_norm(x)
         bn = self.space.grid_norm(self._build(self.space, self.u, x))

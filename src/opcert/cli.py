@@ -10,7 +10,6 @@ the OPSPACE_SEED environment variable when set.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -27,7 +26,7 @@ from .hermit import is_u_hermitian, is_u_positive
 from .opspace import ConcreteOpSpace
 from .order import Cone, norm_order_unit_check
 from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
-from .serialize import SpaceFile, dumps_report
+from .serialize import SpaceFile, dumps_report, loads_coeffs
 from .solver import SolverConfig
 from .sysdetect import detect_operator_system, recover_involution
 from .tro import generate_tro, involution
@@ -49,27 +48,6 @@ def _default_seed() -> int:
     except ValueError:
         raise InvalidInputError(
             f"OPSPACE_SEED must be an integer, got {raw!r}") from None
-
-
-def _parse_coeffs(text: str, label: str) -> np.ndarray:
-    """A JSON array; entries are reals or [re, im] pairs."""
-    try:
-        node = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"--{label}: invalid JSON ({exc})") from None
-    if not isinstance(node, list):
-        raise InvalidInputError(f"--{label}: expected a JSON array")
-    vals = []
-    for i, v in enumerate(node):
-        if isinstance(v, (int, float)):
-            vals.append(complex(v))
-        elif (isinstance(v, list) and len(v) == 2
-              and all(isinstance(w, (int, float)) for w in v)):
-            vals.append(complex(v[0], v[1]))
-        else:
-            raise InvalidInputError(
-                f"--{label}[{i}]: expected a number or [re, im] pair")
-    return np.array(vals, dtype=np.complex128)
 
 
 def _load_space_file(path: str) -> SpaceFile:
@@ -148,7 +126,7 @@ def cmd_check(args) -> int:
                 f"check {kind} requires a function-kind space file")
         fspace = built
         gc = fspace.unit_coeffs() if args.element is None else \
-            _parse_coeffs(args.element, "element")
+            loads_coeffs(args.element, "--element")
         if kind == "function-unitary":
             rep = scalar_unitary_check(fspace, gc, seed=args.seed,
                                        tol=args.tol)
@@ -162,7 +140,7 @@ def cmd_check(args) -> int:
     if kind in ("hermitian", "positive"):
         if args.element is None:
             raise InvalidInputError(f"check {kind} requires --element")
-        xc = space.as_coeffs(_parse_coeffs(args.element, "element"))
+        xc = space.as_coeffs(loads_coeffs(args.element, "--element"))
         rep = _wrap_hermitian(space, uc, xc, config) if kind == "hermitian" \
             else is_u_positive(space, uc, xc)
     elif kind == "unitary":
@@ -198,11 +176,10 @@ def cmd_recover(args) -> int:
     if args.kind == "involution":
         if args.x is None:
             raise InvalidInputError("recover involution requires --x")
-        xc = space.as_coeffs(_parse_coeffs(args.x, "x"))
+        xc = space.as_coeffs(loads_coeffs(args.x, "--x"))
         elem = recover_involution(space, uc, xc, t_large=args.t,
                                   config=config)
-        extra = {"recovered": elem.coeffs,
-                 "bound": 1.0 / args.t + 1.0 / args.t ** 2}
+        extra = {"recovered": elem.coeffs, "bound": elem.bound}
         closure = generate_tro(space)
         if closure.stable:
             truth = involution(closure, uc, xc)
@@ -216,8 +193,8 @@ def cmd_recover(args) -> int:
         return 0
     if args.v is None or args.y is None:
         raise InvalidInputError("recover product requires --v and --y")
-    vc = space.as_coeffs(_parse_coeffs(args.v, "v"))
-    yc = space.as_coeffs(_parse_coeffs(args.y, "y"))
+    vc = space.as_coeffs(loads_coeffs(args.v, "--v"))
+    yc = space.as_coeffs(loads_coeffs(args.y, "--y"))
     res = recover_product(space, uc, vc, yc, t=args.t, config=config)
     amb_err = float(np.linalg.norm(
         space.embed(res.element.coeffs) - res.ambient_truth, 2))

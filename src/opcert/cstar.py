@@ -32,22 +32,24 @@ class _ProductProblem:
 
     def __init__(self, space, uc, vc, fixed, slot, t):
         self.space = space
-        self.uc = uc
-        self.vc = vc
-        self.fixed = fixed
         self.slot = slot          # (0,1) variable y, (1,0) variable z
-        self.t = t
         self.dim = space.dim
+        # the block grid with the variable slot empty
+        y, z = (fixed, None) if slot == (1, 0) else (None, fixed)
+        self.frame = two_by_two(space, t * uc, y, z, t * vc)
 
     def _grid(self, c):
-        y = self.fixed if self.slot == (1, 0) else c
-        z = c if self.slot == (1, 0) else self.fixed
-        return two_by_two(self.space, self.t * self.uc, y, z, self.t * self.vc)
+        """(..., 2, 2, d) grids for a (..., d) stack of variable blocks."""
+        c = np.asarray(c, dtype=np.complex128)
+        grid = np.broadcast_to(self.frame, c.shape[:-1] + self.frame.shape).copy()
+        grid[..., self.slot[0], self.slot[1], :] = c
+        return grid
 
     def norm(self, c):
         return self.space.norm(c)
 
     def value(self, c):
+        """Block norm of a variable block, or of each row of a (..., d) stack."""
         return self.space.grid_norm(self._grid(c))
 
     def value_and_grad(self, c):
@@ -72,8 +74,8 @@ class RecoveredProduct:
 def _solve_product(space, uc, vc, given, slot, t, config, closure,
                    warm_start=False):
     config = config or SolverConfig()
-    if t <= 0:
-        raise InvalidInputError("t must be positive")
+    if not 0 < t < np.inf:
+        raise InvalidInputError("t must be positive and finite")
     ng = space.norm(given)
     if ng > 1.0 + 1e-9:
         raise InvalidInputError("given factor must lie in the unit ball")

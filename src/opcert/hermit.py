@@ -55,8 +55,8 @@ def is_u_hermitian(space: ConcreteOpSpace, u, x, t_grid=None,
     xc = space.as_coeffs(x)
     nx = space.norm(xc)
     grid = tuple(t_grid if t_grid is not None else DEFAULT_T_GRID)
-    if any(t <= 0 for t in grid):
-        raise InvalidInputError("t grid must be positive")
+    if not all(0 < t < np.inf for t in grid):
+        raise InvalidInputError("t grid must be positive and finite")
     signed = np.array(sorted({s * t for t in grid for s in (1.0, -1.0)}))
     k = nx * nx
     scalar = np.empty(signed.size)

@@ -31,29 +31,34 @@ def spectral_norm(m) -> float:
     a = as_cmat(m)
     if a.size == 0:
         raise InvalidInputError("spectral_norm of a dimension-zero matrix")
-    return float(np.linalg.norm(a, ord=2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def batched_spectral_norm(a: np.ndarray) -> np.ndarray:
     """Largest singular value along the last two axes of a (..., r, c) stack.
 
     Rows/columns of length one and 2-row/2-column stacks use closed forms
-    (a Gram eigenvalue formula) so that large batches of small matrices do
-    not pay a per-matrix LAPACK call.
+    so that large batches of small matrices do not pay a per-matrix LAPACK
+    call. For two rows (after transposing a 2-column stack), the Gram
+    entries g00, g11, g01 are dot products over the long axis and the top
+    eigenvalue is (g00 + g11 + sqrt((g00 - g11)^2 + 4|g01|^2)) / 2: every
+    term is nonnegative, so it keeps full relative accuracy even when the
+    two singular values nearly coincide, unlike the tr^2 - 4 det form.
     """
     a = np.asarray(a, dtype=np.complex128)
     r, c = a.shape[-2:]
     if r == 1 or c == 1:
         return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
     if min(r, c) == 2:
-        # Gram matrix on the short side is 2x2: top eigenvalue in closed form.
-        g = a @ adjoint(a) if r <= c else adjoint(a) @ a
-        tr = np.real(g[..., 0, 0] + g[..., 1, 1])
-        # det of a 2x2 psd matrix, clipped against tiny negative float noise
-        det = np.real(g[..., 0, 0] * g[..., 1, 1]) - np.abs(g[..., 0, 1]) ** 2
-        disc = np.maximum(tr * tr - 4.0 * det, 0.0)
-        top = 0.5 * (tr + np.sqrt(disc))
-        return np.sqrt(np.maximum(top, 0.0))
+        # the float64 view needs a contiguous last axis
+        a = np.ascontiguousarray(a if r == 2 else a.swapaxes(-1, -2))
+        f = a.view(np.float64)
+        g00 = np.einsum("...k,...k->...", f[..., 0, :], f[..., 0, :])
+        g11 = np.einsum("...k,...k->...", f[..., 1, :], f[..., 1, :])
+        g01 = np.einsum("...k,...k->...", a[..., 0, :], np.conj(a[..., 1, :]))
+        diff = g00 - g11
+        top = 0.5 * (g00 + g11 + np.sqrt(diff * diff + 4.0 * np.abs(g01) ** 2))
+        return np.sqrt(top)
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 

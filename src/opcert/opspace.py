@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError
-from .matcore import adjoint, batched_spectral_norm, spectral_norm
+from .matcore import adjoint, batched_spectral_norm
 
 GRAM_MIN_EIG = 1e-10
 MEMBERSHIP_TOL = 1e-6
@@ -97,16 +97,21 @@ class ConcreteOpSpace:
 
     # -- norms -------------------------------------------------------------
 
-    def grid_norm(self, grid: np.ndarray) -> float:
-        """Spectral norm of the concrete matrix of an (n1, n2, d) block grid."""
+    def grid_norm(self, grid: np.ndarray):
+        """Spectral norm of the concrete matrix of an (..., n1, n2, d) block
+        grid: a float for one grid, an array over the leading axes for a
+        stack of grids."""
         grid = np.asarray(grid, dtype=np.complex128)
+        *lead, n1, n2, _ = grid.shape
         if self.diagonal:
-            vals = np.einsum("ijk,kw->wij", grid, self.point_basis)
-            return float(batched_spectral_norm(vals).max())
-        n1, n2, _ = grid.shape
-        p, q = self.ambient_shape
-        m = np.einsum("ijk,kpq->ipjq", grid, self.basis)
-        return spectral_norm(m.reshape(n1 * p, n2 * q))
+            vals = np.moveaxis(grid @ self.point_basis, -1, -3)
+            norms = batched_spectral_norm(vals).max(axis=-1)
+        else:
+            p, q = self.ambient_shape
+            m = np.einsum("...ijk,kpq->...ipjq", grid, self.basis)
+            m = m.reshape(*lead, n1 * p, n2 * q)
+            norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+        return norms if lead else float(norms)
 
     def norm(self, coeffs) -> float:
         return self.grid_norm(self.as_coeffs(coeffs)[None, None, :])

@@ -8,6 +8,7 @@ byte-identical. Parse failures carry the offending field path.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -83,11 +84,18 @@ def dumps_canonical(tree) -> str:
 
 def _as_complex(node, path: str) -> complex:
     if isinstance(node, (int, float)):
-        return complex(node)
-    if isinstance(node, list) and len(node) == 2 and \
-            all(isinstance(v, (int, float)) for v in node):
-        return complex(node[0], node[1])
-    raise ParseError(path, "expected a number or an [re, im] pair")
+        node = [node, 0]
+    if not (isinstance(node, list) and len(node) == 2 and
+            all(isinstance(v, (int, float)) for v in node)):
+        raise ParseError(path, "expected a number or an [re, im] pair")
+    try:
+        z = complex(node[0], node[1])
+    except OverflowError:
+        raise ParseError(path, "number out of range") from None
+    # json accepts NaN and Infinity, which no norm computation survives
+    if not cmath.isfinite(z):
+        raise ParseError(path, "non-finite number")
+    return z
 
 
 def _complex_vector(node, path: str) -> np.ndarray:
@@ -95,6 +103,16 @@ def _complex_vector(node, path: str) -> np.ndarray:
         raise ParseError(path, "expected an array")
     return np.array([_as_complex(v, f"{path}[{i}]")
                      for i, v in enumerate(node)], dtype=np.complex128)
+
+
+def loads_coeffs(text: str, path: str) -> np.ndarray:
+    """A coefficient vector from JSON text: an array whose entries are
+    reals or [re, im] pairs, all finite. Errors name ``path``."""
+    try:
+        node = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, f"invalid JSON: {exc}") from None
+    return _complex_vector(node, path)
 
 
 def _pair(z: complex) -> list:

@@ -8,7 +8,8 @@ the reported value is a certified lower bound on the supremum).
 Problems expose a flat complex variable vector:
 
     dim             number of complex coefficients
-    value(c)        objective, a float
+    value(c)        objective, a float; on a (..., dim) stack of variables,
+                    the array of objectives over the leading axes
     value_and_grad(c) -> (value, wirtinger_grad, smooth)
     norm(c)         constraint norm of the variable (an operator norm)
 
@@ -23,6 +24,7 @@ lowest start index, so results are bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,16 +53,17 @@ class SolverConfig:
         return self.fail_ratio * self.cert_tol
 
     def validate(self) -> None:
-        if self.starts < 1 or self.max_iters < 1:
+        # every test is written so that NaN fails it
+        if not (self.starts >= 1 and self.max_iters >= 1):
             raise InvalidInputError("starts and max_iters must be positive")
         for name in ("step_scale", "stat_tol", "stall_window", "cert_tol",
                      "eps_stop", "fd_step"):
-            if getattr(self, name) <= 0:
-                raise InvalidInputError(f"{name} must be positive")
-        if self.fail_ratio < 1:
-            raise InvalidInputError("fail_ratio must be at least 1")
-        if not self.t_grid or any(t <= 0 for t in self.t_grid):
-            raise InvalidInputError("t_grid must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be positive and finite")
+        if not 1 <= self.fail_ratio < math.inf:
+            raise InvalidInputError("fail_ratio must be finite and at least 1")
+        if not self.t_grid or not all(0 < t < math.inf for t in self.t_grid):
+            raise InvalidInputError("t_grid must be positive and finite")
 
 
 @dataclass
@@ -76,15 +79,11 @@ class SolveResult:
 
 
 def _fd_grad(problem, c: np.ndarray, f0: float, step: float) -> np.ndarray:
-    grad = np.zeros(problem.dim, dtype=np.complex128)
-    for j in range(problem.dim):
-        e = np.zeros(problem.dim, dtype=np.complex128)
-        e[j] = step
-        da = (problem.value(c + e) - f0) / step
-        e[j] = 1j * step
-        db = (problem.value(c + e) - f0) / step
-        grad[j] = da + 1j * db
-    return grad
+    # one stacked call over the 2*dim probes c + step*e_j and c + i*step*e_j
+    eye = np.eye(problem.dim)
+    probes = c + step * np.concatenate([eye, 1j * eye])
+    q = (np.asarray(problem.value(probes)) - f0) / step
+    return q[:problem.dim] + 1j * q[problem.dim:]
 
 
 def _check_finite(f: float, c: np.ndarray) -> None:
@@ -137,7 +136,8 @@ def _sphere_starts(problem, n_starts: int, extra, rng_key) -> list:
         if n > 1e-12:
             starts.append(g / n)
         idx += 1
-    return starts[:max(n_starts, len(extra))] if starts else starts
+    # never truncated: the basis and every warm start run even past n_starts
+    return starts
 
 
 def _run_start(problem, config, c0, sign, target, stop_at_target):

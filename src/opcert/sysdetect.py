@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import grid_value_and_grad, two_by_two
+from .blocks import grid_value_and_grad
 from .certify import certify_unitary
 from .errors import InvalidInputError, PreconditionError
 from .matcore import adjoint
@@ -47,33 +47,38 @@ class _PartnerProblem:
 
     def __init__(self, space: ConcreteOpSpace, uc, xc, ts):
         self.space = space
-        self.uc = uc
-        self.xc = xc
         self.ts = np.asarray(ts, dtype=float)
         self.targets = np.sqrt(self.ts ** 2 + 1.0)
         self.dim = space.dim
+        # the (T, 2, 2, d) block grids over the t grid with the y slot empty
+        self.frame = np.zeros((self.ts.size, 2, 2, self.dim), dtype=np.complex128)
+        self.frame[:, 0, 0] = self.frame[:, 1, 1] = self.ts[:, None] * uc
+        self.frame[:, 0, 1] = xc
 
     def norm(self, c: np.ndarray) -> float:
         return self.space.norm(c)
 
-    def _hinges(self, c: np.ndarray) -> np.ndarray:
-        out = np.empty(self.ts.size)
-        for i, t in enumerate(self.ts):
-            g = two_by_two(self.space, t * self.uc, self.xc, c, t * self.uc)
-            out[i] = self.space.grid_norm(g) - self.targets[i]
-        return np.maximum(out, 0.0)
+    def _grids(self, c: np.ndarray) -> np.ndarray:
+        """(..., T, 2, 2, d) grids for a (..., d) stack of partners."""
+        c = np.asarray(c, dtype=np.complex128)
+        grids = np.broadcast_to(self.frame, c.shape[:-1] + self.frame.shape).copy()
+        grids[..., 1, 0, :] = c[..., None, :]
+        return grids
 
-    def value(self, c: np.ndarray) -> float:
-        return float(self._hinges(c).max())
+    def _hinges(self, grids: np.ndarray) -> np.ndarray:
+        return np.maximum(self.space.grid_norm(grids) - self.targets, 0.0)
+
+    def value(self, c: np.ndarray):
+        """Worst hinge of a partner, or of each row of a (..., d) stack."""
+        return self._hinges(self._grids(c)).max(axis=-1)
 
     def value_and_grad(self, c: np.ndarray):
-        h = self._hinges(c)
+        grids = self._grids(c)
+        h = self._hinges(grids)
         i = int(np.argmax(h))
         if h[i] <= 0.0:
             return 0.0, np.zeros(self.dim, dtype=np.complex128), True
-        t = self.ts[i]
-        g = two_by_two(self.space, t * self.uc, self.xc, c, t * self.uc)
-        _, grad, smooth = grid_value_and_grad(self.space, g)
+        _, grad, smooth = grid_value_and_grad(self.space, grids[i])
         return float(h[i]), grad[1, 0, :], smooth
 
 
@@ -108,7 +113,7 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
         problem, config, target=0.0, stop_at_target=True,
         starts=starts if starts is not None else PARTNER_STARTS,
         extra_starts=extras, seed_salt=(21,))
-    per_t = problem._hinges(res.coeffs)
+    per_t = problem._hinges(problem._grids(res.coeffs))
     return PartnerSearchResult(
         x_coeffs=xc, y_coeffs=res.coeffs, residual=float(res.value),
         per_t_residual=per_t, t_grid=ts, converged=res.converged,
@@ -169,17 +174,27 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
         diagnostics=diag)
 
 
+@dataclass(frozen=True)
+class RecoveredInvolution(Element):
+    """The recovered iota(x) with the partner residual it rests on."""
+
+    residual: float   # hinge of the partner at t_large, below fail_tol
+    bound: float      # guaranteed ambient error of this element
+
+
 def recover_involution(space: ConcreteOpSpace, u=None, x=None,
                        t_large: float = 100.0,
-                       config: SolverConfig | None = None) -> Element:
+                       config: SolverConfig | None = None) -> RecoveredInvolution:
     """The recaptured involution applied to x, as -y for the partner at t_large.
 
-    On success the concrete matrix of the result is within
-    1/t_large + 1/t_large^2 (plus solver slack) of u adjoint(x) u.
+    On success the concrete matrix of the result is within ``bound`` =
+    1/t_large + 1/t_large^2 + 2 residual + 2 eps_stop of u adjoint(x) u,
+    where residual is the partner's hinge at t_large: the partner may miss
+    the constraint by that much, as a recovered product may miss its target.
     """
     config = config or SolverConfig()
-    if t_large <= 0:
-        raise InvalidInputError("t_large must be positive")
+    if not 0 < t_large < np.inf:
+        raise InvalidInputError("t_large must be positive and finite")
     uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
     xc = space.as_coeffs(x)
     # cold starts: the returned point must come from the t_large feasible
@@ -190,7 +205,9 @@ def recover_involution(space: ConcreteOpSpace, u=None, x=None,
         raise PreconditionError(
             f"no admissible partner at t={t_large:g} "
             f"(residual {r.residual:.3e}); not an operator system for this unit")
-    return space.element(-r.y_coeffs)
+    bound = involution_error_bound(t_large) + 2 * r.residual + 2 * config.eps_stop
+    return RecoveredInvolution(space, -r.y_coeffs, residual=r.residual,
+                               bound=bound)
 
 
 def t1_insufficiency_probe(space: ConcreteOpSpace, u=None, x=None,

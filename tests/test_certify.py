@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opcert.blocks import column_with_unit, row_with_unit
 from opcert.certify import (certify_coisometry, certify_isometry,
                             certify_unitary, column_defect, row_defect)
 from opcert.errors import InvalidInputError, PreconditionError
+from opcert.funcspace import catalog_space
 from opcert.opspace import make_space
+from opcert.solver import SolverConfig
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 E21 = np.array([[0, 0], [1, 0]], dtype=np.complex128)
@@ -104,6 +108,22 @@ def test_diagonal_embedding_keeps_defect():
     embedded[1, 1] = p1.witness[0, 0]
     p2 = column_defect(space, level=2, extra_starts=[embedded])
     assert p2.worst_defect >= p1.worst_defect - 1e-8
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                   allow_infinity=False),
+                min_size=2, max_size=2))
+def test_level_two_keeps_the_level_one_row_defect(coeffs):
+    # fewer starts than the level-2 dimension 8: the level-1 witness passed
+    # on as a warm start must still run, so the defect cannot drop
+    space = catalog_space("m2-upper")
+    c = np.array(coeffs) + np.array([1.0, 0])
+    u = c / space.norm(c)
+    config = SolverConfig(starts=4, max_iters=60)
+    rep = certify_coisometry(space, u, max_level=2, config=config)
+    d = rep.diagnostics
+    assert d["row_defect_level_2"] >= d["row_defect_level_1"] - 1e-9
 
 
 def test_near_unit_lands_inconclusive():

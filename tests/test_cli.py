@@ -120,6 +120,61 @@ def test_recover_involution_reports_ambient_error(tmp_path, capsys):
     assert float(line.split(":")[1]) <= 0.0101 + 1e-4
 
 
+@pytest.mark.parametrize("seed", [6, 8])
+def test_recover_involution_stays_within_stated_bound(tmp_path, seed):
+    # x drawn as the recover-cli benchmark draws it; at t = 1000 these
+    # partners keep a residual hinge that 1/t + 1/t^2 alone does not cover
+    space = catalog_space("m2-full")
+    rng = np.random.default_rng([seed, 0])
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    x *= 0.8 / space.norm(x)
+    report = tmp_path / "report.json"
+    code = main(["recover", "involution",
+                 "--space", write_catalog_file(tmp_path, "m2-full"),
+                 "--x", json.dumps([[v.real, v.imag] for v in x]),
+                 "--t", "1000", "--out", str(report)])
+    assert code == 0
+    extra = json.loads(report.read_text())["extra"]
+    got = space.embed(np.array([complex(*p) for p in extra["recovered"]]))
+    u, xm = space.embed(space.unit_coeffs()), space.embed(x)
+    error = np.linalg.norm(got - u @ xm.conj().T @ u, 2)
+    assert error <= extra["bound"]
+
+
+@pytest.mark.parametrize("field", ["unit", "basis"])
+def test_non_finite_space_file_is_an_input_error(tmp_path, capsys, field):
+    tree = SpaceFile.from_space(catalog_space("m2-full")).to_tree()
+    if field == "unit":
+        tree["unit"][0] = [float("nan"), 0.0]
+    else:
+        tree["basis"][1][0][1] = [float("inf"), 0.0]
+    path = tmp_path / "non-finite.json"
+    path.write_text(json.dumps(tree))       # writes NaN / Infinity
+    assert main(["check", "unitary", "--space", str(path)]) == 3
+    assert "non-finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover", "involution", "--x", "[0, 1, 0, 0]", "--t", "nan"],
+    ["check", "hermitian", "--element", "[0, 1, 1, 0]", "--t-grid", "0.5,inf"],
+])
+def test_non_finite_t_is_an_input_error(tmp_path, capsys, argv):
+    space = write_catalog_file(tmp_path, "m2-full")
+    assert main(argv + ["--space", space]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_coefficients_exit_cleanly(tmp_path):
+    space = write_catalog_file(tmp_path, "m2-full")
+    proc = subprocess.run(
+        [sys.executable, "-m", "opcert.cli", "recover", "involution",
+         "--space", space, "--x", "[NaN, 0, 0, 0]"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert "--x[0]: non-finite number" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_recover_product_escape_exits_nonzero(tmp_path, capsys):
     space = write_catalog_file(tmp_path, "m2-upper")
     code = main(["recover", "product", "--space", space,

@@ -92,6 +92,32 @@ def test_batched_accepts_leading_batch_axes():
     assert out[1, 2] == pytest.approx(want, abs=1e-10)
 
 
+def test_two_sided_kernel_matches_lapack_to_full_precision():
+    rng = np.random.default_rng(21)
+
+    def cgauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    u, v = cgauss(6, 2), cgauss(6, 9)
+    w1, w2 = np.linalg.qr(cgauss(2, 8, 2, 2))[0]
+    cases = {
+        "(..., 2, 2)": cgauss(3, 5, 2, 2),
+        "(..., 2, N)": cgauss(7, 2, 9),
+        "(..., N, 2)": cgauss(7, 9, 2),
+        "rank one": np.einsum("bi,bj->bij", u, v),
+        # the layout a point-backed grid is evaluated in: not contiguous
+        "non-contiguous": np.moveaxis(cgauss(2, 2, 3) @ cgauss(3, 40), -1, 0),
+        "strided": cgauss(4, 6, 2, 2)[::2, :, :, ::-1].swapaxes(-1, -2),
+        # sigma_1 - sigma_2 = 1e-8, where tr^2 - 4 det cancels
+        "near-degenerate": w1 @ np.diag([1.0, 1.0 - 1e-8]) @ w2,
+    }
+    for label, a in cases.items():
+        want = np.linalg.svd(a, compute_uv=False)[..., 0]
+        npt.assert_allclose(batched_spectral_norm(a), want, rtol=1e-12,
+                            atol=0, err_msg=label)
+    npt.assert_array_equal(batched_spectral_norm(np.zeros((3, 2, 5))), 0.0)
+
+
 def test_top_singular_triple_reconstructs():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))

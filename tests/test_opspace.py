@@ -167,6 +167,20 @@ def test_diagonal_grid_norm_matches_dense_route():
             dense_space.grid_norm(grid), abs=1e-10)
 
 
+def test_grid_norm_of_a_stack_matches_the_loop():
+    rng = np.random.default_rng(22)
+    pb = np.stack([np.ones(7), np.exp(2j * np.pi * np.arange(7) / 7),
+                   np.linspace(-1.0, 1.0, 7)])
+    for space in (m2_full(), space_from_points(pb)):
+        grids = rng.standard_normal((3, 2, 2, 3, space.dim)) \
+            + 1j * rng.standard_normal((3, 2, 2, 3, space.dim))
+        got = space.grid_norm(grids)
+        assert got.shape == (3, 2)
+        want = [[space.grid_norm(g) for g in row] for row in grids]
+        npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert isinstance(space.grid_norm(grids[0, 0]), float)
+
+
 def test_amplified_matrix_agrees_between_layouts():
     pb = np.stack([np.ones(3), np.array([1.0, 2.0, 3.0])])
     diag_space = space_from_points(pb, unit=[1.0, 0])

@@ -2,10 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from opcert.certify import _DefectProblem
+from opcert.cstar import _ProductProblem
 from opcert.errors import InvalidInputError, SolverError
+from opcert.funcspace import catalog_entry
 from opcert.opspace import make_space
-from opcert.solver import (SolverConfig, maximize_over_sphere,
+from opcert.solver import (SolverConfig, _fd_grad, maximize_over_sphere,
                            minimize_over_ball, spectral_subgradient)
+from opcert.sysdetect import _PartnerProblem
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 E21 = np.array([[0, 0], [1, 0]], dtype=np.complex128)
@@ -72,6 +76,10 @@ def test_config_validation():
         SolverConfig(fail_ratio=0.5).validate()
     with pytest.raises(InvalidInputError):
         SolverConfig(t_grid=(1.0, -2.0)).validate()
+    with pytest.raises(InvalidInputError):
+        SolverConfig(t_grid=(1.0, float("inf"))).validate()
+    with pytest.raises(InvalidInputError):
+        SolverConfig(cert_tol=float("nan")).validate()
     SolverConfig().validate()
 
 
@@ -203,3 +211,68 @@ def test_scalar_gradient_real_direction():
     val, grad, smooth = spectral_subgradient(space, grid)
     assert val == pytest.approx(1.0)
     assert grad.reshape(-1)[0] == pytest.approx(1.0 + 0j)
+
+
+def _objectives():
+    """The partner, product and defect objectives on a dense and a
+    point-backed space."""
+    out = []
+    for space in (m2_full(), catalog_entry("circle-1z").min_space(60)):
+        uc = space.unit_coeffs()
+        x = np.linspace(0.1, 0.4, space.dim) * (1 + 0.5j)
+        x = x / (1.25 * space.norm(x))
+        out += [_PartnerProblem(space, uc, x, (0.25, 1.0, 32.0)),
+                _ProductProblem(space, uc, uc, x, (1, 0), 10.0),
+                _ProductProblem(space, uc, uc, x, (0, 1), 10.0),
+                _DefectProblem(space, uc, 2, "row"),
+                _DefectProblem(space, uc, 1, "column")]
+    return out
+
+
+def _sphere_points(problem, rng, shape):
+    c = rng.standard_normal(shape + (problem.dim,)) \
+        + 1j * rng.standard_normal(shape + (problem.dim,))
+    return c / np.reshape([problem.norm(r) for r in c.reshape(-1, problem.dim)],
+                          shape + (1,))
+
+
+def test_stacked_value_matches_row_by_row():
+    rng = np.random.default_rng(15)
+    for problem in _objectives():
+        c = _sphere_points(problem, rng, (3, 2))
+        got = problem.value(c)
+        assert got.shape == (3, 2)
+        want = [[problem.value(row) for row in rows] for rows in c]
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+def test_fd_grad_matches_the_coordinate_loop():
+    rng = np.random.default_rng(16)
+    step = SolverConfig().fd_step
+    for problem in _objectives():
+        c = _sphere_points(problem, rng, ())
+        f0 = problem.value(c)
+        want = np.zeros(problem.dim, dtype=np.complex128)
+        for j in range(problem.dim):
+            e = np.zeros(problem.dim, dtype=np.complex128)
+            e[j] = step
+            da = (problem.value(c + e) - f0) / step
+            e[j] = 1j * step
+            db = (problem.value(c + e) - f0) / step
+            want[j] = da + 1j * db
+        npt.assert_allclose(_fd_grad(problem, c, f0, step), want,
+                            rtol=0, atol=1e-9)
+
+
+def test_stacked_defect_checks_the_bracket_of_every_row():
+    space = m2_full()
+    # u = diag(1/2, 1); recorded as norm 1.5, which only large rows satisfy
+    problem = _DefectProblem(space, np.array([0.5, 0, 0, 0.5]), 1, "row")
+    problem.u_norm = 1.5
+    rng = np.random.default_rng(17)
+    c = 3.0 * _sphere_points(problem, rng, (3,))
+    problem.value(c)
+    c[2] /= 6.0
+    with pytest.raises(SolverError) as info:
+        problem.value(c)
+    npt.assert_array_equal(info.value.iterate, c[2])
