@@ -22,7 +22,7 @@ from .order import Cone, cone_equals_delta_plus, cone_membership, \
 from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
 from .serialize import ParseError, SpaceFile, dumps_canonical, dumps_report
 from .solver import SolverConfig, SolveResult, maximize_over_sphere, \
-    minimize_over_ball, spectral_subgradient
+    minimize_over_ball
 from .sysdetect import (PartnerSearchResult, RecoveredInvolution,
                         detect_operator_system, find_partner,
                         involution_error_bound, recover_involution,
@@ -54,6 +54,6 @@ __all__ = [
     "operator_system_check", "recover_involution", "recover_product",
     "recover_product_left", "row_defect", "same_involution_check",
     "scalar_unitary_check", "selfadjoint_unit_check", "space_from_points",
-    "spectral_subgradient", "t1_insufficiency_probe", "transfer_check",
+    "t1_insufficiency_probe", "transfer_check",
     "unitary_span_check",
 ]

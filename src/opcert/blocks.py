@@ -1,7 +1,9 @@
 """Spectral norms of block grids of space elements, with gradients.
 
-A grid of shape (n1, n2, d) stands for the concrete (n1*p) x (n2*q) matrix
-whose (i, j) block is the embedding of the coefficient vector grid[i, j].
+A grid of shape (n1, n2, d) stands for the concrete matrix whose (i, j)
+block is the embedding of the coefficient vector grid[i, j]; up to a
+permutation it is the direct sum of one n1 x n2 grid per block of the
+space.
 The gradient returned is the Wirtinger ascent direction G for the real
 objective sigma_max: writing a coefficient as a + ib, G = df/da + i df/db,
 so C + s*G increases the norm and C - s*G decreases it. G is only valid
@@ -19,41 +21,27 @@ from .opspace import ConcreteOpSpace
 GAP_TOL = 1e-8
 
 
-def grid_value(space: ConcreteOpSpace, grid: np.ndarray) -> float:
-    return space.grid_norm(grid)
-
-
 def grid_value_and_grad(space: ConcreteOpSpace, grid: np.ndarray):
     """Norm of the concrete matrix of a grid, its gradient, and a smoothness
-    flag (False near a degenerate top singular value)."""
-    grid = np.asarray(grid, dtype=np.complex128)
-    n1, n2, d = grid.shape
-    if space.diagonal:
-        vals = np.einsum("ijk,kw->wij", grid, space.point_basis)
-        norms = batched_spectral_norm(vals)
-        w_star = int(np.argmax(norms))
-        u, s, vh = np.linalg.svd(vals[w_star])
-        sigma = float(s[0])
-        runner = s[1] if s.size > 1 else 0.0
-        if norms.size > 1:
-            others = np.delete(norms, w_star)
-            runner = max(float(runner), float(others.max()))
-        gap = sigma - float(runner)
-        wvec = u[:, 0]
-        vvec = np.conj(vh[0, :])
-        pb = space.point_basis[:, w_star]
-        grad = np.einsum("i,j,k->ijk", wvec, np.conj(vvec), np.conj(pb))
-        smooth = gap > GAP_TOL * max(1.0, sigma)
-        return sigma, grad, smooth
-    p, q = space.ambient_shape
-    mat = np.einsum("ijk,kpq->ipjq", grid, space.basis).reshape(n1 * p, n2 * q)
-    sigma, w, v, gap = top_singular_triple(mat)
-    wb = w.reshape(n1, p)
-    vb = v.reshape(n2, q)
-    t = np.einsum("ip,kpq,jq->ijk", np.conj(wb), space.basis, vb)
-    grad = np.conj(t)
+    flag (False near a degenerate top singular value).
+
+    The gradient comes from the top singular pair of the top block. The
+    gap is taken against the block's second singular value and against
+    the runner-up block, since either can take over the norm.
+    """
+    stack = space.grid_blocks(grid)
+    _, w, p, q = space.basis.shape
+    top, runner = 0, 0.0
+    if w > 1:
+        norms = batched_spectral_norm(stack)
+        top = int(np.argmax(norms))
+        runner = float(np.partition(norms, w - 2)[w - 2])
+    sigma, u, v, gap = top_singular_triple(stack[top])
+    gap = min(gap, sigma - runner)
+    t = np.einsum("ip,kpq,jq->ijk", np.conj(u.reshape(-1, p)),
+                  space.basis[:, top], v.reshape(-1, q))
     smooth = gap > GAP_TOL * max(1.0, sigma)
-    return sigma, grad, smooth
+    return sigma, np.conj(t), smooth
 
 
 def row_with_unit(space: ConcreteOpSpace, u_coeffs: np.ndarray,

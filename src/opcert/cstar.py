@@ -18,7 +18,7 @@ import numpy as np
 from .blocks import grid_value_and_grad, two_by_two
 from .errors import InvalidInputError, PreconditionError
 from .hermit import delta_span, is_u_hermitian
-from .matcore import adjoint, psd_sqrt
+from .matcore import adjoint, block_diag, psd_sqrt, row_span
 from .opspace import ConcreteOpSpace, Element
 from .report import FAIL, PASS, CertificateReport
 from .solver import SolverConfig, minimize_over_ball
@@ -81,16 +81,15 @@ def _solve_product(space, uc, vc, given, slot, t, config, closure,
         raise InvalidInputError("given factor must lie in the unit ball")
     problem = _ProductProblem(space, uc, vc, given, slot, t)
     target = float(np.sqrt(t * t + ng * ng))
-    umat, vmat = space.embed(uc), space.embed(vc)
-    gmat = space.embed(given)
+    ub, vb, gb = space.blocks(uc), space.blocks(vc), space.blocks(given)
     if slot == (1, 0):
-        truth = vmat @ adjoint(gmat) @ umat
+        truth = vb @ adjoint(gb) @ ub
     else:
-        truth = umat @ adjoint(gmat) @ vmat
-    proj, proj_res = space.membership(truth)
+        truth = ub @ adjoint(gb) @ vb
+    proj, proj_res = space.membership_blocks(truth)
+    truth_norm = float(np.linalg.norm(truth))
     extras = []
-    if warm_start and proj_res <= space.membership_tol * \
-            max(1.0, float(np.linalg.norm(truth))):
+    if warm_start and proj_res <= space.membership_tol * max(1.0, truth_norm):
         # warm start at the projected ambient product; the block norm is
         # still evaluated from scratch, so this cannot fake feasibility
         extras.append(-proj)
@@ -101,14 +100,14 @@ def _solve_product(space, uc, vc, given, slot, t, config, closure,
     escaped = res.value >= target + config.fail_tol
     amb_res = None
     if closure is not None and closure.envelope_exact:
-        amb_res = proj_res / max(1.0, float(np.linalg.norm(truth)))
+        amb_res = proj_res / max(1.0, truth_norm)
         escaped = amb_res > space.membership_tol
     slack = max(0.0, float(res.value) - target)
     return RecoveredProduct(
         element=space.element(candidate), escaped=bool(escaped),
         achieved=float(res.value), target=target,
         bound=involution_error_bound(t) + 2 * slack + 2 * config.eps_stop,
-        ambient_truth=truth, ambient_residual=amb_res,
+        ambient_truth=block_diag(truth), ambient_residual=amb_res,
         converged=res.converged,
         diagnostics={"iterations": res.iterations, "fd_calls": res.fd_calls,
                      "reached_target": res.reached_target})
@@ -170,34 +169,18 @@ def hermitian_to_unitaries(space: ConcreteOpSpace, u, x,
         raise InvalidInputError("x must lie in the unit ball")
     if not is_u_hermitian(space, uc, xc).passed:
         raise PreconditionError("x is not hermitian for this unit")
-    if space.diagonal:
-        uv = space.point_values(uc)
-        xv = space.point_values(xc)
-        a = np.conj(uv) * xv
-        if np.max(np.abs(np.imag(a))) > 1e-8:
-            raise PreconditionError("x is not hermitian for this unit")
-        s = np.sqrt(np.clip(1.0 - np.real(a) ** 2, 0.0, None))
-        v1_rep = xv + 1j * uv * s
-        v2_rep = 2.0 * xv - v1_rep
-        c1, r1 = space.membership_points(v1_rep)
-        c2, r2 = space.membership_points(v2_rep)
-        scale1 = max(1.0, float(np.linalg.norm(v1_rep)))
-        scale2 = max(1.0, float(np.linalg.norm(v2_rep)))
-    else:
-        umat = space.embed(uc)
-        xmat = space.embed(xc)
-        a = adjoint(umat) @ xmat
-        if np.linalg.norm(a - adjoint(a)) > 1e-8 * max(1.0, np.linalg.norm(a)):
-            raise PreconditionError("x is not hermitian for this unit")
-        a = 0.5 * (a + adjoint(a))
-        eye = np.eye(a.shape[0], dtype=np.complex128)
-        s = psd_sqrt(eye - a @ a)
-        v1_rep = xmat + 1j * (umat @ s)
-        v2_rep = 2.0 * xmat - v1_rep
-        c1, r1 = space.membership(v1_rep)
-        c2, r2 = space.membership(v2_rep)
-        scale1 = max(1.0, float(np.linalg.norm(v1_rep)))
-        scale2 = max(1.0, float(np.linalg.norm(v2_rep)))
+    ub, xb = space.blocks(uc), space.blocks(xc)
+    a = adjoint(ub) @ xb
+    if np.linalg.norm(a - adjoint(a)) > 1e-8 * max(1.0, np.linalg.norm(a)):
+        raise PreconditionError("x is not hermitian for this unit")
+    a = 0.5 * (a + adjoint(a))
+    s = psd_sqrt(np.eye(a.shape[-1]) - a @ a)
+    v1_rep = xb + 1j * (ub @ s)
+    v2_rep = 2.0 * xb - v1_rep
+    c1, r1 = space.membership_blocks(v1_rep)
+    c2, r2 = space.membership_blocks(v2_rep)
+    scale1 = max(1.0, float(np.linalg.norm(v1_rep)))
+    scale2 = max(1.0, float(np.linalg.norm(v2_rep)))
     tol = space.membership_tol
     m1 = r1 / scale1 <= tol
     m2 = r2 / scale2 <= tol
@@ -234,9 +217,7 @@ def unitary_span_check(space: ConcreteOpSpace, u=None,
     """Do the collected unitaries (with i-multiples) span the space?"""
     uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
     unitaries = collect_unitaries(space, uc, closure)
-    with_i = np.vstack([unitaries, 1j * unitaries])
-    s = np.linalg.svd(with_i, compute_uv=False)
-    rank = int(np.sum(s > 1e-9 * s[0])) if s.size and s[0] > 0 else 0
+    rank = row_span(np.vstack([unitaries, 1j * unitaries])).shape[0]
     ok = rank == space.dim
     return CertificateReport(
         name="unitary-span", verdict=PASS if ok else FAIL,
@@ -300,15 +281,11 @@ def _assemble_table(space, uc, unitaries, t_table, config, closure):
     memb = None
     if closure is not None and closure.envelope_exact:
         memb = np.zeros((d, d))
-        umat = space.embed(uc)
+        ua = adjoint(space.blocks(uc))
         for i in range(d):
             for j in range(d):
-                ei = np.zeros(d, dtype=np.complex128)
-                ej = np.zeros(d, dtype=np.complex128)
-                ei[i] = 1.0
-                ej[j] = 1.0
-                truth = space.embed(ei) @ adjoint(umat) @ space.embed(ej)
-                _, res = space.membership(truth)
+                truth = space.basis[i] @ ua @ space.basis[j]
+                _, res = space.membership_blocks(truth)
                 memb[i, j] = res / max(1.0, float(np.linalg.norm(truth)))
     return ProductTable(space=space, entries=entries, residual_bounds=bounds,
                         membership_residuals=memb, t_table=t_table,

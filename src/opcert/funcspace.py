@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError
-from .matcore import real_kernel
+from .matcore import real_kernel, row_span
 from .opspace import ConcreteOpSpace, make_space, space_from_points
 from .report import FAIL, PASS, CertificateReport
 
@@ -91,37 +91,14 @@ def default_tol(fspace: SampledFunctionSpace) -> float:
     return 10.0 / fspace.m
 
 
-def _sphere_sup(fv: np.ndarray, gv: np.ndarray,
-                n_phi: int = 61, n_psi: int = 120,
-                zoom_rounds: int = 3, zoom_pts: int = 11) -> float:
-    """sup over s^2 + t^2 = 1 (complex t) of max_w |s f(w) + t g(w)|.
+def _sphere_sup(fv: np.ndarray, gv: np.ndarray) -> float:
+    """sup over s^2 + |t|^2 = 1 (real s, complex t) of max_w |s f(w) + t g(w)|.
 
-    Phase reduction: s = cos(phi) >= 0 and t = exp(i psi) sin(phi) lose no
-    generality since a global phase does not change the modulus.
+    By Cauchy-Schwarz at each point, |s f + t g| <= sqrt(|f|^2 + |g|^2),
+    with equality at (s, t) proportional to (|f|, conj(g) f / |f|), so the
+    sup is max_w sqrt(|f(w)|^2 + |g(w)|^2).
     """
-    def grid_max(phis, psis):
-        best, arg = -1.0, (0.0, 0.0)
-        ct = np.exp(1j * psis)
-        for phi in phis:
-            vals = np.cos(phi) * fv[None, :] + \
-                (np.sin(phi) * ct)[:, None] * gv[None, :]
-            row = np.max(np.abs(vals), axis=1)
-            j = int(np.argmax(row))
-            if row[j] > best:
-                best, arg = float(row[j]), (float(phi), float(psis[j]))
-        return best, arg
-
-    phis = np.linspace(0.0, np.pi / 2, n_phi)
-    psis = np.linspace(0.0, 2 * np.pi, n_psi, endpoint=False)
-    best, (p0, q0) = grid_max(phis, psis)
-    dp, dq = np.pi / 2 / (n_phi - 1), 2 * np.pi / n_psi
-    for _ in range(zoom_rounds):
-        phis = np.clip(np.linspace(p0 - dp, p0 + dp, zoom_pts), 0, np.pi / 2)
-        psis = np.linspace(q0 - dq, q0 + dq, zoom_pts)
-        cand, (p0, q0) = grid_max(phis, psis)
-        best = max(best, cand)
-        dp, dq = 2 * dp / (zoom_pts - 1), 2 * dq / (zoom_pts - 1)
-    return best
+    return float(np.max(np.sqrt(np.abs(fv) ** 2 + np.abs(gv) ** 2)))
 
 
 def scalar_unitary_check(fspace: SampledFunctionSpace, g=None,
@@ -135,6 +112,8 @@ def scalar_unitary_check(fspace: SampledFunctionSpace, g=None,
     """
     if tol is None:
         tol = default_tol(fspace)
+    if not 0 < tol < np.inf:
+        raise InvalidInputError("tol must be positive and finite")
     gc = fspace.unit_coeffs() if g is None else fspace.as_coeffs(g)
     gn = fspace.norm(gc)
     if gn < 1e-12:
@@ -195,11 +174,7 @@ def g_hermitian_solve(fspace: SampledFunctionSpace, g=None,
         cols[d + k] = 1j * (np.conj(gv) * pb + np.conj(pb) * gv)
     kern = real_kernel(cols)
     herms = kern[:, :d] + 1j * kern[:, d:]
-    if herms.shape[0]:
-        _, s, vt = np.linalg.svd(np.vstack([herms, 1j * herms]))
-        cdim = int(np.sum(s > 1e-9 * s[0]))
-    else:
-        cdim = 0
+    cdim = row_span(np.vstack([herms, 1j * herms])).shape[0]
     return GHermitianResult(real_basis=herms, real_dim=herms.shape[0],
                             complex_dim=cdim,
                             is_function_system=cdim == d)
@@ -252,8 +227,12 @@ class CatalogEntry:
     builder: Callable = None
 
     def build(self, points: int | None = None):
+        if points is None:
+            points = self.params.get("points", 360)
+        elif points < 1:
+            raise InvalidInputError(f"points must be positive, got {points}")
         if self.kind == "function":
-            return self.builder(points or self.params.get("points", 360))
+            return self.builder(points)
         return self.builder()
 
     def min_space(self, points: int | None = None) -> ConcreteOpSpace:

@@ -22,13 +22,12 @@ import numpy as np
 
 from .blocks import two_by_two
 from .errors import InvalidInputError
-from .matcore import adjoint, real_kernel
+from .matcore import adjoint, real_kernel, row_span
 from .opspace import ConcreteOpSpace
 from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
 from .solver import DEFAULT_T_GRID
 
 HERMIT_TOL = 1e-8
-SPAN_RANK_TOL = 1e-9
 
 
 @dataclass
@@ -59,21 +58,26 @@ def is_u_hermitian(space: ConcreteOpSpace, u, x, t_grid=None,
         raise InvalidInputError("t grid must be positive and finite")
     signed = np.array(sorted({s * t for t in grid for s in (1.0, -1.0)}))
     k = nx * nx
-    scalar = np.empty(signed.size)
-    for i, t in enumerate(signed):
-        scalar[i] = (1.0 + k * t * t) - space.norm(uc + 1j * t * xc) ** 2
+    rows = uc + 1j * signed[:, None] * xc
+    scalar = (1.0 + k * signed * signed) - space.grid_norm(rows[:, None, None, :]) ** 2
     scaled = nx > 1.0 + 1e-12
     xhat = xc / nx if scaled else xc
     pos = np.array(sorted(grid))
-    matricial = np.empty(pos.size)
-    for i, t in enumerate(pos):
-        g = two_by_two(space, t * uc, xhat, -xhat, t * uc)
-        matricial[i] = np.sqrt(t * t + 1.0) - space.grid_norm(g)
+    matricial = np.sqrt(pos * pos + 1.0) - space.grid_norm(
+        _shift_grids(space, pos, uc, xhat))
     min_slack = float(min(scalar.min(), matricial.min()))
     return HermitianProfile(
         coeffs=xc, element_norm=nx, scaled=scaled, scalar_t=signed,
         scalar_slack=scalar, matricial_t=pos, matricial_slack=matricial,
         min_slack=min_slack, tol=tol, passed=min_slack >= -tol)
+
+
+def _shift_grids(space: ConcreteOpSpace, ts: np.ndarray, uc, yc) -> np.ndarray:
+    """(T, 2, 2, d) stack of the grids [[t u, y], [-y, t u]] over ts."""
+    grids = np.broadcast_to(two_by_two(space, None, yc, -yc, None),
+                            (ts.size, 2, 2, space.dim)).copy()
+    grids[:, 0, 0] = grids[:, 1, 1] = ts[:, None] * uc
+    return grids
 
 
 def is_u_positive(space: ConcreteOpSpace, u, x, t_grid=None,
@@ -88,10 +92,8 @@ def is_u_positive(space: ConcreteOpSpace, u, x, t_grid=None,
             "element_norm": nx}
     if nx <= 1.0 + 1e-12:
         grid = np.array(sorted(t_grid if t_grid is not None else DEFAULT_T_GRID))
-        slack = np.empty(grid.size)
-        for i, t in enumerate(grid):
-            g = two_by_two(space, t * uc, uc - xc, xc - uc, t * uc)
-            slack[i] = np.sqrt(t * t + 1.0) - space.grid_norm(g)
+        slack = np.sqrt(grid * grid + 1.0) - space.grid_norm(
+            _shift_grids(space, grid, uc, uc - xc))
         diag["ball_criterion_slack"] = slack
         diag["ball_criterion_pass"] = bool(slack.min() >= -tol)
     ok = prof.passed and shift_ok
@@ -116,35 +118,12 @@ class DeltaSpan:
         return self.complex_basis.shape[0]
 
 
-def _complex_row_span(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return rows
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return rows[:0]
-    rank = int(np.sum(s > SPAN_RANK_TOL * s[0]))
-    return vh[:rank]
-
-
 def _ambient_columns(space: ConcreteOpSpace, uc: np.ndarray) -> np.ndarray:
     """Columns of the real-linear map c -> adjoint(u) x(c) - adjoint(x(c)) u."""
+    m = adjoint(space.blocks(uc)) @ space.basis      # u* b_k, blockwise
+    mh = adjoint(m)                                  # b_k* u
     d = space.dim
-    if space.diagonal:
-        uv = space.point_values(uc)
-        pb = space.point_basis
-        col_a = np.conj(uv) * pb - np.conj(pb) * uv
-        col_b = 1j * (np.conj(uv) * pb + np.conj(pb) * uv)
-        return np.vstack([col_a, col_b])
-    umat = space.embed(uc)
-    ua = adjoint(umat)
-    cols = []
-    for k in range(d):
-        b = space.basis[k]
-        cols.append((ua @ b - adjoint(b) @ umat).reshape(-1))
-    for k in range(d):
-        b = space.basis[k]
-        cols.append((1j * (ua @ b + adjoint(b) @ umat)).reshape(-1))
-    return np.stack(cols)
+    return np.vstack([(m - mh).reshape(d, -1), (1j * (m + mh)).reshape(d, -1)])
 
 
 def delta_span(space: ConcreteOpSpace, u=None, closure=None, t_grid=None,
@@ -167,7 +146,7 @@ def delta_span(space: ConcreteOpSpace, u=None, closure=None, t_grid=None,
         real_rows = real_rows[np.linalg.norm(real_rows, axis=1) > 1e-12]
         # re-orthonormalize in the real (2d) coordinates
         flat = np.hstack([np.real(real_rows), np.imag(real_rows)])
-        flat = _real_row_span(flat)
+        flat = row_span(flat)
         real_basis = flat[:, :d] + 1j * flat[:, d:]
         route = "ambient"
     else:
@@ -177,24 +156,14 @@ def delta_span(space: ConcreteOpSpace, u=None, closure=None, t_grid=None,
         if keep:
             rows = np.stack(keep)
             flat = np.hstack([np.real(rows), np.imag(rows)])
-            flat = _real_row_span(flat)
+            flat = row_span(flat)
             real_basis = flat[:, :d] + 1j * flat[:, d:]
         else:
             real_basis = np.zeros((0, d), dtype=np.complex128)
         route = "numerical"
-    complex_basis = _complex_row_span(real_basis)
+    complex_basis = row_span(real_basis)
     return DeltaSpan(real_basis=real_basis, complex_basis=complex_basis,
                      route=route)
-
-
-def _real_row_span(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return rows
-    _, s, vt = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return rows[:0]
-    rank = int(np.sum(s > SPAN_RANK_TOL * s[0]))
-    return vt[:rank]
 
 
 def _candidates(d: int) -> list:

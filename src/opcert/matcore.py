@@ -12,6 +12,7 @@ from .errors import InvalidInputError
 
 HERMITICITY_TOL = 1e-9
 EIG_CLAMP = 1e-9
+RANK_TOL = 1e-9
 
 
 def as_cmat(m) -> np.ndarray:
@@ -62,6 +63,40 @@ def batched_spectral_norm(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
+def block_norm(stack: np.ndarray) -> np.ndarray:
+    """Spectral norm of the block-diagonal matrix of each (w, r, c) stack in
+    a (..., w, r, c) array, the max over its w blocks.
+
+    The kernel follows the block count: one block goes to LAPACK, several
+    to `batched_spectral_norm`, whose closed forms beat a LAPACK call per
+    block on many small blocks but lose to one LAPACK call on a single
+    block.
+    """
+    if stack.shape[-3] == 1:
+        return np.linalg.svd(stack, compute_uv=False)[..., 0, 0]
+    return batched_spectral_norm(stack).max(axis=-1)
+
+
+def block_diag(blocks: np.ndarray) -> np.ndarray:
+    """The (w p) x (w q) block-diagonal matrix of a (w, p, q) block stack."""
+    w, p, q = blocks.shape
+    out = np.zeros((w, p, w, q), dtype=np.complex128)
+    idx = np.arange(w)
+    out[idx, :, idx, :] = blocks
+    return out.reshape(w * p, w * q)
+
+
+def row_span(rows: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal rows spanning the row space of an (N, M) array, cut at
+    singular values above tol times the largest (real input, real rows)."""
+    if rows.shape[0] == 0:
+        return rows
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return vh[:0]
+    return vh[:int(np.sum(s > tol * s[0]))]
+
+
 def top_singular_triple(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
     """(sigma_1, left vector, right vector, gap) for a single matrix.
 
@@ -97,18 +132,20 @@ def herm_eigen(m) -> np.ndarray:
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Hermitian square root; eigenvalues in [-tol, 0) are clamped to 0."""
-    a = as_cmat(m)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInputError("psd_sqrt needs a square matrix")
-    scale = max(spectral_norm(a), 1.0)
-    if spectral_norm(a - adjoint(a)) > HERMITICITY_TOL * scale:
+    """Hermitian square root of a matrix, or of each matrix in a
+    (..., n, n) stack; eigenvalues in [-tol, 0) are clamped to 0, with tol
+    relative to the largest norm in the stack."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidInputError("psd_sqrt needs a square matrix or a stack of them")
+    scale = max(float(np.max(batched_spectral_norm(a))), 1.0)
+    if np.max(batched_spectral_norm(a - adjoint(a))) > HERMITICITY_TOL * scale:
         raise InvalidInputError("matrix is not hermitian within tolerance")
     w, v = np.linalg.eigh(a)
-    if w[0] < -EIG_CLAMP * scale:
-        raise InvalidInputError(f"matrix has a negative eigenvalue {w[0]:g}")
+    if np.min(w[..., 0]) < -EIG_CLAMP * scale:
+        raise InvalidInputError(f"matrix has a negative eigenvalue {np.min(w[..., 0]):g}")
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ adjoint(v)
+    return (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
 
 
 def real_kernel(columns: np.ndarray, tol: float = 1e-9) -> np.ndarray:

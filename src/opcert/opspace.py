@@ -1,12 +1,13 @@
-"""Concrete operator spaces: a basis of complex p x q matrices, membership,
+"""Concrete operator spaces: a basis of complex matrices, membership,
 amplification to matrix levels, and the concrete spectral norms.
 
-Two storage layouts share one interface. Dense spaces keep the basis as a
-(d, p, q) array. Spaces whose basis matrices are all diagonal (notably
-sampled function spaces embedded as multiplication operators) keep only the
-diagonals, shape (d, m); every norm then reduces to a batch of small
-per-point matrices instead of one giant sparse one, which is what makes
-hundred-point models affordable at matrix level 2.
+Every space is a direct sum of w blocks of size p x q: the basis is one
+(d, w, p, q) array, and an element is the block-diagonal (w p) x (w q)
+matrix of its w blocks. A space of p x q matrices has w = 1. A sampled
+function space acting by multiplication has p = q = 1 and one block per
+sample point, so every norm reduces to a batch of small per-block matrices
+instead of one giant sparse one, which is what makes hundred-point models
+affordable at matrix level 2.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError
-from .matcore import adjoint, batched_spectral_norm
+from .matcore import adjoint, block_diag, block_norm
 
 GRAM_MIN_EIG = 1e-10
 MEMBERSHIP_TOL = 1e-6
@@ -25,35 +26,43 @@ MEMBERSHIP_TOL = 1e-6
 
 @dataclass
 class ConcreteOpSpace:
-    """A d-dimensional subspace of complex p x q matrices with an optional
-    designated unit element (given by its coefficient vector)."""
+    """A d-dimensional space of block-diagonal matrices, the direct sum of
+    w blocks of size p x q, with an optional designated unit element (given
+    by its coefficient vector)."""
 
-    basis: np.ndarray | None          # (d, p, q), None for point-backed spaces
+    basis: np.ndarray                 # (d, w, p, q)
     unit: np.ndarray | None           # (d,) complex coefficients
-    ambient_shape: tuple[int, int]
-    point_basis: np.ndarray | None = None   # (d, m) diagonals when diagonal
     membership_tol: float = MEMBERSHIP_TOL
     _proj: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        b = np.ascontiguousarray(self.basis, dtype=np.complex128)
+        if b.ndim != 4 or 0 in b.shape:
+            raise InvalidInputError("basis must be a nonempty (d, w, p, q) array")
+        self.basis = b
+        # (d, w*p*q) view: the coefficients of a grid contract against it
+        self._flat = b.reshape(b.shape[0], -1)
 
     # -- construction ------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.point_basis.shape[0] if self.diagonal else self.basis.shape[0]
+        return self.basis.shape[0]
+
+    @property
+    def ambient_shape(self) -> tuple[int, int]:
+        _, w, p, q = self.basis.shape
+        return (w * p, w * q)
 
     @property
     def diagonal(self) -> bool:
-        return self.point_basis is not None
+        """True for a point-backed space: every block is 1 x 1."""
+        return self.basis.shape[2:] == (1, 1)
 
     def _vectors(self) -> np.ndarray:
         """Basis as columns of a (N, d) matrix in the Frobenius coordinates."""
         if "vectors" not in self._proj:
-            if self.diagonal:
-                v = self.point_basis.T.copy()
-            else:
-                d = self.basis.shape[0]
-                v = self.basis.reshape(d, -1).T.copy()
-            self._proj["vectors"] = v
+            self._proj["vectors"] = self._flat.T.copy()
         return self._proj["vectors"]
 
     def _pinv(self) -> np.ndarray:
@@ -83,35 +92,37 @@ class ConcreteOpSpace:
             raise InvalidInputError("space has no designated unit")
         return self.unit
 
+    def blocks(self, coeffs) -> np.ndarray:
+        """The (w, p, q) block stack of a coefficient vector."""
+        return (self.as_coeffs(coeffs) @ self._flat).reshape(self.basis.shape[1:])
+
     def embed(self, coeffs) -> np.ndarray:
         """Concrete ambient matrix of a coefficient vector."""
-        c = self.as_coeffs(coeffs)
-        if self.diagonal:
-            return np.diag(c @ self.point_basis)
-        return np.tensordot(c, self.basis, axes=(0, 0))
+        return block_diag(self.blocks(coeffs))
 
     def point_values(self, coeffs) -> np.ndarray:
-        if not self.diagonal:
+        """Values at the points of a point-backed space."""
+        if self.basis.shape[2:] != (1, 1):
             raise InvalidInputError("not a point-backed space")
-        return self.as_coeffs(coeffs) @ self.point_basis
+        return self.as_coeffs(coeffs) @ self._flat
 
     # -- norms -------------------------------------------------------------
+
+    def grid_blocks(self, grid: np.ndarray) -> np.ndarray:
+        """(..., w, n1 p, n2 q) block stack of an (..., n1, n2, d) grid:
+        block k is the n1 x n2 grid of the elements' k-th blocks."""
+        grid = np.asarray(grid, dtype=np.complex128)
+        *lead, n1, n2, d = grid.shape
+        _, w, p, q = self.basis.shape
+        vals = np.dot(grid.reshape(-1, d), self._flat).reshape(-1, n1, n2, w, p, q)
+        return vals.transpose(0, 3, 1, 4, 2, 5).reshape(*lead, w, n1 * p, n2 * q)
 
     def grid_norm(self, grid: np.ndarray):
         """Spectral norm of the concrete matrix of an (..., n1, n2, d) block
         grid: a float for one grid, an array over the leading axes for a
         stack of grids."""
-        grid = np.asarray(grid, dtype=np.complex128)
-        *lead, n1, n2, _ = grid.shape
-        if self.diagonal:
-            vals = np.moveaxis(grid @ self.point_basis, -1, -3)
-            norms = batched_spectral_norm(vals).max(axis=-1)
-        else:
-            p, q = self.ambient_shape
-            m = np.einsum("...ijk,kpq->...ipjq", grid, self.basis)
-            m = m.reshape(*lead, n1 * p, n2 * q)
-            norms = np.linalg.svd(m, compute_uv=False)[..., 0]
-        return norms if lead else float(norms)
+        norms = block_norm(self.grid_blocks(grid))
+        return norms if norms.ndim else float(norms)
 
     def norm(self, coeffs) -> float:
         return self.grid_norm(self.as_coeffs(coeffs)[None, None, :])
@@ -120,28 +131,28 @@ class ConcreteOpSpace:
 
     def membership(self, matrix) -> tuple[np.ndarray, float]:
         """Least-squares coefficients and Frobenius residual of an ambient
-        matrix against the span."""
+        matrix against the span: its diagonal blocks are fitted, and the
+        part off the blocks adds to the residual."""
         m = np.asarray(matrix, dtype=np.complex128)
-        p, q = self.ambient_shape
-        if m.shape != (p, q):
-            raise InvalidInputError(f"ambient shape {(p, q)} expected, got {m.shape}")
-        extra = 0.0
-        if self.diagonal:
-            diag = np.diagonal(m).astype(np.complex128)
-            off = m - np.diag(diag)
-            extra = float(np.linalg.norm(off)) ** 2
-            vec = diag
-        else:
-            vec = m.reshape(-1)
-        coeffs = self._pinv() @ vec
-        res = float(np.linalg.norm(vec - self._vectors() @ coeffs))
+        if m.shape != self.ambient_shape:
+            raise InvalidInputError(
+                f"ambient shape {self.ambient_shape} expected, got {m.shape}")
+        _, w, p, q = self.basis.shape
+        idx = np.arange(w)
+        off = m.reshape(w, p, w, q).copy()
+        coeffs, res = self.membership_blocks(off[idx, :, idx, :])
+        off[idx, :, idx, :] = 0.0
+        extra = float(np.linalg.norm(off)) ** 2
         return coeffs, float(np.sqrt(res * res + extra))
 
-    def membership_points(self, values) -> tuple[np.ndarray, float]:
-        """Point-vector membership for diagonal spaces."""
-        if not self.diagonal:
-            raise InvalidInputError("not a point-backed space")
-        vec = np.asarray(values, dtype=np.complex128)
+    def membership_blocks(self, blocks) -> tuple[np.ndarray, float]:
+        """Least-squares coefficients and Frobenius residual of a (w, p, q)
+        block stack against the span."""
+        b = np.asarray(blocks, dtype=np.complex128)
+        if b.shape != self.basis.shape[1:]:
+            raise InvalidInputError(
+                f"block stack {self.basis.shape[1:]} expected, got {b.shape}")
+        vec = b.reshape(-1)
         coeffs = self._pinv() @ vec
         res = float(np.linalg.norm(vec - self._vectors() @ coeffs))
         return coeffs, res
@@ -175,16 +186,14 @@ class AmplifiedElement:
 
     @property
     def matrix(self) -> np.ndarray:
-        n, d = self.level, self.space.dim
-        p, q = self.space.ambient_shape
-        if self.space.diagonal:
-            vals = np.einsum("ijk,kw->wij", self.coeff_grid, self.space.point_basis)
-            out = np.zeros((n * p, n * q), dtype=np.complex128)
-            for w in range(p):
-                out[w::p, w::q] = vals[w]
-            return out
-        m = np.einsum("ijk,kpq->ipjq", self.coeff_grid, self.space.basis)
-        return m.reshape(n * p, n * q)
+        """The n x n grid of the elements' ambient matrices."""
+        n = self.level
+        w, p, q = self.space.basis.shape[1:]
+        vals = np.einsum("ijk,kwpq->ijwpq", self.coeff_grid, self.space.basis)
+        out = np.zeros((n, w, p, n, w, q), dtype=np.complex128)
+        idx = np.arange(w)
+        out[:, idx, :, :, idx, :] = vals.transpose(2, 0, 3, 1, 4)
+        return out.reshape(n * w * p, n * w * q)
 
     def norm(self) -> float:
         return self.space.grid_norm(self.coeff_grid)
@@ -196,8 +205,10 @@ ElementLike = Union[Element, np.ndarray, list, tuple]
 def make_space(basis, unit=None, membership_tol: float = MEMBERSHIP_TOL) -> ConcreteOpSpace:
     """Validated space from a sequence of same-shape complex matrices.
 
-    Rejects dependent bases via the Gram condition (smallest eigenvalue of
-    the Frobenius Gram matrix must exceed 1e-10).
+    Square matrices that are all diagonal are stored point-backed, one 1 x 1
+    block per diagonal entry; anything else is one p x q block. Rejects
+    dependent bases via the Gram condition (smallest eigenvalue of the
+    Frobenius Gram matrix must exceed 1e-10).
     """
     mats = [np.asarray(b, dtype=np.complex128) for b in basis]
     if not mats:
@@ -210,21 +221,13 @@ def make_space(basis, unit=None, membership_tol: float = MEMBERSHIP_TOL) -> Conc
             raise InvalidInputError(f"basis[{i}] has shape {m.shape}, expected {shape}")
     stack = np.stack(mats)
     p, q = shape
-    diagonal = p == q and all(
-        np.count_nonzero(m - np.diag(np.diagonal(m))) == 0 for m in mats)
-    if diagonal:
-        space = ConcreteOpSpace(
-            basis=stack, unit=None, ambient_shape=shape,
-            point_basis=np.stack([np.diagonal(m).astype(np.complex128) for m in mats]),
-            membership_tol=membership_tol)
+    points = np.einsum("kii->ki", stack) if p == q else None
+    if points is not None and not np.any(stack - points[:, :, None] * np.eye(p)):
+        blocks = points[:, :, None, None]
     else:
-        space = ConcreteOpSpace(
-            basis=stack, unit=None, ambient_shape=shape,
-            membership_tol=membership_tol)
-    _check_independent(space)
-    if unit is not None:
-        space.unit = space.as_coeffs(unit)
-    return space
+        blocks = stack[:, None]
+    return _validated(ConcreteOpSpace(basis=blocks, unit=None,
+                                      membership_tol=membership_tol), unit)
 
 
 def space_from_points(point_basis, unit=None,
@@ -233,22 +236,20 @@ def space_from_points(point_basis, unit=None,
     pb = np.asarray(point_basis, dtype=np.complex128)
     if pb.ndim != 2 or pb.shape[0] < 1:
         raise InvalidInputError("point basis must be a (d, m) array")
-    m = pb.shape[1]
-    space = ConcreteOpSpace(basis=None, unit=None, ambient_shape=(m, m),
-                            point_basis=pb, membership_tol=membership_tol)
-    _check_independent(space)
-    if unit is not None:
-        space.unit = space.as_coeffs(unit)
-    return space
+    return _validated(ConcreteOpSpace(basis=pb[:, :, None, None], unit=None,
+                                      membership_tol=membership_tol), unit)
 
 
-def _check_independent(space: ConcreteOpSpace) -> None:
+def _validated(space: ConcreteOpSpace, unit) -> ConcreteOpSpace:
     v = space._vectors()
     gram = adjoint(v) @ v
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= GRAM_MIN_EIG:
         raise InvalidInputError(
             f"basis is numerically dependent (Gram eigenvalue {eigs[0]:.3e})")
+    if unit is not None:
+        space.unit = space.as_coeffs(unit)
+    return space
 
 
 def amplify_unit(space: ConcreteOpSpace, n: int) -> AmplifiedElement:

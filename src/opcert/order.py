@@ -18,7 +18,7 @@ from scipy.optimize import nnls
 
 from .errors import InvalidInputError
 from .hermit import delta_span, is_u_positive
-from .matcore import adjoint, herm_eigen
+from .matcore import adjoint
 from .opspace import ConcreteOpSpace
 from .report import FAIL, PASS, CertificateReport
 
@@ -42,10 +42,7 @@ class Cone:
 
 
 def _frob_vec(space: ConcreteOpSpace, coeffs: np.ndarray) -> np.ndarray:
-    if space.diagonal:
-        v = space.point_values(coeffs)
-    else:
-        v = space.embed(coeffs).reshape(-1)
+    v = space.blocks(coeffs).reshape(-1)
     return np.concatenate([np.real(v), np.imag(v)])
 
 
@@ -95,19 +92,23 @@ def norm_order_unit_check(cone: Cone, u=None, hermitian_basis=None,
         diagnostics={"worst_residual": worst, "samples": len(samples)})
 
 
+def _u_star(space: ConcreteOpSpace, uc, xc) -> np.ndarray:
+    """adjoint(u) x, blockwise: a (w, q, q) stack."""
+    return adjoint(space.blocks(uc)) @ space.blocks(xc)
+
+
+def _min_eig(a: np.ndarray) -> float:
+    """Smallest eigenvalue of the hermitian part of a block stack."""
+    return float(np.min(np.linalg.eigvalsh(0.5 * (a + adjoint(a)))))
+
+
 def _ambient_psd_residual(space: ConcreteOpSpace, uc, xc) -> float:
     """How far adjoint(u) x is from positive semidefinite (0 when psd)."""
-    if space.diagonal:
-        a = np.conj(space.point_values(uc)) * space.point_values(xc)
-        herm = float(np.max(np.abs(np.imag(a))))
-        neg = float(max(0.0, -np.min(np.real(a))))
-        return max(herm, neg)
-    a = adjoint(space.embed(uc)) @ space.embed(xc)
+    a = _u_star(space, uc, xc)
     herm = float(np.linalg.norm(a - adjoint(a)))
     if herm > PSD_TOL * max(1.0, float(np.linalg.norm(a))):
         return herm
-    eigs = herm_eigen(0.5 * (a + adjoint(a)))
-    return float(max(0.0, -eigs[0]))
+    return max(0.0, -_min_eig(a))
 
 
 def cone_equals_delta_plus(cone: Cone, u=None, closure=None,
@@ -145,13 +146,7 @@ def cone_equals_delta_plus(cone: Cone, u=None, closure=None,
             continue
         h = h / n
         if ambient:
-            if space.diagonal:
-                a = np.real(np.conj(space.point_values(uc))
-                            * space.point_values(h))
-                lam = float(max(0.0, -np.min(a)))
-            else:
-                amat = adjoint(space.embed(uc)) @ space.embed(h)
-                lam = float(max(0.0, -herm_eigen(0.5 * (amat + adjoint(amat)))[0]))
+            lam = max(0.0, -_min_eig(_u_star(space, uc, h)))
         else:
             lam = 1.0  # |h| = 1, so h + u is u-positive by the shift criterion
         xc = h + lam * uc

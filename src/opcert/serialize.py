@@ -133,7 +133,8 @@ class SpaceFile:
         if isinstance(space, SampledFunctionSpace):
             return cls(kind="function", basis=space.point_basis,
                        unit=space.unit, cone=cone, solver=solver)
-        return cls(kind="matrix", basis=space.basis,
+        basis = np.stack([space.embed(e) for e in np.eye(space.dim)])
+        return cls(kind="matrix", basis=basis,
                    unit=space.unit, cone=cone, solver=solver)
 
     def build_space(self):

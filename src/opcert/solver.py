@@ -268,8 +268,3 @@ def maximize_over_sphere(problem, config: SolverConfig | None = None, *,
         raise InvalidInputError("no feasible start on the unit sphere")
     return _reduce(problem, config, cands, -1, 0.0, False)
 
-
-def spectral_subgradient(space, grid):
-    """Norm and Wirtinger gradient of a block grid; see blocks module."""
-    from .blocks import grid_value_and_grad
-    return grid_value_and_grad(space, grid)

@@ -106,7 +106,7 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
     problem = _PartnerProblem(space, uc, xc, ts)
     extras = [-np.conj(xc)]
     if warm_start:
-        adj_coeffs, adj_res = space.membership(adjoint(space.embed(xc)))
+        adj_coeffs, adj_res = space.membership_blocks(adjoint(space.blocks(xc)))
         if adj_res <= space.membership_tol * max(1.0, space.norm(xc)):
             extras.insert(0, -adj_coeffs)
     res = minimize_over_ball(

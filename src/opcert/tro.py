@@ -1,27 +1,28 @@
 """Ternary closure of a concrete space and ambient-side certificates.
 
 The closure is generated by iterating products a b* c of elements of the
-current span. Dense spaces run to stability (the span dimension is capped
-by p*q). Point-backed diagonal spaces can generate very large function
-algebras, so their growth is capped; the checks that consume the closure
-remain valid on a truncated span because every necessary identity is
-either pointwise (and so holds for all diagonal operators at once) or is
-tested against elements the truncated span already contains. A truncated
-closure is reported with stable=False.
+current span, blockwise on the space's (w, p, q) block stacks. Its growth
+is capped at min(w, 24) p q dimensions: a space of p x q matrices (w = 1)
+reaches its closure below that cap, so it runs to stability, while a
+point-backed space can generate very large function algebras. The checks
+that consume the closure remain valid on a truncated span because every
+necessary identity is either pointwise (and so holds for all diagonal
+operators at once) or is tested against elements the truncated span
+already contains. A truncated closure is reported with stable=False.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError
-from .matcore import adjoint, spectral_norm
-from .opspace import ConcreteOpSpace, Element
+from .errors import PreconditionError
+from .matcore import adjoint, block_diag, block_norm, row_span
+from .opspace import ConcreteOpSpace
 from .report import FAIL, PASS, CertificateReport
 
-RANK_TOL = 1e-9
 AMBIENT_TOL = 1e-8
 DIAG_MAX_DIM = 24
 
@@ -29,10 +30,7 @@ DIAG_MAX_DIM = 24
 @dataclass
 class TroClosure:
     space: ConcreteOpSpace
-    z_basis: np.ndarray        # (r, p, q) dense or (r, m) point vectors
-    left_basis: np.ndarray     # span of z w*: (rl, p, p) or (rl, m)
-    right_basis: np.ndarray    # span of w* z: (rr, q, q) or (rr, m)
-    diagonal: bool
+    z_basis: np.ndarray        # (r, w, p, q) Frobenius-orthonormal block stacks
     stable: bool
     generations: int
     envelope_exact: bool = False
@@ -41,20 +39,24 @@ class TroClosure:
     def rank(self) -> int:
         return self.z_basis.shape[0]
 
+    @cached_property
+    def left_basis(self) -> np.ndarray:
+        """Orthonormal (rl, w, p, p) basis of the span of the z w*."""
+        z = self.z_basis
+        prods = np.einsum("awps,bwts->abwpt", z, np.conj(z))
+        return _span_of(prods, z.shape[1], z.shape[2], z.shape[2])
 
-def _orth_rows(vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal row basis of the row span, rank-truncated."""
-    if vectors.shape[0] == 0:
-        return vectors
-    _, s, vh = np.linalg.svd(vectors, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return vh[:0]
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    return vh[:rank]
+    @cached_property
+    def right_basis(self) -> np.ndarray:
+        """Orthonormal (rr, w, q, q) basis of the span of the w* z."""
+        z = self.z_basis
+        prods = np.einsum("awps,bwpt->abwst", np.conj(z), z)
+        return _span_of(prods, z.shape[1], z.shape[3], z.shape[3])
 
 
-def _mul3_points(a, b, c):
-    return a * np.conj(b) * c
+def _span_of(stacks: np.ndarray, w: int, p: int, q: int) -> np.ndarray:
+    """Orthonormal (k, w, p, q) basis of the span of a stack of block stacks."""
+    return row_span(stacks.reshape(-1, w * p * q)).reshape(-1, w, p, q)
 
 
 def generate_tro(space: ConcreteOpSpace, envelope_exact: bool = False,
@@ -63,66 +65,30 @@ def generate_tro(space: ConcreteOpSpace, envelope_exact: bool = False,
 
     Growth per generation multiplies the current span by the original basis
     in the middle slot, which reaches the same closure as full triples at
-    stability. Dense closures always run to stability; diagonal ones stop
-    at max_dim (default 64) and are flagged unstable when truncated.
+    stability. Growth stops at max_dim dimensions, by default
+    min(w, 24) p q: that runs a space of p x q matrices to stability, and
+    caps a point-backed space at min(points, 24). A truncated closure is
+    flagged unstable.
     """
-    if space.diagonal:
-        gens = space.point_basis / np.linalg.norm(space.point_basis, axis=1,
-                                                  keepdims=True)
-        basis = _orth_rows(gens.copy())
-        cap = max_dim if max_dim is not None else min(space.ambient_shape[0],
-                                                      DIAG_MAX_DIM)
-        stable = False
-        generations = 0
-        while not stable and basis.shape[0] <= cap:
-            generations += 1
-            prods = np.einsum("am,bm,cm->abcm", basis, np.conj(gens), basis)
-            prods = prods.reshape(-1, basis.shape[1])
-            new = _orth_rows(np.vstack([basis, prods]))
-            stable = new.shape[0] == basis.shape[0]
-            basis = new
-        if basis.shape[0] > cap:
-            basis = basis[:cap]
-            stable = False
-        left = _orth_rows(
-            np.einsum("am,bm->abm", basis, np.conj(basis)).reshape(-1, basis.shape[1]))
-        return TroClosure(space=space, z_basis=basis, left_basis=left,
-                          right_basis=left.copy(), diagonal=True, stable=stable,
-                          generations=generations, envelope_exact=envelope_exact)
-
-    p, q = space.ambient_shape
-    d = space.dim
+    d, w, p, q = space.basis.shape
     gens = space.basis / np.linalg.norm(space.basis.reshape(d, -1),
-                                        axis=1).reshape(d, 1, 1)
-    vecs = _orth_rows(gens.reshape(d, -1))
+                                        axis=1).reshape(d, 1, 1, 1)
+    basis = _span_of(gens, w, p, q)
+    cap = max_dim if max_dim is not None else min(w, DIAG_MAX_DIM) * p * q
     stable = False
     generations = 0
-    while not stable and generations <= p * q:
+    while not stable and basis.shape[0] <= cap:
         generations += 1
-        mats = vecs.reshape(-1, p, q)
-        prods = np.einsum("aps,bts,ctq->abcpq", mats, np.conj(mats), mats)
-        new = _orth_rows(np.vstack([vecs, prods.reshape(-1, p * q)]))
-        stable = new.shape[0] == vecs.shape[0]
-        vecs = new
-    mats = vecs.reshape(-1, p, q)
-    r = mats.shape[0]
-    left = _orth_rows(np.einsum("aps,bts->abpt", mats, np.conj(mats))
-                      .reshape(r * r, p * p))
-    right = _orth_rows(np.einsum("aps,bpt->abst", np.conj(mats), mats)
-                       .reshape(r * r, q * q))
-    return TroClosure(space=space, z_basis=mats,
-                      left_basis=left.reshape(-1, p, p),
-                      right_basis=right.reshape(-1, q, q),
-                      diagonal=False, stable=stable, generations=generations,
-                      envelope_exact=envelope_exact)
-
-
-def _element_rep(closure: TroClosure, x):
-    """Point values (diagonal) or dense matrix of a coefficient vector."""
-    c = closure.space.as_coeffs(x)
-    if closure.diagonal:
-        return closure.space.point_values(c)
-    return closure.space.embed(c)
+        prods = np.einsum("awps,bwts,cwtq->abcwpq", basis, np.conj(gens), basis)
+        new = _span_of(np.concatenate([basis, prods.reshape(-1, w, p, q)]),
+                       w, p, q)
+        stable = new.shape[0] == basis.shape[0]
+        basis = new
+    if basis.shape[0] > cap:
+        basis = basis[:cap]
+        stable = False
+    return TroClosure(space=space, z_basis=basis, stable=stable,
+                      generations=generations, envelope_exact=envelope_exact)
 
 
 def ambient_unitary_check(closure: TroClosure, v) -> CertificateReport:
@@ -132,21 +98,15 @@ def ambient_unitary_check(closure: TroClosure, v) -> CertificateReport:
     both together give a ternary unitary. Residuals are Frobenius, on
     Frobenius-normalized closure elements.
     """
-    vr = _element_rep(closure, v)
-    if closure.diagonal:
-        zs = closure.z_basis
-        w = np.abs(vr) ** 2
-        co = float(np.max(np.linalg.norm(zs * w - zs, axis=1))) if len(zs) else 0.0
-        iso = co
-    else:
-        vv = vr @ adjoint(vr)
-        wv = adjoint(vr) @ vr
-        co = 0.0
-        iso = 0.0
-        for z in closure.z_basis:
-            zn = z / max(np.linalg.norm(z), 1e-300)
-            co = max(co, float(np.linalg.norm(vv @ zn - zn)))
-            iso = max(iso, float(np.linalg.norm(zn @ wv - zn)))
+    vb = closure.space.blocks(v)
+    zs = closure.z_basis
+    r = zs.shape[0]
+    co = iso = 0.0
+    if r:
+        co = float(np.max(np.linalg.norm(
+            (vb @ adjoint(vb) @ zs - zs).reshape(r, -1), axis=1)))
+        iso = float(np.max(np.linalg.norm(
+            (zs @ adjoint(vb) @ vb - zs).reshape(r, -1), axis=1)))
     is_co = co <= AMBIENT_TOL
     is_iso = iso <= AMBIENT_TOL
     verdict = PASS if (is_co and is_iso) else FAIL
@@ -167,20 +127,12 @@ def _require_unitary(closure: TroClosure, v) -> None:
             f"(residual {max(rep.diagnostics['coisometry_residual'], rep.diagnostics['isometry_residual']):.3e})")
 
 
-def _involution_rep(closure: TroClosure, u, x):
-    """Representation of u x* u (point values or dense matrix)."""
-    ur = _element_rep(closure, u)
-    xr = _element_rep(closure, x)
-    if closure.diagonal:
-        return ur * ur * np.conj(xr)
-    return ur @ adjoint(xr) @ ur
-
-
 def involution(closure: TroClosure, u, x) -> np.ndarray:
     """Concrete matrix of u x* u for an ambient-unitary u."""
     _require_unitary(closure, u)
-    rep = _involution_rep(closure, u, x)
-    return np.diag(rep) if closure.diagonal else rep
+    space = closure.space
+    ub = space.blocks(u)
+    return block_diag(ub @ adjoint(space.blocks(x)) @ ub)
 
 
 def ambient_system_check(closure: TroClosure, u=None) -> CertificateReport:
@@ -188,19 +140,13 @@ def ambient_system_check(closure: TroClosure, u=None) -> CertificateReport:
     space = closure.space
     uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
     _require_unitary(closure, uc)
+    ub = space.blocks(uc)
     worst = -1.0
     worst_j = 0
     for j in range(space.dim):
-        e = np.zeros(space.dim, dtype=np.complex128)
-        e[j] = 1.0
-        rep = _involution_rep(closure, uc, e)
-        if closure.diagonal:
-            _, res = space.membership_points(rep)
-            scale = max(1.0, float(np.linalg.norm(rep)))
-        else:
-            _, res = space.membership(rep)
-            scale = max(1.0, float(np.linalg.norm(rep)))
-        rel = res / scale
+        rep = ub @ adjoint(space.basis[j]) @ ub
+        _, res = space.membership_blocks(rep)
+        rel = res / max(1.0, float(np.linalg.norm(rep)))
         if rel > worst:
             worst, worst_j = rel, j
     verdict = PASS if worst <= space.membership_tol else FAIL
@@ -218,18 +164,14 @@ def same_involution_check(closure: TroClosure, u, v) -> CertificateReport:
     """
     _require_unitary(closure, u)
     _require_unitary(closure, v)
-    ur = _element_rep(closure, u)
-    vr = _element_rep(closure, v)
-    if closure.diagonal:
-        commute = float(np.max(np.abs(np.conj(ur) * vr - np.conj(vr) * ur)))
-        central = 0.0
-    else:
-        c = adjoint(ur) @ vr
-        commute = spectral_norm(c - adjoint(c))
-        central = 0.0
-        for g in closure.right_basis:
-            gn = g / max(np.linalg.norm(g), 1e-300)
-            central = max(central, float(np.linalg.norm(c @ gn - gn @ c)))
+    space = closure.space
+    c = adjoint(space.blocks(u)) @ space.blocks(v)
+    commute = float(block_norm(c - adjoint(c)))
+    gs = closure.right_basis
+    central = 0.0
+    if gs.shape[0]:
+        central = float(np.max(np.linalg.norm(
+            (c @ gs - gs @ c).reshape(gs.shape[0], -1), axis=1)))
     ok = commute <= AMBIENT_TOL and central <= AMBIENT_TOL
     return CertificateReport(
         name="same-involution", verdict=PASS if ok else FAIL,
@@ -246,20 +188,12 @@ def transfer_check(closure: TroClosure, u, v) -> CertificateReport:
     vc = space.as_coeffs(v)
     _require_unitary(closure, uc)
     _require_unitary(closure, vc)
-    ur = _element_rep(closure, uc)
-    vr = _element_rep(closure, vc)
+    ub, vb = space.blocks(uc), space.blocks(vc)
     coeff_rows = []
     worst = 0.0
     for j in range(space.dim):
-        e = np.zeros(space.dim, dtype=np.complex128)
-        e[j] = 1.0
-        xr = _element_rep(closure, e)
-        if closure.diagonal:
-            img = vr * np.conj(ur) * xr
-            coeffs, res = space.membership_points(img)
-        else:
-            img = vr @ adjoint(ur) @ xr
-            coeffs, res = space.membership(img)
+        img = vb @ adjoint(ub) @ space.basis[j]
+        coeffs, res = space.membership_blocks(img)
         worst = max(worst, res / max(1.0, float(np.linalg.norm(img))))
         coeff_rows.append(coeffs)
     m = np.stack(coeff_rows)

@@ -175,6 +175,23 @@ def test_non_finite_coefficients_exit_cleanly(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "function-unitary", "--space", None, "--tol", "nan"],
+    ["check", "function-unitary", "--space", None, "--tol", "0"],
+    ["catalog", "emit", "circle-1z", "--points", "0"],
+])
+def test_bad_tolerance_and_point_count_exit_cleanly(tmp_path, argv):
+    space = tmp_path / "circle.json"
+    space.write_text(SpaceFile.from_space(catalog_space("circle-1zzbar", 12)).dumps())
+    argv = [str(space) if a is None else a for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "opcert.cli"] + argv,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_recover_product_escape_exits_nonzero(tmp_path, capsys):
     space = write_catalog_file(tmp_path, "m2-upper")
     code = main(["recover", "product", "--space", space,

@@ -3,7 +3,8 @@ import pytest
 
 from opcert.certify import certify_unitary
 from opcert.errors import InvalidInputError, PreconditionError
-from opcert.funcspace import (CATALOG, SampledFunctionSpace, catalog_closure,
+from opcert.funcspace import (CATALOG, SampledFunctionSpace, _sphere_sup,
+                              catalog_closure,
                               catalog_entry, catalog_names, catalog_space,
                               default_tol, g_hermitian_solve, min_opspace,
                               scalar_unitary_check, selfadjoint_unit_check)
@@ -62,6 +63,38 @@ def test_two_term_sup_matches_closed_form():
         fv = fspace.values(e) / fspace.norm(e)
         closed = float(np.max(np.sqrt(np.abs(fv) ** 2 + np.abs(gv) ** 2)))
         assert sup == pytest.approx(closed, abs=2e-3)
+
+
+def test_sphere_sup_is_attained_and_never_exceeded():
+    # Cauchy-Schwarz at each point: the sup is max_w sqrt(|f|^2 + |g|^2),
+    # attained at (s, t) proportional to (|f|, conj(g) f / |f|)
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        fv = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        gv = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        sup = _sphere_sup(fv, gv)
+        k = int(np.argmax(np.abs(fv) ** 2 + np.abs(gv) ** 2))
+        s, t = abs(fv[k]), np.conj(gv[k]) * fv[k] / abs(fv[k])
+        n = np.hypot(s, abs(t))
+        assert np.max(np.abs(s * fv + t * gv)) / n == pytest.approx(sup, rel=1e-12)
+        for _ in range(50):
+            s = rng.standard_normal()
+            t = rng.standard_normal() + 1j * rng.standard_normal()
+            n = np.hypot(s, abs(t))
+            assert np.max(np.abs(s * fv + t * gv)) / n <= sup * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -0.1, float("inf")])
+def test_scalar_unitary_rejects_bad_tolerance(tol):
+    with pytest.raises(InvalidInputError):
+        scalar_unitary_check(catalog_space("circle-1z", 12), tol=tol)
+
+
+def test_catalog_build_rejects_non_positive_points():
+    for points in (0, -3):
+        with pytest.raises(InvalidInputError):
+            catalog_space("circle-1z", points)
+    assert catalog_space("circle-1z", 2).m == 2
 
 
 def test_scalar_unitary_rejects_zero_g():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from opcert.funcspace import catalog_closure, catalog_space
+from opcert.blocks import two_by_two
+from opcert.funcspace import catalog_closure, catalog_entry, catalog_space
 from opcert.hermit import delta_span, is_u_hermitian, is_u_positive, operator_system_check
 from opcert.matcore import herm_eigen
 from opcert.opspace import make_space
@@ -120,3 +121,26 @@ def test_corner_compression_preserves_hermiticity():
         _, mat = random_hermitian_coeffs(rng, scale=rng.uniform(0.2, 1.0))
         prof = is_u_hermitian(corner, None, [mat[0, 0]])
         assert prof.passed
+
+
+def test_stacked_profiles_match_the_per_t_loop():
+    rng = np.random.default_rng(41)
+    for name in ("m2-full", "circle-1zzbar"):
+        space = catalog_entry(name).min_space(24)
+        uc = space.unit_coeffs()
+        xc = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        xc = 0.8 * xc / space.norm(xc)
+        prof = is_u_hermitian(space, uc, xc)
+        nx = space.norm(xc)
+        want = [(1.0 + nx * nx * t * t) - space.norm(uc + 1j * t * xc) ** 2
+                for t in prof.scalar_t]
+        np.testing.assert_allclose(prof.scalar_slack, want, rtol=0, atol=1e-12)
+        want = [np.sqrt(t * t + 1.0)
+                - space.grid_norm(two_by_two(space, t * uc, xc, -xc, t * uc))
+                for t in prof.matricial_t]
+        np.testing.assert_allclose(prof.matricial_slack, want, rtol=0, atol=1e-12)
+        slack = is_u_positive(space, uc, xc).diagnostics["ball_criterion_slack"]
+        want = [np.sqrt(t * t + 1.0)
+                - space.grid_norm(two_by_two(space, t * uc, uc - xc, xc - uc, t * uc))
+                for t in prof.matricial_t]
+        np.testing.assert_allclose(slack, want, rtol=0, atol=1e-12)

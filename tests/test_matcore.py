@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 
 from opcert.errors import InvalidInputError
 from opcert.matcore import (adjoint, as_cmat, batched_spectral_norm, block2x2,
-                            herm_eigen, psd_sqrt, real_kernel, spectral_norm,
+                            block_diag, block_norm, herm_eigen, psd_sqrt,
+                            real_kernel, row_span, spectral_norm,
                             top_singular_triple)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
@@ -195,6 +196,36 @@ def test_psd_sqrt_square_reproduces():
 def test_psd_sqrt_rejects_negative_eigenvalue():
     with pytest.raises(InvalidInputError):
         psd_sqrt(np.diag([1.0, -0.5]))
+
+
+def test_row_span_cuts_at_relative_rank():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+    rows = np.vstack([a, a[0] + 2j * a[1], 1e-12 * a[0] + a[1]])
+    span = row_span(rows)
+    assert span.shape == (2, 5)
+    npt.assert_allclose(span @ adjoint(span), np.eye(2), atol=1e-12)
+    # every input row lies in the span
+    npt.assert_allclose(rows @ adjoint(span) @ span, rows, atol=1e-12)
+    assert row_span(np.vstack([a, 1e-10 * a[:1]]), tol=1e-9).shape == (2, 5)
+    assert row_span(np.zeros((3, 4))).shape == (0, 4)
+    assert row_span(np.zeros((0, 4))).shape == (0, 4)
+
+
+def test_block_norm_is_the_norm_of_the_block_diagonal_matrix():
+    rng = np.random.default_rng(13)
+    for w, r, c in ((1, 3, 2), (4, 2, 3), (5, 1, 1), (3, 3, 3)):
+        stack = rng.standard_normal((2, w, r, c)) \
+            + 1j * rng.standard_normal((2, w, r, c))
+        want = [spectral_norm(block_diag(s)) for s in stack]
+        npt.assert_allclose(block_norm(stack), want, rtol=1e-12)
+
+
+def test_psd_sqrt_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    m = a @ adjoint(a)
+    npt.assert_allclose(psd_sqrt(m), [psd_sqrt(x) for x in m], atol=1e-12)
 
 
 def test_real_kernel_known_kernel():

@@ -2,9 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from opcert.certify import certify_unitary
 from opcert.errors import InvalidInputError, PreconditionError
+from opcert.hermit import delta_span
+from opcert.matcore import adjoint
 from opcert.opspace import (AmplifiedElement, amplify_unit, make_space,
                             membership, norm, space_from_points)
+from opcert.tro import generate_tro
 
 E11 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -149,17 +153,31 @@ def test_space_from_points():
     assert space.dim == 2
     assert space.ambient_shape == (5, 5)
     assert space.norm([0, 1.0]) == pytest.approx(1.0)
-    coeffs, res = space.membership_points(pb[0] + 2 * pb[1])
+    coeffs, res = space.membership_blocks((pb[0] + 2 * pb[1])[:, None, None])
     npt.assert_allclose(coeffs, [1.0, 2.0], atol=1e-10)
     assert res <= 1e-10
     with pytest.raises(InvalidInputError):
         space_from_points(np.ones(5))
 
 
+def _rotated_pair(pb, unit=None, seed=0):
+    """The point-backed space of a (d, m) point basis, and the same space
+    conjugated by a random unitary Q, which make_space stores as one dense
+    m x m block."""
+    rng = np.random.default_rng(seed)
+    m = pb.shape[1]
+    q, _ = np.linalg.qr(rng.standard_normal((m, m))
+                        + 1j * rng.standard_normal((m, m)))
+    points = space_from_points(pb, unit=unit)
+    dense = make_space([q @ np.diag(row) @ adjoint(q) for row in pb], unit=unit)
+    assert points.basis.shape == (pb.shape[0], m, 1, 1)
+    assert dense.basis.shape == (pb.shape[0], 1, m, m)
+    return points, dense, q
+
+
 def test_diagonal_grid_norm_matches_dense_route():
     pb = np.stack([np.ones(4), np.exp(2j * np.pi * np.arange(4) / 4)])
-    diag_space = space_from_points(pb)
-    dense_space = make_space([np.diag(row) for row in pb])
+    diag_space, dense_space, _ = _rotated_pair(pb, seed=10)
     rng = np.random.default_rng(10)
     for n in (1, 2, 3):
         grid = rng.standard_normal((n, n, 2)) + 1j * rng.standard_normal((n, n, 2))
@@ -183,13 +201,42 @@ def test_grid_norm_of_a_stack_matches_the_loop():
 
 def test_amplified_matrix_agrees_between_layouts():
     pb = np.stack([np.ones(3), np.array([1.0, 2.0, 3.0])])
-    diag_space = space_from_points(pb, unit=[1.0, 0])
-    dense_space = make_space([np.diag(row) for row in pb], unit=[1.0, 0])
+    diag_space, dense_space, _ = _rotated_pair(pb, unit=[1.0, 0], seed=11)
     grid = np.array([[[1.0, 2.0], [0, 1j]], [[0.5, 0], [1.0, -1.0]]],
                     dtype=np.complex128)
     a = AmplifiedElement(diag_space, 2, grid).matrix
     b = AmplifiedElement(dense_space, 2, grid).matrix
-    # same operator up to the interleaved block ordering: compare norms and
-    # singular values instead of entries
+    # the same operator up to a unitary change of basis: compare singular
+    # values instead of entries
     npt.assert_allclose(np.linalg.svd(a, compute_uv=False),
                         np.linalg.svd(b, compute_uv=False), atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [4, 7])
+def test_rotated_pair_agrees_on_every_check(m):
+    z = np.exp(2j * np.pi * np.arange(m) / m)
+    pb = np.stack([np.ones(m), z, np.conj(z)])
+    points, dense, q = _rotated_pair(pb, unit=[1.0, 0, 0], seed=m)
+    rng = np.random.default_rng(m)
+    for n in (1, 2, 3):
+        grids = rng.standard_normal((4, n, n, 3)) \
+            + 1j * rng.standard_normal((4, n, n, 3))
+        npt.assert_allclose(points.grid_norm(grids), dense.grid_norm(grids),
+                            rtol=1e-10)
+    # the unit 1 is unitary, 0.8 times it is not
+    for u, verdict in (([1.0, 0, 0], "pass"), ([0.8, 0, 0], "fail")):
+        reps = [certify_unitary(s, u) for s in (points, dense)]
+        assert [r.verdict for r in reps] == [verdict, verdict]
+        assert reps[0].margin == pytest.approx(reps[1].margin, abs=1e-9)
+    closures = [generate_tro(s, envelope_exact=True) for s in (points, dense)]
+    assert [c.rank for c in closures] == [m, m]
+    assert [c.stable for c in closures] == [True, True]
+    spans = [delta_span(s, closure=c) for s, c in zip((points, dense), closures)]
+    assert [(ds.route, ds.real_dim, ds.complex_dim) for ds in spans] == \
+        [("ambient", 3, 3)] * 2
+    r = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    for mat in (r, points.embed([0.3, 1j, 0.2]) + np.triu(r, 1)):
+        c1, res1 = points.membership(mat)
+        c2, res2 = dense.membership(q @ mat @ adjoint(q))
+        npt.assert_allclose(c1, c2, atol=1e-10)
+        assert res1 == pytest.approx(res2, abs=1e-10)

@@ -2,13 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from opcert.blocks import grid_value_and_grad
 from opcert.certify import _DefectProblem
 from opcert.cstar import _ProductProblem
 from opcert.errors import InvalidInputError, SolverError
 from opcert.funcspace import catalog_entry
 from opcert.opspace import make_space
 from opcert.solver import (SolverConfig, _fd_grad, maximize_over_sphere,
-                           minimize_over_ball, spectral_subgradient)
+                           minimize_over_ball)
 from opcert.sysdetect import _PartnerProblem
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -155,7 +156,7 @@ def test_gradient_matches_central_differences_dense():
     checked = 0
     for _ in range(6):
         grid = rng.standard_normal((2, 2, 4)) + 1j * rng.standard_normal((2, 2, 4))
-        val, grad, smooth = spectral_subgradient(space, grid)
+        val, grad, smooth = grid_value_and_grad(space, grid)
         if not smooth:
             continue
         checked += 1
@@ -180,7 +181,7 @@ def test_gradient_matches_central_differences_diagonal():
     rng = np.random.default_rng(14)
     h = 1e-6
     grid = rng.standard_normal((1, 2, 2)) + 1j * rng.standard_normal((1, 2, 2))
-    val, grad, smooth = spectral_subgradient(space, grid)
+    val, grad, smooth = grid_value_and_grad(space, grid)
     assert smooth
     flat = grid.reshape(-1)
     gflat = grad.reshape(-1)
@@ -201,14 +202,14 @@ def test_gradient_flags_multiplicity():
     space = m2_full()
     grid = np.zeros((1, 1, 4), dtype=np.complex128)
     grid[0, 0, 0] = 1.0
-    _, _, smooth = spectral_subgradient(space, grid)
+    _, _, smooth = grid_value_and_grad(space, grid)
     assert not smooth
 
 
 def test_scalar_gradient_real_direction():
     space = make_space([np.eye(1)])
     grid = np.ones((1, 1, 1), dtype=np.complex128)
-    val, grad, smooth = spectral_subgradient(space, grid)
+    val, grad, smooth = grid_value_and_grad(space, grid)
     assert val == pytest.approx(1.0)
     assert grad.reshape(-1)[0] == pytest.approx(1.0 + 0j)
 

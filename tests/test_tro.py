@@ -23,7 +23,7 @@ def test_sym3_closure_rank_and_stability():
 
 def test_closure_idempotent():
     closure = catalog_closure("m2-sym3")
-    regrown = generate_tro(make_space(list(closure.z_basis),
+    regrown = generate_tro(make_space(list(closure.z_basis[:, 0]),
                                       unit=None))
     assert regrown.rank == closure.rank
     assert regrown.generations == 1
@@ -34,7 +34,7 @@ def test_closure_holds_ternary_products():
     flat = closure.z_basis.reshape(closure.rank, -1).T
     rng = np.random.default_rng(3)
     for _ in range(10):
-        a, b, c = closure.z_basis[rng.integers(0, closure.rank, size=3)]
+        a, b, c = closure.z_basis[rng.integers(0, closure.rank, size=3), 0]
         prod = (a @ adjoint(b) @ c).reshape(-1)
         _, res, *_ = np.linalg.lstsq(flat, prod, rcond=None)
         gap = np.linalg.norm(flat @ np.linalg.lstsq(flat, prod, rcond=None)[0]
