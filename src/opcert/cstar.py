@@ -18,7 +18,7 @@ import numpy as np
 from .blocks import grid_value_and_grad, two_by_two
 from .errors import InvalidInputError, PreconditionError
 from .hermit import delta_span, is_u_hermitian
-from .matcore import adjoint, block_diag, psd_sqrt, row_span
+from .matcore import EIG_CLAMP, adjoint, block_diag, psd_sqrt, row_span
 from .opspace import ConcreteOpSpace, Element
 from .report import FAIL, PASS, CertificateReport
 from .solver import SolverConfig, minimize_over_ball
@@ -165,7 +165,9 @@ def hermitian_to_unitaries(space: ConcreteOpSpace, u, x,
     from .tro import ambient_unitary_check
     uc = space.as_coeffs(u)
     xc = space.as_coeffs(x)
-    if space.norm(xc) > 1.0 + 1e-9:
+    # psd_sqrt below accepts 1 - a^2 down to -EIG_CLAMP, and |a| = |x|:
+    # half of that clamp leaves room for rounding in u
+    if space.norm(xc) ** 2 > 1.0 + 0.5 * EIG_CLAMP:
         raise InvalidInputError("x must lie in the unit ball")
     if not is_u_hermitian(space, uc, xc).passed:
         raise PreconditionError("x is not hermitian for this unit")

@@ -86,15 +86,15 @@ def block_diag(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(w * p, w * q)
 
 
-def row_span(rows: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def row_span(rows: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the row space of an (N, M) array, cut at
-    singular values above tol times the largest (real input, real rows)."""
+    singular values above RANK_TOL times the largest (real input, real rows)."""
     if rows.shape[0] == 0:
         return rows
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return vh[:0]
-    return vh[:int(np.sum(s > tol * s[0]))]
+    return vh[:int(np.sum(s > RANK_TOL * s[0]))]
 
 
 def top_singular_triple(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
@@ -120,14 +120,22 @@ def block2x2(a, b, c, d) -> np.ndarray:
     return np.block([[a, b], [c, d]])
 
 
-def herm_eigen(m) -> np.ndarray:
-    """Ascending real eigenvalues; rejects matrices that are not hermitian."""
-    a = as_cmat(m)
-    if a.shape[0] != a.shape[1]:
-        raise InvalidInputError("herm_eigen needs a square matrix")
-    scale = max(spectral_norm(a), 1.0) if a.size else 1.0
-    if spectral_norm(a - adjoint(a)) > HERMITICITY_TOL * scale:
+def _hermitian_stack(m, name: str) -> tuple[np.ndarray, float]:
+    """A square matrix or (..., n, n) stack checked hermitian, with the
+    largest norm in it (at least 1) as the scale for relative tolerances."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.size == 0:
+        raise InvalidInputError(f"{name} needs a square matrix or a stack of them")
+    scale = max(float(np.max(batched_spectral_norm(a))), 1.0)
+    if np.max(batched_spectral_norm(a - adjoint(a))) > HERMITICITY_TOL * scale:
         raise InvalidInputError("matrix is not hermitian within tolerance")
+    return a, scale
+
+
+def herm_eigen(m) -> np.ndarray:
+    """Ascending real eigenvalues of a hermitian matrix, or of each matrix
+    in a (..., n, n) stack; rejects matrices that are not hermitian."""
+    a, _ = _hermitian_stack(m, "herm_eigen")
     return np.linalg.eigvalsh(a)
 
 
@@ -135,12 +143,7 @@ def psd_sqrt(m) -> np.ndarray:
     """Hermitian square root of a matrix, or of each matrix in a
     (..., n, n) stack; eigenvalues in [-tol, 0) are clamped to 0, with tol
     relative to the largest norm in the stack."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidInputError("psd_sqrt needs a square matrix or a stack of them")
-    scale = max(float(np.max(batched_spectral_norm(a))), 1.0)
-    if np.max(batched_spectral_norm(a - adjoint(a))) > HERMITICITY_TOL * scale:
-        raise InvalidInputError("matrix is not hermitian within tolerance")
+    a, scale = _hermitian_stack(m, "psd_sqrt")
     w, v = np.linalg.eigh(a)
     if np.min(w[..., 0]) < -EIG_CLAMP * scale:
         raise InvalidInputError(f"matrix has a negative eigenvalue {np.min(w[..., 0]):g}")

@@ -18,7 +18,7 @@ from scipy.optimize import nnls
 
 from .errors import InvalidInputError
 from .hermit import delta_span, is_u_positive
-from .matcore import adjoint
+from .matcore import adjoint, herm_eigen
 from .opspace import ConcreteOpSpace
 from .report import FAIL, PASS, CertificateReport
 
@@ -92,23 +92,13 @@ def norm_order_unit_check(cone: Cone, u=None, hermitian_basis=None,
         diagnostics={"worst_residual": worst, "samples": len(samples)})
 
 
-def _u_star(space: ConcreteOpSpace, uc, xc) -> np.ndarray:
-    """adjoint(u) x, blockwise: a (w, q, q) stack."""
-    return adjoint(space.blocks(uc)) @ space.blocks(xc)
-
-
-def _min_eig(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the hermitian part of a block stack."""
-    return float(np.min(np.linalg.eigvalsh(0.5 * (a + adjoint(a)))))
-
-
 def _ambient_psd_residual(space: ConcreteOpSpace, uc, xc) -> float:
     """How far adjoint(u) x is from positive semidefinite (0 when psd)."""
-    a = _u_star(space, uc, xc)
+    a = adjoint(space.blocks(uc)) @ space.blocks(xc)
     herm = float(np.linalg.norm(a - adjoint(a)))
     if herm > PSD_TOL * max(1.0, float(np.linalg.norm(a))):
         return herm
-    return max(0.0, -_min_eig(a))
+    return max(0.0, -float(np.min(herm_eigen(0.5 * (a + adjoint(a))))))
 
 
 def cone_equals_delta_plus(cone: Cone, u=None, closure=None,
@@ -146,7 +136,8 @@ def cone_equals_delta_plus(cone: Cone, u=None, closure=None,
             continue
         h = h / n
         if ambient:
-            lam = max(0.0, -_min_eig(_u_star(space, uc, h)))
+            a = adjoint(space.blocks(uc)) @ space.blocks(h)
+            lam = max(0.0, -float(np.min(herm_eigen(0.5 * (a + adjoint(a))))))
         else:
             lam = 1.0  # |h| = 1, so h + u is u-positive by the shift criterion
         xc = h + lam * uc

@@ -40,13 +40,6 @@ class TroClosure:
         return self.z_basis.shape[0]
 
     @cached_property
-    def left_basis(self) -> np.ndarray:
-        """Orthonormal (rl, w, p, p) basis of the span of the z w*."""
-        z = self.z_basis
-        prods = np.einsum("awps,bwts->abwpt", z, np.conj(z))
-        return _span_of(prods, z.shape[1], z.shape[2], z.shape[2])
-
-    @cached_property
     def right_basis(self) -> np.ndarray:
         """Orthonormal (rr, w, q, q) basis of the span of the w* z."""
         z = self.z_basis

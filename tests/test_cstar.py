@@ -114,6 +114,22 @@ def test_hermitian_split_preconditions():
         hermitian_to_unitaries(space, uc, [2.0, 0, 0, 0], closure)
 
 
+@pytest.mark.parametrize("point_backed", [True, False])
+def test_hermitian_split_at_the_rim_of_the_ball(point_backed):
+    # l-infinity^2 stored point-backed, or rotated into a dense 2 x 2 layout
+    q = np.eye(2) if point_backed else np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    space = make_space([q @ np.diag(e) @ q.T for e in np.eye(2)],
+                       unit=[1.0, 1.0])
+    assert space.diagonal == point_backed
+    closure = generate_tro(space, envelope_exact=True)
+    uc = space.unit_coeffs()
+    xc = np.array([1.0, 0.3], dtype=np.complex128)
+    split = hermitian_to_unitaries(space, uc, (1.0 + 2e-10) * xc, closure)
+    assert split.passed
+    with pytest.raises(InvalidInputError, match="unit ball"):
+        hermitian_to_unitaries(space, uc, (1.0 + 8e-10) * xc, closure)
+
+
 def test_collected_unitaries_are_certified():
     space = catalog_space("m2-full")
     closure = catalog_closure("m2-full")
