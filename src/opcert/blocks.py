@@ -6,16 +6,16 @@ permutation it is the direct sum of one n1 x n2 grid per block of the
 space.
 The gradient returned is the Wirtinger ascent direction G for the real
 objective sigma_max: writing a coefficient as a + ib, G = df/da + i df/db,
-so C + s*G increases the norm and C - s*G decreases it. G is only valid
-when the top singular value is simple; the `smooth` flag reports that, and
-callers fall back to finite differences when it is False.
+so C + s*G increases the norm and C - s*G decreases it. sigma_max is
+convex, and G, from a top singular pair of a top block, is a subgradient
+of it even at a kink (a tied top); `smooth` is a diagnostic of the kink.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matcore import batched_spectral_norm, top_singular_triple
+from .matcore import block_norms, top_singular_triple
 from .opspace import ConcreteOpSpace
 
 GAP_TOL = 1e-8
@@ -23,17 +23,23 @@ GAP_TOL = 1e-8
 
 def grid_value_and_grad(space: ConcreteOpSpace, grid: np.ndarray):
     """Norm of the concrete matrix of a grid, its gradient, and a smoothness
-    flag (False near a degenerate top singular value).
+    flag (False near a degenerate top singular value)."""
+    return stack_value_and_grad(space, space.grid_blocks(grid))
+
+
+def stack_value_and_grad(space: ConcreteOpSpace, stack: np.ndarray,
+                         norms: np.ndarray | None = None):
+    """`grid_value_and_grad` of one grid, from its (w, n1 p, n2 q) block
+    stack and, when w > 1, its per-block norms (computed when not given).
 
     The gradient comes from the top singular pair of the top block. The
     gap is taken against the block's second singular value and against
     the runner-up block, since either can take over the norm.
     """
-    stack = space.grid_blocks(grid)
     _, w, p, q = space.basis.shape
     top, runner = 0, 0.0
     if w > 1:
-        norms = batched_spectral_norm(stack)
+        norms = block_norms(stack) if norms is None else norms
         top = int(np.argmax(norms))
         runner = float(np.partition(norms, w - 2)[w - 2])
     sigma, u, v, gap = top_singular_triple(stack[top])

@@ -66,13 +66,12 @@ class _DefectProblem:
 
     def value_and_grad(self, c: np.ndarray):
         x = self._grid(c)
-        nx, gx, sx = grid_value_and_grad(self.space, x)
-        full = self._build(self.space, self.u, x)
-        bn, gf, sf = grid_value_and_grad(self.space, full)
+        nx, gx, _ = grid_value_and_grad(self.space, x)
+        bn, gf, _ = grid_value_and_grad(self.space, self._build(self.space, self.u, x))
         self._invariant(nx, bn, c)
         part = gf[:, self.n:, :] if self.direction == "row" else gf[self.n:, :, :]
         grad = 2.0 * nx * gx - 2.0 * bn * part
-        return 1.0 + nx * nx - bn * bn, grad.reshape(-1), sx and sf
+        return 1.0 + nx * nx - bn * bn, grad.reshape(-1)
 
 
 @dataclass
@@ -116,8 +115,7 @@ def _defect(space, u, level, direction, config, extra_starts, salt) -> DefectPro
                                seed_salt=(salt, level))
     worst = max(0.0, res.value)
     witness = res.coeffs.reshape(level, level, space.dim)
-    diag = {"iterations": res.iterations, "fd_calls": res.fd_calls,
-            "best_start": res.best_start}
+    diag = {"iterations": res.iterations, "best_start": res.best_start}
     return DefectProfile(level=level, direction=direction, worst_defect=worst,
                          witness=witness, converged=res.converged,
                          diagnostics=diag)

@@ -53,9 +53,9 @@ class _ProductProblem:
         return self.space.grid_norm(self._grid(c))
 
     def value_and_grad(self, c):
-        val, grad, smooth = grid_value_and_grad(self.space, self._grid(c))
+        val, grad, _ = grid_value_and_grad(self.space, self._grid(c))
         i, j = self.slot
-        return val, grad[i, j, :], smooth
+        return val, grad[i, j, :]
 
 
 @dataclass
@@ -109,7 +109,7 @@ def _solve_product(space, uc, vc, given, slot, t, config, closure,
         bound=involution_error_bound(t) + 2 * slack + 2 * config.eps_stop,
         ambient_truth=block_diag(truth), ambient_residual=amb_res,
         converged=res.converged,
-        diagnostics={"iterations": res.iterations, "fd_calls": res.fd_calls,
+        diagnostics={"iterations": res.iterations,
                      "reached_target": res.reached_target})
 
 

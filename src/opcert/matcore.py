@@ -63,9 +63,9 @@ def batched_spectral_norm(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)[..., 0]
 
 
-def block_norm(stack: np.ndarray) -> np.ndarray:
-    """Spectral norm of the block-diagonal matrix of each (w, r, c) stack in
-    a (..., w, r, c) array, the max over its w blocks.
+def block_norms(stack: np.ndarray) -> np.ndarray:
+    """Spectral norm of each block of a (..., w, r, c) stack, shape (..., w);
+    their max is the norm of the stack's block-diagonal matrix.
 
     The kernel follows the block count: one block goes to LAPACK, several
     to `batched_spectral_norm`, whose closed forms beat a LAPACK call per
@@ -73,8 +73,8 @@ def block_norm(stack: np.ndarray) -> np.ndarray:
     block.
     """
     if stack.shape[-3] == 1:
-        return np.linalg.svd(stack, compute_uv=False)[..., 0, 0]
-    return batched_spectral_norm(stack).max(axis=-1)
+        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    return batched_spectral_norm(stack)
 
 
 def block_diag(blocks: np.ndarray) -> np.ndarray:
@@ -100,9 +100,8 @@ def row_span(rows: np.ndarray) -> np.ndarray:
 def top_singular_triple(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
     """(sigma_1, left vector, right vector, gap) for a single matrix.
 
-    gap is sigma_1 - sigma_2 (sigma_1 itself for rank-one shapes), the
-    quantity callers compare against the smoothness threshold before
-    trusting the gradient built from this pair.
+    gap is sigma_1 - sigma_2 (sigma_1 itself for rank-one shapes), which
+    tells whether the norm is differentiable where this pair was taken.
     """
     a = as_cmat(m)
     u, s, vh = np.linalg.svd(a)

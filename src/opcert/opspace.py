@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError
-from .matcore import adjoint, block_diag, block_norm
+from .matcore import adjoint, block_diag, block_norms
 
 GRAM_MIN_EIG = 1e-10
 MEMBERSHIP_TOL = 1e-6
@@ -121,7 +121,7 @@ class ConcreteOpSpace:
         """Spectral norm of the concrete matrix of an (..., n1, n2, d) block
         grid: a float for one grid, an array over the leading axes for a
         stack of grids."""
-        norms = block_norm(self.grid_blocks(grid))
+        norms = block_norms(self.grid_blocks(grid)).max(axis=-1)
         return norms if norms.ndim else float(norms)
 
     def norm(self, coeffs) -> float:

@@ -10,8 +10,13 @@ Problems expose a flat complex variable vector:
     dim             number of complex coefficients
     value(c)        objective, a float; on a (..., dim) stack of variables,
                     the array of objectives over the leading axes
-    value_and_grad(c) -> (value, wirtinger_grad, smooth)
+    value_and_grad(c) -> (value, wirtinger_grad)
     norm(c)         constraint norm of the variable (an operator norm)
+
+Each iteration makes one value_and_grad call and steps along its
+gradient, at kinks too: there the top singular pair of the active (t,
+block) gives a subgradient of the convex partner and product objectives
+(Danskin 1967; Overton, SIAM J. Optim. 1992).
 
 The step rule combines the guaranteed-safe decay schedule s0/sqrt(k) with a
 Polyak-style step toward an adaptively tightened level; the effective step
@@ -46,7 +51,6 @@ class SolverConfig:
     cert_tol: float = 1e-4
     fail_ratio: float = 10.0
     eps_stop: float = 1e-7
-    fd_step: float = 1e-6
 
     @property
     def fail_tol(self) -> float:
@@ -57,7 +61,7 @@ class SolverConfig:
         if not (self.starts >= 1 and self.max_iters >= 1):
             raise InvalidInputError("starts and max_iters must be positive")
         for name in ("step_scale", "stat_tol", "stall_window", "cert_tol",
-                     "eps_stop", "fd_step"):
+                     "eps_stop"):
             if not 0 < getattr(self, name) < math.inf:
                 raise InvalidInputError(f"{name} must be positive and finite")
         if not 1 <= self.fail_ratio < math.inf:
@@ -73,17 +77,11 @@ class SolveResult:
     converged: bool
     best_start: int
     iterations: int
-    fd_calls: int
     reached_target: bool
     start_values: list = field(default_factory=list)
-
-
-def _fd_grad(problem, c: np.ndarray, f0: float, step: float) -> np.ndarray:
-    # one stacked call over the 2*dim probes c + step*e_j and c + i*step*e_j
-    eye = np.eye(problem.dim)
-    probes = c + step * np.concatenate([eye, 1j * eye])
-    q = (np.asarray(problem.value(probes)) - f0) / step
-    return q[:problem.dim] + 1j * q[problem.dim:]
+    # always 0: no finite differences are taken; perfbench's tracer reads
+    # this field to derive its solver.fd_calls and solver.fd_share metrics
+    fd_calls: int = 0
 
 
 def _check_finite(f: float, c: np.ndarray) -> None:
@@ -143,7 +141,7 @@ def _sphere_starts(problem, n_starts: int, extra, rng_key) -> list:
 def _run_start(problem, config, c0, sign, target, stop_at_target):
     """One projected subgradient run. sign=+1 minimizes, sign=-1 maximizes.
 
-    Returns (best_value, best_c, iterations, fd_calls, converged, hit_target).
+    Returns (best_value, best_c, iterations, converged, hit_target).
     The adaptive level starts a fixed fraction below the incumbent and halves
     whenever a stall window passes without improvement; the run ends when the
     level collapses, the iteration budget runs out, or the target is reached.
@@ -157,14 +155,13 @@ def _run_start(problem, config, c0, sign, target, stop_at_target):
     delta = max(0.25 * abs(f - target), 100.0 * config.eps_stop)
     floor = 1e-12 * scale
     since_improve = 0
-    fd_calls = 0
     it = 0
     while it < config.max_iters:
         it += 1
         gap = sign * (best_f - target)
         if stop_at_target and gap <= config.eps_stop:
-            return best_f, best_c, it, fd_calls, True, True
-        f, g, smooth = problem.value_and_grad(c)
+            return best_f, best_c, it, True, True
+        f, g = problem.value_and_grad(c)
         _check_finite(f, c)
         if sign * (f - best_f) < -config.stat_tol:
             best_f, best_c = f, c.copy()
@@ -174,17 +171,14 @@ def _run_start(problem, config, c0, sign, target, stop_at_target):
         if since_improve >= config.stall_window:
             # a maximize run pinned at numerical zero has nothing to climb
             if sign < 0 and best_f <= 1e-8:
-                return best_f, best_c, it, fd_calls, True, False
+                return best_f, best_c, it, True, False
             delta *= 0.5
             since_improve = 0
             if delta < floor:
-                return best_f, best_c, it, fd_calls, True, False
-        if not smooth:
-            g = _fd_grad(problem, c, f, config.fd_step)
-            fd_calls += 1
+                return best_f, best_c, it, True, False
         gnorm = float(np.linalg.norm(g))
         if gnorm < 1e-14:
-            return best_f, best_c, it, fd_calls, True, False
+            return best_f, best_c, it, True, False
         level = best_f - sign * delta
         len_polyak = max(sign * (f - level), 0.0) / gnorm
         len_decay = s0 / np.sqrt(it)
@@ -206,20 +200,18 @@ def _run_start(problem, config, c0, sign, target, stop_at_target):
     if sign * (f - best_f) < 0:
         best_f, best_c = f, c.copy()
     hit = stop_at_target and sign * (best_f - target) <= config.eps_stop
-    return best_f, best_c, it, fd_calls, False, hit
+    return best_f, best_c, it, False, hit
 
 
 def _reduce(problem, config, starts, sign, target, stop_at_target):
     best = None
     total_iters = 0
-    total_fd = 0
     values = []
     any_converged = False
     for i, c0 in enumerate(starts):
-        f, c, it, fd, conv, hit = _run_start(
+        f, c, it, conv, hit = _run_start(
             problem, config, c0, sign, target, stop_at_target)
         total_iters += it
-        total_fd += fd
         values.append(f)
         any_converged = any_converged or conv
         if best is None or sign * (f - best[0]) < 0:
@@ -229,7 +221,7 @@ def _reduce(problem, config, starts, sign, target, stop_at_target):
             break
     f, c, i, hit = best
     return SolveResult(coeffs=c, value=float(f), converged=any_converged or hit,
-                       best_start=i, iterations=total_iters, fd_calls=total_fd,
+                       best_start=i, iterations=total_iters,
                        reached_target=hit, start_values=values)
 
 

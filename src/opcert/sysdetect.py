@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import grid_value_and_grad
+from .blocks import stack_value_and_grad
 from .certify import certify_unitary
 from .errors import InvalidInputError, PreconditionError
-from .matcore import adjoint
+from .matcore import adjoint, block_norms
 from .opspace import ConcreteOpSpace, Element
 from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
 from .solver import SolverConfig, minimize_over_ball
@@ -73,13 +73,17 @@ class _PartnerProblem:
         return self._hinges(self._grids(c)).max(axis=-1)
 
     def value_and_grad(self, c: np.ndarray):
-        grids = self._grids(c)
-        h = self._hinges(grids)
-        i = int(np.argmax(h))
-        if h[i] <= 0.0:
-            return 0.0, np.zeros(self.dim, dtype=np.complex128), True
-        _, grad, smooth = grid_value_and_grad(self.space, grids[i])
-        return float(h[i]), grad[1, 0, :], smooth
+        # one stack for hinges and gradient; one t of one block needs no norm
+        stacks = self.space.grid_blocks(self._grids(c))
+        i, norms = 0, None
+        if stacks.shape[:2] != (1, 1):
+            norms = block_norms(stacks)
+            i = int(np.argmax(norms.max(axis=-1) - self.targets))
+            norms = norms[i]
+        sigma, grad, _ = stack_value_and_grad(self.space, stacks[i], norms)
+        if sigma <= self.targets[i]:
+            return 0.0, np.zeros(self.dim, dtype=np.complex128)
+        return float(sigma - self.targets[i]), grad[1, 0, :]
 
 
 def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
@@ -117,8 +121,7 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
     return PartnerSearchResult(
         x_coeffs=xc, y_coeffs=res.coeffs, residual=float(res.value),
         per_t_residual=per_t, t_grid=ts, converged=res.converged,
-        diagnostics={"iterations": res.iterations, "fd_calls": res.fd_calls,
-                     "best_start": res.best_start,
+        diagnostics={"iterations": res.iterations, "best_start": res.best_start,
                      "reached_zero": res.reached_target})
 
 

@@ -1,0 +1,47 @@
+"""The per-layer metrics of perfbench's tracer cover the benchmark contract.
+
+perfbench/run.py prints its result with every per-layer metric that
+BENCHMARK.json names; a metric whose source left the package (a traced
+function, a result field) drops out of that line. This test traces a small
+run and checks the names against the contract.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+
+from opcert.certify import certify_unitary
+from opcert.funcspace import catalog_space
+from opcert.solver import SolverConfig
+from opcert.sysdetect import find_partner
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_reports_every_contract_metric():
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    want = {m["name"] for m in contract["per_layer"]}
+    space = catalog_space("m2-upper")
+    config = SolverConfig(starts=2, max_iters=20)
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        certify_unitary(space, max_level=1, config=config)
+        find_partner(space, x=np.array([0, 1.0]), config=config, starts=2)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert set(metrics) | {"trace.overhead_s"} == want
+    assert metrics["solver.fd_calls"][0] == 0
+    assert metrics["solver.fd_share"][0] == 0.0
+    json.dumps({k: v for k, (v, _) in metrics.items()}, allow_nan=False)

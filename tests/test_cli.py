@@ -192,6 +192,20 @@ def test_bad_tolerance_and_point_count_exit_cleanly(tmp_path, argv):
     assert proc.stdout == ""
 
 
+def test_dropped_solver_knob_exits_cleanly(tmp_path):
+    # fd_step went with the finite-difference fallback
+    space = tmp_path / "m2-full.json"
+    space.write_text(SpaceFile.from_space(catalog_space("m2-full"),
+                                          solver={"fd_step": 1e-6}).dumps())
+    proc = subprocess.run(
+        [sys.executable, "-m", "opcert.cli", "check", "unitary",
+         "--space", str(space), "--level", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: unknown solver overrides")
+    assert "Traceback" not in proc.stderr
+
+
 def test_recover_product_escape_exits_nonzero(tmp_path, capsys):
     space = write_catalog_file(tmp_path, "m2-upper")
     code = main(["recover", "product", "--space", space,

@@ -8,8 +8,7 @@ from opcert.cstar import _ProductProblem
 from opcert.errors import InvalidInputError, SolverError
 from opcert.funcspace import catalog_entry
 from opcert.opspace import make_space
-from opcert.solver import (SolverConfig, _fd_grad, maximize_over_sphere,
-                           minimize_over_ball)
+from opcert.solver import SolverConfig, maximize_over_sphere, minimize_over_ball
 from opcert.sysdetect import _PartnerProblem
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -35,7 +34,7 @@ class _Quadratic:
         return float(np.linalg.norm(c - self.a) ** 2)
 
     def value_and_grad(self, c):
-        return self.value(c), 2.0 * (c - self.a), True
+        return self.value(c), 2.0 * (c - self.a)
 
 
 class _Linear:
@@ -52,7 +51,7 @@ class _Linear:
     def value_and_grad(self, c):
         g = np.zeros(self.dim, dtype=np.complex128)
         g[0] = 1.0
-        return self.value(c), g, True
+        return self.value(c), g
 
 
 class _NonFinite:
@@ -65,7 +64,7 @@ class _NonFinite:
         return float("nan")
 
     def value_and_grad(self, c):
-        return float("nan"), np.zeros(1, dtype=np.complex128), True
+        return float("nan"), np.zeros(1, dtype=np.complex128)
 
 
 def test_config_validation():
@@ -247,22 +246,67 @@ def test_stacked_value_matches_row_by_row():
         npt.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
-def test_fd_grad_matches_the_coordinate_loop():
+def _convex_objectives():
+    """(problem, kinks): the partner and product objectives on m2-full and
+    on circle-1z at 60 points. On circle-1z with x = z and y = 0 every block
+    of every t ties, a kink of both."""
+    out = []
+    circle = catalog_entry("circle-1z").min_space(60)
+    for space in (m2_full(), circle):
+        uc = space.unit_coeffs()
+        x = np.linspace(0.1, 0.4, space.dim) * (1 + 0.5j)
+        x = x / (1.25 * space.norm(x))
+        out += [(_PartnerProblem(space, uc, x, (0.25, 1.0, 32.0)), ()),
+                (_PartnerProblem(space, uc, x, (4.0,)), ()),
+                (_ProductProblem(space, uc, uc, x, (1, 0), 10.0), ()),
+                (_ProductProblem(space, uc, uc, x, (0, 1), 10.0), ())]
+    uc, z, y0 = circle.unit_coeffs(), np.array([0, 1.0]), np.zeros(2)
+    out += [(_PartnerProblem(circle, uc, z, (0.25, 1.0, 32.0)), (y0,)),
+            (_ProductProblem(circle, uc, uc, z, (1, 0), 1.0), (y0,))]
+    return out
+
+
+def test_gradient_is_a_subgradient_of_the_convex_objectives():
+    # f(y + delta) >= f(y) + Re<g, delta> for the convex partner hinge and
+    # product norm, inside and outside the unit ball, at kinks too
     rng = np.random.default_rng(16)
-    step = SolverConfig().fd_step
-    for problem in _objectives():
-        c = _sphere_points(problem, rng, ())
-        f0 = problem.value(c)
-        want = np.zeros(problem.dim, dtype=np.complex128)
-        for j in range(problem.dim):
-            e = np.zeros(problem.dim, dtype=np.complex128)
-            e[j] = step
-            da = (problem.value(c + e) - f0) / step
-            e[j] = 1j * step
-            db = (problem.value(c + e) - f0) / step
-            want[j] = da + 1j * db
-        npt.assert_allclose(_fd_grad(problem, c, f0, step), want,
-                            rtol=0, atol=1e-9)
+    for problem, kinks in _convex_objectives():
+        points = list(kinks) + list(_sphere_points(problem, rng, (4,))
+                                    * rng.uniform(0.0, 1.5, (4, 1)))
+        for y in points:
+            f, g = problem.value_and_grad(y)
+            assert f == pytest.approx(problem.value(y), rel=1e-12, abs=1e-14)
+            deltas = _sphere_points(problem, rng, (12,)) \
+                * np.repeat([1e-6, 1e-3, 0.1, 0.5, 1.0, 3.0], 2)[:, None]
+            got = problem.value(y + deltas)
+            assert np.all(got >= f + np.real(deltas @ np.conj(g)) - 1e-12)
+
+
+def test_gradient_at_the_identity_grid_is_a_subgradient():
+    # I_2 has a double top singular value: a kink of the norm
+    space = m2_full()
+    grid = np.zeros((1, 1, 4), dtype=np.complex128)
+    grid[0, 0, 0] = 1.0
+    f, g, _ = grid_value_and_grad(space, grid)
+    rng = np.random.default_rng(18)
+    for scale in (1e-6, 1e-3, 0.1, 1.0, 3.0):
+        delta = scale * (rng.standard_normal((8, 1, 1, 4))
+                         + 1j * rng.standard_normal((8, 1, 1, 4)))
+        got = space.grid_norm(grid + delta)
+        lin = np.real(np.sum(np.conj(g) * delta, axis=(1, 2, 3)))
+        assert np.all(got >= f + lin - 1e-12)
+
+
+def test_partner_kink_is_flagged_nonsmooth():
+    # x = z, y = 0 on circle-1z: the t-blocks [[t, z_k], [0, t]] of all 60
+    # points have one norm, so the top block is not unique
+    space = catalog_entry("circle-1z").min_space(60)
+    problem = _PartnerProblem(space, space.unit_coeffs(), np.array([0, 1.0]),
+                              (0.25, 1.0, 32.0))
+    grids = problem._grids(np.zeros(2))
+    i = int(np.argmax(problem._hinges(grids)))
+    assert problem.value(np.zeros(2)) > 0.0
+    assert not grid_value_and_grad(space, grids[i])[2]
 
 
 def test_stacked_defect_checks_the_bracket_of_every_row():
