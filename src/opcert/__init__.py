@@ -9,10 +9,10 @@ from .cstar import (ProductTable, RecoveredProduct, collect_unitaries,
                     detect_cstar, hermitian_to_unitaries, recover_product,
                     recover_product_left, unitary_span_check)
 from .errors import InvalidInputError, PreconditionError, SolverError
-from .funcspace import (CatalogEntry, GHermitianResult, SampledFunctionSpace,
-                        catalog_closure, catalog_entry, catalog_names,
-                        catalog_space, g_hermitian_solve, min_opspace,
-                        scalar_unitary_check, selfadjoint_unit_check)
+from .funcspace import (CatalogEntry, GHermitianResult, catalog_closure,
+                        catalog_entry, catalog_names, catalog_space,
+                        g_hermitian_solve, scalar_unitary_check,
+                        selfadjoint_unit_check)
 from .hermit import (DeltaSpan, HermitianProfile, delta_span, is_u_hermitian,
                      is_u_positive, operator_system_check)
 from .opspace import (AmplifiedElement, ConcreteOpSpace, Element,
@@ -39,8 +39,7 @@ __all__ = [
     "GHermitianResult", "HermitianProfile", "INCONCLUSIVE",
     "InvalidInputError", "PASS", "ParseError", "PartnerSearchResult",
     "PreconditionError", "ProductTable", "RecoveredInvolution",
-    "RecoveredProduct", "SampledFunctionSpace", "SolveResult",
-    "SolverConfig", "SolverError",
+    "RecoveredProduct", "SolveResult", "SolverConfig", "SolverError",
     "SpaceFile", "TroClosure", "amplify_unit", "catalog_closure",
     "catalog_entry", "catalog_names", "catalog_space",
     "certify_coisometry", "certify_isometry", "certify_unitary",
@@ -50,7 +49,7 @@ __all__ = [
     "find_partner", "g_hermitian_solve", "generate_tro",
     "hermitian_to_unitaries", "involution", "involution_error_bound",
     "is_u_hermitian", "is_u_positive", "make_space", "maximize_over_sphere",
-    "min_opspace", "minimize_over_ball", "norm_order_unit_check",
+    "minimize_over_ball", "norm_order_unit_check",
     "operator_system_check", "recover_involution", "recover_product",
     "recover_product_left", "row_defect", "same_involution_check",
     "scalar_unitary_check", "selfadjoint_unit_check", "space_from_points",

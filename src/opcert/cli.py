@@ -20,10 +20,9 @@ from . import __version__
 from .certify import certify_coisometry, certify_isometry, certify_unitary
 from .cstar import detect_cstar, recover_product
 from .errors import InvalidInputError, PreconditionError, SolverError
-from .funcspace import (SampledFunctionSpace, catalog_entry, catalog_names,
-                        g_hermitian_solve, min_opspace, scalar_unitary_check)
+from .funcspace import (catalog_entry, catalog_names, g_hermitian_solve,
+                        scalar_unitary_check)
 from .hermit import is_u_hermitian, is_u_positive
-from .opspace import ConcreteOpSpace
 from .order import Cone, norm_order_unit_check
 from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
 from .serialize import SpaceFile, dumps_report, loads_coeffs
@@ -103,39 +102,33 @@ def _wrap_hermitian(space, uc, xc, config) -> CertificateReport:
                      "element_norm": prof.element_norm})
 
 
-def _wrap_function_system(fspace, gc) -> CertificateReport:
-    res = g_hermitian_solve(fspace, gc)
+def _wrap_function_system(space, gc) -> CertificateReport:
+    res = g_hermitian_solve(space, gc)
     ok = res.is_function_system
     return CertificateReport(
         name="function-system", verdict=PASS if ok else FAIL,
-        margin=float(res.complex_dim - fspace.dim),
+        margin=float(res.complex_dim - space.dim),
         witness=None,
         diagnostics={"real_dim": res.real_dim,
                      "complex_dim": res.complex_dim,
-                     "space_dim": fspace.dim})
+                     "space_dim": space.dim})
 
 
 def cmd_check(args) -> int:
     sf = _load_space_file(args.space)
-    built = sf.build_space()
+    space = sf.build_space()
     config = _solver_config(args, sf)
     kind = args.kind
     if kind in FUNCTION_CHECKS:
-        if not isinstance(built, SampledFunctionSpace):
-            raise InvalidInputError(
-                f"check {kind} requires a function-kind space file")
-        fspace = built
-        gc = fspace.unit_coeffs() if args.element is None else \
+        gc = space.unit_coeffs() if args.element is None else \
             loads_coeffs(args.element, "--element")
         if kind == "function-unitary":
-            rep = scalar_unitary_check(fspace, gc, seed=args.seed,
+            rep = scalar_unitary_check(space, gc, seed=args.seed,
                                        tol=args.tol)
         else:
-            rep = _wrap_function_system(fspace, gc)
+            rep = _wrap_function_system(space, gc)
         _emit(args, [rep], _echo(args))
         return EXIT_BY_VERDICT[rep.verdict]
-    space = min_opspace(built) if isinstance(built, SampledFunctionSpace) \
-        else built
     uc = space.unit_coeffs()
     if kind in ("hermitian", "positive"):
         if args.element is None:
@@ -168,9 +161,7 @@ def cmd_check(args) -> int:
 
 def cmd_recover(args) -> int:
     sf = _load_space_file(args.space)
-    built = sf.build_space()
-    space = min_opspace(built) if isinstance(built, SampledFunctionSpace) \
-        else built
+    space = sf.build_space()
     config = _solver_config(args, sf)
     uc = space.unit_coeffs()
     if args.kind == "involution":

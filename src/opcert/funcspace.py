@@ -1,12 +1,14 @@
-"""Function-space certificates on sampled domains.
+"""Function-space certificates on sampled domains, and the catalog.
 
-A sampled function space stores d basis functions by their values at m
-domain points; the norm is the max of pointwise absolute values. Scalar
-criteria here are cheaper than the matrix-level ones and, for the checks
-below, equivalent at level one: a norm-one g acts like a unitary iff
-sup over the unit sphere of |s f + t g| equals sqrt(2) for every norm-one
-f in the space, and g-hermitian elements solve a pointwise real-linear
-system instead of a matrix feasibility problem.
+A sampled function space is a point-backed `ConcreteOpSpace`: d basis
+functions known by their values at m domain points, acting by
+multiplication, so the basis is (d, m, 1, 1) and the norm is the max of
+pointwise absolute values. Scalar criteria here are cheaper than the
+matrix-level ones and, for the checks below, equivalent at level one: a
+norm-one g acts like a unitary iff sup over the unit sphere of |s f + t g|
+equals sqrt(2) for every norm-one f in the space, and g-hermitian elements
+solve a pointwise real-linear system instead of a matrix feasibility
+problem. The checks reject any space that is not point-backed.
 
 Sampling error scales like 1/m for Lipschitz data, so verdict tolerances
 default to 10/m.
@@ -24,71 +26,19 @@ from .matcore import real_kernel, row_span
 from .opspace import ConcreteOpSpace, make_space, space_from_points
 from .report import FAIL, PASS, CertificateReport
 
-GRAM_MIN_EIG = 1e-10
 UNIMODULAR_TOL = 1e-9
 
 
-@dataclass
-class SampledFunctionSpace:
-    point_basis: np.ndarray        # (d, m) basis function values
-    unit: np.ndarray | None = None  # (d,) coefficients or None
-
-    def __post_init__(self):
-        pb = np.asarray(self.point_basis, dtype=np.complex128)
-        if pb.ndim != 2 or pb.shape[0] == 0:
-            raise InvalidInputError("point_basis must be a (d, m) array")
-        gram = pb @ np.conj(pb.T)
-        eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= GRAM_MIN_EIG * max(1.0, eigs[-1]):
-            raise InvalidInputError("basis functions are linearly dependent")
-        self.point_basis = pb
-        if self.unit is not None:
-            uc = np.asarray(self.unit, dtype=np.complex128).reshape(-1)
-            if uc.shape[0] != pb.shape[0]:
-                raise InvalidInputError("unit length does not match basis")
-            self.unit = uc
-
-    @property
-    def dim(self) -> int:
-        return self.point_basis.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.point_basis.shape[1]
-
-    def as_coeffs(self, x) -> np.ndarray:
-        c = np.asarray(x, dtype=np.complex128).reshape(-1)
-        if c.shape[0] != self.dim:
-            raise InvalidInputError("coefficient length does not match basis")
-        return c
-
-    def unit_coeffs(self) -> np.ndarray:
-        if self.unit is None:
-            raise InvalidInputError("space has no designated unit")
-        return self.unit
-
-    def values(self, coeffs) -> np.ndarray:
-        return self.as_coeffs(coeffs) @ self.point_basis
-
-    def norm(self, coeffs) -> float:
-        return float(np.max(np.abs(self.values(coeffs))))
-
-    def membership_values(self, vals) -> tuple[np.ndarray, float]:
-        v = np.asarray(vals, dtype=np.complex128).reshape(-1)
-        if v.shape[0] != self.m:
-            raise InvalidInputError("value vector length does not match points")
-        coeffs, *_ = np.linalg.lstsq(self.point_basis.T, v, rcond=None)
-        resid = float(np.linalg.norm(coeffs @ self.point_basis - v))
-        return coeffs, resid
+def _point_backed(space) -> ConcreteOpSpace:
+    if not (isinstance(space, ConcreteOpSpace) and space.diagonal):
+        raise InvalidInputError(
+            "function checks need a point-backed space (one 1 x 1 block "
+            "per sample point)")
+    return space
 
 
-def min_opspace(fspace: SampledFunctionSpace) -> ConcreteOpSpace:
-    """Diagonal operator-space model: functions act by multiplication."""
-    return space_from_points(fspace.point_basis, unit=fspace.unit)
-
-
-def default_tol(fspace: SampledFunctionSpace) -> float:
-    return 10.0 / fspace.m
+def default_tol(space: ConcreteOpSpace) -> float:
+    return 10.0 / _point_backed(space).basis.shape[1]
 
 
 def _sphere_sup(fv: np.ndarray, gv: np.ndarray) -> float:
@@ -101,7 +51,7 @@ def _sphere_sup(fv: np.ndarray, gv: np.ndarray) -> float:
     return float(np.max(np.sqrt(np.abs(fv) ** 2 + np.abs(gv) ** 2)))
 
 
-def scalar_unitary_check(fspace: SampledFunctionSpace, g=None,
+def scalar_unitary_check(space: ConcreteOpSpace, g=None,
                          samples: int = 5, seed: int = 7,
                          tol: float | None = None) -> CertificateReport:
     """Does g pair with every norm-one f at the extreme two-term norm?
@@ -110,30 +60,31 @@ def scalar_unitary_check(fspace: SampledFunctionSpace, g=None,
     sqrt(2) - sup is the per-sample score; the check passes when the worst
     deficit stays within tol (default 10/m).
     """
+    _point_backed(space)
     if tol is None:
-        tol = default_tol(fspace)
+        tol = default_tol(space)
     if not 0 < tol < np.inf:
         raise InvalidInputError("tol must be positive and finite")
-    gc = fspace.unit_coeffs() if g is None else fspace.as_coeffs(g)
-    gn = fspace.norm(gc)
+    gc = space.unit_coeffs() if g is None else space.as_coeffs(g)
+    gn = space.norm(gc)
     if gn < 1e-12:
         raise InvalidInputError("g must be nonzero")
-    gv = fspace.values(gc) / gn
+    gv = space.point_values(gc) / gn
     sample_coeffs = []
-    for j in range(fspace.dim):
-        e = np.zeros(fspace.dim, dtype=np.complex128)
+    for j in range(space.dim):
+        e = np.zeros(space.dim, dtype=np.complex128)
         e[j] = 1.0
         sample_coeffs.append(e)
     rng = np.random.default_rng([seed, 51])
     for _ in range(samples):
-        c = rng.standard_normal(fspace.dim) + 1j * rng.standard_normal(fspace.dim)
+        c = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         sample_coeffs.append(c)
     worst, witness, sups = -1.0, None, []
     for c in sample_coeffs:
-        n = fspace.norm(c)
+        n = space.norm(c)
         if n < 1e-12:
             continue
-        fv = fspace.values(c) / n
+        fv = space.point_values(c) / n
         sup = _sphere_sup(fv, gv)
         deficit = np.sqrt(2.0) - sup
         sups.append(sup)
@@ -155,21 +106,22 @@ class GHermitianResult:
     is_function_system: bool
 
 
-def g_hermitian_solve(fspace: SampledFunctionSpace, g=None,
+def g_hermitian_solve(space: ConcreteOpSpace, g=None,
                       tol: float = 1e-9) -> GHermitianResult:
     """Exact pointwise solve for {x : conj(g) x is real at every point}.
 
     Requires |g| = 1 pointwise; for unimodular g the hermitian condition
     at level one reduces to Im(conj(g(w)) x(w)) = 0 for all w.
     """
-    gc = fspace.unit_coeffs() if g is None else fspace.as_coeffs(g)
-    gv = fspace.values(gc)
+    values = _point_backed(space).basis[:, :, 0, 0]
+    gc = space.unit_coeffs() if g is None else space.as_coeffs(g)
+    gv = space.point_values(gc)
     if np.max(np.abs(np.abs(gv) - 1.0)) > tol:
         raise PreconditionError("g is not unimodular on the sample points")
-    d = fspace.dim
-    cols = np.empty((2 * d, fspace.m), dtype=np.complex128)
+    d = space.dim
+    cols = np.empty((2 * d, values.shape[1]), dtype=np.complex128)
     for k in range(d):
-        pb = fspace.point_basis[k]
+        pb = values[k]
         cols[k] = np.conj(gv) * pb - np.conj(pb) * gv
         cols[d + k] = 1j * (np.conj(gv) * pb + np.conj(pb) * gv)
     kern = real_kernel(cols)
@@ -180,7 +132,7 @@ def g_hermitian_solve(fspace: SampledFunctionSpace, g=None,
                             is_function_system=cdim == d)
 
 
-def selfadjoint_unit_check(fspace: SampledFunctionSpace, v=None,
+def selfadjoint_unit_check(space: ConcreteOpSpace, v=None,
                            tol: float = 1e-8) -> CertificateReport:
     """For conjugation-closed spaces: is v a unit making x -> v conj(x) v
     the usual conjugation, with the v-hermitians spanning?
@@ -188,22 +140,22 @@ def selfadjoint_unit_check(fspace: SampledFunctionSpace, v=None,
     Preconditions (violations raise): the space is closed under pointwise
     conjugation, and v is real-valued and unimodular.
     """
-    vc = fspace.unit_coeffs() if v is None else fspace.as_coeffs(v)
-    vv = fspace.values(vc)
+    values = _point_backed(space).basis[:, :, 0, 0]
+    vc = space.unit_coeffs() if v is None else space.as_coeffs(v)
+    vv = space.point_values(vc)
     if np.max(np.abs(np.imag(vv))) > UNIMODULAR_TOL:
         raise PreconditionError("v is not real-valued on the sample points")
     if np.max(np.abs(np.abs(vv) - 1.0)) > UNIMODULAR_TOL:
         raise PreconditionError("v is not unimodular on the sample points")
-    for k in range(fspace.dim):
-        _, resid = fspace.membership_values(np.conj(fspace.point_basis[k]))
-        scale = max(1.0, float(np.linalg.norm(fspace.point_basis[k])))
+    for k, x in enumerate(values):
+        _, resid = space.membership_blocks(np.conj(x)[:, None, None])
+        scale = max(1.0, float(np.linalg.norm(x)))
         if resid > 1e-6 * scale:
             raise PreconditionError(
                 f"space is not conjugation-closed (basis {k})")
-    ghs = g_hermitian_solve(fspace, vc)
+    ghs = g_hermitian_solve(space, vc)
     worst = 0.0
-    for k in range(fspace.dim):
-        x = fspace.point_basis[k]
+    for x in values:
         dev = np.max(np.abs(vv * np.conj(x) * vv - np.conj(x)))
         worst = max(worst, float(dev) / max(1.0, float(np.max(np.abs(x)))))
     ok = ghs.is_function_system and worst <= tol
@@ -226,7 +178,7 @@ class CatalogEntry:
     aliases: tuple = ()
     builder: Callable = None
 
-    def build(self, points: int | None = None):
+    def build(self, points: int | None = None) -> ConcreteOpSpace:
         if points is None:
             points = self.params.get("points", 360)
         elif points < 1:
@@ -236,29 +188,27 @@ class CatalogEntry:
         return self.builder()
 
     def min_space(self, points: int | None = None) -> ConcreteOpSpace:
-        built = self.build(points)
-        if isinstance(built, SampledFunctionSpace):
-            return min_opspace(built)
-        return built
+        # the same space as build(); perfbench/prepare.py calls it by name
+        return self.build(points)
 
 
 def _circle_points(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _build_circle_1zzbar(m: int) -> SampledFunctionSpace:
+def _build_circle_1zzbar(m: int) -> ConcreteOpSpace:
     z = _circle_points(m)
     basis = np.stack([np.ones(m), z, np.conj(z)])
-    return SampledFunctionSpace(basis, unit=np.array([1.0, 0, 0]))
+    return space_from_points(basis, unit=np.array([1.0, 0, 0]))
 
 
-def _build_circle_1z(m: int) -> SampledFunctionSpace:
+def _build_circle_1z(m: int) -> ConcreteOpSpace:
     z = _circle_points(m)
     basis = np.stack([np.ones(m), z])
-    return SampledFunctionSpace(basis, unit=np.array([1.0, 0]))
+    return space_from_points(basis, unit=np.array([1.0, 0]))
 
 
-def _build_two_circles(m: int) -> SampledFunctionSpace:
+def _build_two_circles(m: int) -> ConcreteOpSpace:
     """Two disjoint circles; f = 1 + z on each copy, g flips sign between
     the copies. Basis [1, g, f, conj(f)], designated unit g."""
     z = _circle_points(m)
@@ -266,7 +216,7 @@ def _build_two_circles(m: int) -> SampledFunctionSpace:
     f = np.concatenate([one + z, one + z])
     g = np.concatenate([one, -one])
     basis = np.stack([np.concatenate([one, one]), g, f, np.conj(f)])
-    return SampledFunctionSpace(basis, unit=np.array([0, 1.0, 0, 0]))
+    return space_from_points(basis, unit=np.array([0, 1.0, 0, 0]))
 
 
 def _build_m2_full() -> ConcreteOpSpace:
@@ -341,7 +291,7 @@ def catalog_entry(name: str) -> CatalogEntry:
     raise InvalidInputError(f"unknown catalog entry: {name!r}")
 
 
-def catalog_space(name: str, points: int | None = None):
+def catalog_space(name: str, points: int | None = None) -> ConcreteOpSpace:
     return catalog_entry(name).build(points)
 
 
@@ -352,5 +302,5 @@ def catalog_closure(name: str, points: int | None = None):
     exact envelope, so downstream ambient checks are licensed.
     """
     from .tro import generate_tro
-    space = catalog_entry(name).min_space(points)
+    space = catalog_space(name, points)
     return generate_tro(space, envelope_exact=True)

@@ -207,8 +207,7 @@ def make_space(basis, unit=None, membership_tol: float = MEMBERSHIP_TOL) -> Conc
 
     Square matrices that are all diagonal are stored point-backed, one 1 x 1
     block per diagonal entry; anything else is one p x q block. Rejects
-    dependent bases via the Gram condition (smallest eigenvalue of the
-    Frobenius Gram matrix must exceed 1e-10).
+    dependent bases by the Gram rule of `_validated`.
     """
     mats = [np.asarray(b, dtype=np.complex128) for b in basis]
     if not mats:
@@ -241,10 +240,12 @@ def space_from_points(point_basis, unit=None,
 
 
 def _validated(space: ConcreteOpSpace, unit) -> ConcreteOpSpace:
+    """Reject a numerically dependent basis: the smallest eigenvalue of the
+    Frobenius Gram matrix must exceed 1e-10 times max(1, the largest)."""
     v = space._vectors()
     gram = adjoint(v) @ v
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= GRAM_MIN_EIG:
+    if eigs[0] <= GRAM_MIN_EIG * max(1.0, eigs[-1]):
         raise InvalidInputError(
             f"basis is numerically dependent (Gram eigenvalue {eigs[0]:.3e})")
     if unit is not None:
@@ -269,6 +270,3 @@ def norm(elem) -> float:
         return elem.norm()
     raise InvalidInputError("norm() expects an Element or AmplifiedElement")
 
-
-def membership(space: ConcreteOpSpace, matrix) -> tuple[np.ndarray, float]:
-    return space.membership(matrix)

@@ -4,6 +4,11 @@ The tree is plain JSON with two conventions that make round-trips exact:
 complex numbers are always two-element [re, im] arrays (never bare floats),
 and floats are written with 17 significant digits so parse -> re-emit is
 byte-identical. Parse failures carry the offending field path.
+
+A space file has one of two kinds, and both read back as a
+`ConcreteOpSpace`. A `function` file holds a point-backed space (a sampled
+function space) as m values per basis element; a `matrix` file holds any
+other space as its p x q basis matrices.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .opspace import ConcreteOpSpace, make_space, space_from_points
 
 FORMAT_SPACE = "opcert-space"
 FORMAT_REPORT = "opcert-report"
@@ -122,26 +128,26 @@ def _pair(z: complex) -> list:
 @dataclass
 class SpaceFile:
     kind: str                       # "matrix" or "function"
-    basis: np.ndarray               # (d, p, q) or (d, m)
+    basis: np.ndarray               # (d, p, q) matrices or (d, m) point values
     unit: np.ndarray | None = None
     cone: np.ndarray | None = None  # (G, d) coefficient vectors
     solver: dict | None = None
 
     @classmethod
-    def from_space(cls, space, cone=None, solver=None) -> "SpaceFile":
-        from .funcspace import SampledFunctionSpace
-        if isinstance(space, SampledFunctionSpace):
-            return cls(kind="function", basis=space.point_basis,
+    def from_space(cls, space: ConcreteOpSpace, cone=None,
+                   solver=None) -> "SpaceFile":
+        """A point-backed space is written as a function file (m values per
+        basis element), any other as a matrix file of its ambient matrices."""
+        if space.diagonal:
+            return cls(kind="function", basis=space.basis[:, :, 0, 0],
                        unit=space.unit, cone=cone, solver=solver)
         basis = np.stack([space.embed(e) for e in np.eye(space.dim)])
         return cls(kind="matrix", basis=basis,
                    unit=space.unit, cone=cone, solver=solver)
 
-    def build_space(self):
-        from .funcspace import SampledFunctionSpace
-        from .opspace import make_space
+    def build_space(self) -> ConcreteOpSpace:
         if self.kind == "function":
-            return SampledFunctionSpace(self.basis, unit=self.unit)
+            return space_from_points(self.basis, unit=self.unit)
         return make_space(self.basis, unit=self.unit)
 
     def to_tree(self) -> dict:

@@ -245,8 +245,8 @@ def test_ac07_t1_alone_looks_satisfiable():
 def test_ac08_two_circles_selfadjoint_unit():
     fspace = catalog_space("two-circles")
     closure = catalog_closure("two-circles")
-    assert fspace.m == 720
-    gvals = fspace.values(fspace.unit_coeffs())
+    assert fspace.basis.shape[1] == 720
+    gvals = fspace.point_values(fspace.unit_coeffs())
     im_g = float(np.max(np.abs(np.imag(gvals))))
     unitary = scalar_unitary_check(fspace)
     sa = selfadjoint_unit_check(fspace)

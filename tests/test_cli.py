@@ -66,6 +66,43 @@ def test_check_can_end_inconclusive(tmp_path, capsys):
     assert "unitary: inconclusive" in capsys.readouterr().out
 
 
+def test_function_and_matrix_files_give_the_same_checks(tmp_path):
+    # the same point-backed space, once as a function file and once as a
+    # hand-written matrix file of its diagonal matrices
+    space = catalog_space("circle-1zzbar", 12)
+    diagonals = np.stack([np.diag(row) for row in space.basis[:, :, 0, 0]])
+    files = {"function": SpaceFile.from_space(space),
+             "matrix": SpaceFile(kind="matrix", basis=diagonals,
+                                 unit=space.unit)}
+    results = {}
+    for kind, sf in files.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(sf.dumps())
+        assert json.loads(path.read_text())["kind"] == kind
+        for check in ("function-unitary", "function-system", "unitary"):
+            report = tmp_path / f"{kind}-{check}.json"
+            code = main(["check", check, "--space", str(path),
+                         "--out", str(report)])
+            rep = json.loads(report.read_text())["checks"][0]
+            results.setdefault(check, []).append(
+                (code, rep["verdict"], rep["margin"]))
+    for check, (function, matrix) in results.items():
+        assert function == matrix, check
+        assert function[1] == "pass", check
+
+
+def test_function_check_on_a_matrix_space_exits_cleanly(tmp_path):
+    space = write_catalog_file(tmp_path, "m2-full")
+    proc = subprocess.run(
+        [sys.executable, "-m", "opcert.cli", "check", "function-unitary",
+         "--space", space],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert "point-backed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_check_order_unit(tmp_path, capsys):
     line = make_space([np.eye(2)], unit=[1.0])
     with_cone = SpaceFile.from_space(line, cone=np.array([[1.0]]))

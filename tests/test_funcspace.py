@@ -3,34 +3,38 @@ import pytest
 
 from opcert.certify import certify_unitary
 from opcert.errors import InvalidInputError, PreconditionError
-from opcert.funcspace import (CATALOG, SampledFunctionSpace, _sphere_sup,
-                              catalog_closure,
+from opcert.funcspace import (CATALOG, _sphere_sup, catalog_closure,
                               catalog_entry, catalog_names, catalog_space,
-                              default_tol, g_hermitian_solve, min_opspace,
+                              default_tol, g_hermitian_solve,
                               scalar_unitary_check, selfadjoint_unit_check)
+from opcert.opspace import space_from_points
+from opcert.report import FAIL, INCONCLUSIVE, PASS
 
 
 def test_sampled_space_validation():
     with pytest.raises(InvalidInputError):
-        SampledFunctionSpace(np.ones(5))
+        space_from_points(np.ones(5))
     with pytest.raises(InvalidInputError):
-        SampledFunctionSpace(np.ones((2, 6)))   # dependent rows
+        space_from_points(np.ones((2, 6)))   # dependent rows
     with pytest.raises(InvalidInputError):
-        SampledFunctionSpace(np.ones((1, 6)), unit=[1.0, 0])
+        space_from_points(np.ones((1, 6)), unit=[1.0, 0])
     space = catalog_space("circle-1z")
     with pytest.raises(InvalidInputError):
         space.as_coeffs([1.0, 0, 0])
 
 
 def test_min_opspace_preserves_norms():
-    fspace = catalog_space("circle-1zzbar", 24)
-    op = min_opspace(fspace)
+    # a sampled function space is its own operator model: the norm is the
+    # sup of the point values
+    op = catalog_space("circle-1zzbar", 24)
     assert op.diagonal
     rng = np.random.default_rng(37)
     for _ in range(5):
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert op.norm(c) == pytest.approx(fspace.norm(c), abs=1e-12)
-    coeffs, resid = fspace.membership_values(fspace.values([0.5, 2.0, -1j]))
+        sup = float(np.max(np.abs(op.point_values(c))))
+        assert op.norm(c) == pytest.approx(sup, abs=1e-12)
+    vals = op.point_values([0.5, 2.0, -1j])
+    coeffs, resid = op.membership_blocks(vals[:, None, None])
     assert resid <= 1e-9
     assert np.allclose(coeffs, [0.5, 2.0, -1j], atol=1e-9)
 
@@ -56,11 +60,11 @@ def test_two_term_sup_matches_closed_form():
     fspace = catalog_space("circle-1zzbar")
     gc = np.array([0, 1.0, 0])
     rep = scalar_unitary_check(fspace, g=gc, samples=0)
-    gv = fspace.values(gc)
+    gv = fspace.point_values(gc)
     for j, sup in enumerate(rep.diagnostics["sups"]):
         e = np.zeros(3)
         e[j] = 1.0
-        fv = fspace.values(e) / fspace.norm(e)
+        fv = fspace.point_values(e) / fspace.norm(e)
         closed = float(np.max(np.sqrt(np.abs(fv) ** 2 + np.abs(gv) ** 2)))
         assert sup == pytest.approx(closed, abs=2e-3)
 
@@ -94,7 +98,7 @@ def test_catalog_build_rejects_non_positive_points():
     for points in (0, -3):
         with pytest.raises(InvalidInputError):
             catalog_space("circle-1z", points)
-    assert catalog_space("circle-1z", 2).m == 2
+    assert catalog_space("circle-1z", 2).basis.shape[1] == 2
 
 
 def test_scalar_unitary_rejects_zero_g():
@@ -133,7 +137,7 @@ def test_hermitian_rows_solve_the_pointwise_condition():
     fspace = catalog_space("circle-1zzbar")
     res = g_hermitian_solve(fspace)
     for row in res.real_basis:
-        vals = fspace.values(row)
+        vals = fspace.point_values(row)
         assert np.max(np.abs(np.imag(vals))) <= 1e-9
 
 
@@ -163,8 +167,9 @@ def test_catalog_structure():
     assert catalog_entry("circle-1zz̄").name == "circle-1zzbar"
     with pytest.raises(InvalidInputError):
         catalog_entry("no-such-space")
-    assert catalog_space("two-circles").m == 720   # two copies of 360 points
-    assert catalog_space("circle-1z", 240).m == 240
+    # two copies of 360 points
+    assert catalog_space("two-circles").basis.shape[1] == 720
+    assert catalog_space("circle-1z", 240).basis.shape[1] == 240
     assert catalog_closure("m2-sym3").envelope_exact
     assert all(e.kind in ("function", "matrix") for e in CATALOG)
 
@@ -173,6 +178,25 @@ def test_scalar_check_agrees_with_matrix_certificate():
     for name in ("circle-1zzbar", "circle-1z", "two-circles"):
         fspace = catalog_space(name)
         scalar = scalar_unitary_check(fspace)
-        matrix = certify_unitary(min_opspace(fspace), max_level=1)
+        matrix = certify_unitary(fspace, max_level=1)
         assert scalar.passed == matrix.passed
         assert matrix.passed
+
+
+def test_function_checks_need_a_point_backed_space():
+    dense = catalog_space("m2-full")
+    for check in (scalar_unitary_check, g_hermitian_solve,
+                  selfadjoint_unit_check, default_tol):
+        with pytest.raises(InvalidInputError, match="point-backed"):
+            check(dense)
+    with pytest.raises(InvalidInputError, match="point-backed"):
+        scalar_unitary_check(np.ones((2, 6)))
+
+
+def test_catalog_spaces_serve_matrix_and_function_checks():
+    # one space type: a sampled catalog space goes to the matrix-level
+    # certificate, and a min_space goes to the scalar check
+    verdicts = (PASS, FAIL, INCONCLUSIVE)
+    assert certify_unitary(catalog_space("circle-1z", 12)).verdict in verdicts
+    rep = scalar_unitary_check(catalog_entry("circle-1z").min_space(12))
+    assert rep.verdict in verdicts

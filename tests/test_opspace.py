@@ -6,8 +6,9 @@ from opcert.certify import certify_unitary
 from opcert.errors import InvalidInputError, PreconditionError
 from opcert.hermit import delta_span
 from opcert.matcore import adjoint
-from opcert.opspace import (AmplifiedElement, amplify_unit, make_space,
-                            membership, norm, space_from_points)
+from opcert.opspace import (AmplifiedElement, amplify_unit, make_space, norm,
+                            space_from_points)
+from opcert.serialize import SpaceFile
 from opcert.tro import generate_tro
 
 E11 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
@@ -28,6 +29,21 @@ def test_make_space_rejects_empty_and_dependent():
         make_space([np.eye(2), 2.0 * np.eye(2)])
     with pytest.raises(InvalidInputError):
         make_space([np.eye(2), np.eye(3)])
+
+
+def test_gram_rule_is_relative_for_every_constructor():
+    # Gram eigenvalues about 6.0e-4 and 2.4e9: above 1e-10 in absolute
+    # terms, but dependent relative to the largest
+    z = np.exp(2j * np.pi * np.arange(12) / 12)
+    rows = 1e4 * np.stack([np.ones(12), 1 + 1e-6 * z])
+    eigs = np.linalg.eigvalsh(rows.conj() @ rows.T)
+    assert 1e-10 < eigs[0] <= 1e-10 * eigs[-1]
+    with pytest.raises(InvalidInputError):
+        space_from_points(rows)
+    with pytest.raises(InvalidInputError):
+        make_space([np.diag(r) for r in rows])
+    with pytest.raises(InvalidInputError):
+        SpaceFile(kind="function", basis=rows).build_space()
 
 
 def test_make_space_rejects_non_matrix_entries():
@@ -66,7 +82,7 @@ def test_membership_round_trip():
     rng = np.random.default_rng(7)
     for _ in range(10):
         c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        got, res = membership(space, space.embed(c))
+        got, res = space.membership(space.embed(c))
         assert res <= 1e-10
         npt.assert_allclose(got, c, atol=1e-8)
 

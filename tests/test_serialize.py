@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opcert.errors import InvalidInputError
-from opcert.funcspace import catalog_names, catalog_space, min_opspace
+from opcert.funcspace import catalog_names, catalog_space
 from opcert.opspace import make_space
 from opcert.serialize import (FORMAT_SPACE, ParseError, SpaceFile,
                               dumps_canonical, dumps_report, report_tree)
@@ -49,21 +49,20 @@ def test_space_files_roundtrip_for_whole_catalog():
         back = SpaceFile.loads(text)
         assert back.dumps() == text, name
         rebuilt = back.build_space()
-        assert np.allclose(np.asarray(rebuilt.point_basis
+        assert np.allclose(np.asarray(rebuilt.basis[:, :, 0, 0]
                                       if sf.kind == "function"
                                       else rebuilt.basis.reshape(sf.basis.shape)),
                            sf.basis, atol=0)
 
 
-def test_point_backed_space_roundtrips_as_a_matrix_file():
-    fspace = catalog_space("circle-1z", 8)
-    space = min_opspace(fspace)
+def test_point_backed_space_roundtrips_as_a_function_file():
+    space = catalog_space("circle-1z", 8)
     text = SpaceFile.from_space(space).dumps()
-    diag = make_space([np.diag(row) for row in fspace.point_basis],
-                      unit=fspace.unit)
+    diag = make_space([np.diag(row) for row in space.basis[:, :, 0, 0]],
+                      unit=space.unit)
     assert SpaceFile.from_space(diag).dumps() == text
     back = SpaceFile.loads(text)
-    assert back.kind == "matrix" and back.basis.shape == (2, 8, 8)
+    assert back.kind == "function" and back.basis.shape == (2, 8)
     rebuilt = back.build_space()
     assert rebuilt.diagonal
     assert np.array_equal(rebuilt.basis, space.basis)
