@@ -9,6 +9,10 @@ objective sigma_max: writing a coefficient as a + ib, G = df/da + i df/db,
 so C + s*G increases the norm and C - s*G decreases it. sigma_max is
 convex, and G, from a top singular pair of a top block, is a subgradient
 of it even at a kink (a tied top); `smooth` is a diagnostic of the kink.
+
+The partner and product searches share one objective, `SlotProblem`: the
+worst excess max_t (|[[t u, b12], [b21, t v]]| - offset_t)+ over a stack
+of `t_frames`, as a function of the one off-diagonal slot left free.
 """
 
 from __future__ import annotations
@@ -80,3 +84,61 @@ def two_by_two(space: ConcreteOpSpace, b11, b12, b21, b22) -> np.ndarray:
         if b is not None:
             grid[i, j] = space.as_coeffs(b)
     return grid
+
+
+def t_frames(space: ConcreteOpSpace, ts, u, b12, b21, v=None) -> np.ndarray:
+    """(T, 2, 2, d) stack of the grids [[t u, b12], [b21, t v]] over ts,
+    with v = u when not given; None is a zero off-diagonal block."""
+    ts = np.asarray(ts, dtype=float)
+    frames = np.zeros((ts.size, 2, 2, space.dim), dtype=np.complex128)
+    frames[:, 0, 0] = ts[:, None] * u
+    frames[:, 1, 1] = ts[:, None] * (u if v is None else v)
+    if b12 is not None:
+        frames[:, 0, 1] = b12
+    if b21 is not None:
+        frames[:, 1, 0] = b21
+    return frames
+
+
+class SlotProblem:
+    """Worst excess max_T (|grid_T| - offset_T)+ as a function of one slot
+    of a (T, 2, 2, d) stack of frames; convex in the slot."""
+
+    def __init__(self, space: ConcreteOpSpace, frames, slot, offsets):
+        self.space = space
+        self.frames = np.asarray(frames, dtype=np.complex128)
+        self.slot = slot
+        self.offsets = np.broadcast_to(np.asarray(offsets, dtype=float),
+                                       self.frames.shape[:1])
+        self.dim = space.dim
+
+    def norm(self, c: np.ndarray) -> float:
+        return self.space.norm(c)
+
+    def _grids(self, c: np.ndarray) -> np.ndarray:
+        """(..., T, 2, 2, d) grids for a (..., d) stack of slot values."""
+        c = np.asarray(c, dtype=np.complex128)
+        grids = np.broadcast_to(self.frames, c.shape[:-1] + self.frames.shape).copy()
+        grids[..., self.slot[0], self.slot[1], :] = c[..., None, :]
+        return grids
+
+    def _hinges(self, grids: np.ndarray) -> np.ndarray:
+        return np.maximum(self.space.grid_norm(grids) - self.offsets, 0.0)
+
+    def value(self, c: np.ndarray):
+        """Worst excess of a slot value, or of each row of a (..., d) stack."""
+        return self._hinges(self._grids(c)).max(axis=-1)
+
+    def value_and_grad(self, c: np.ndarray):
+        # one stack for excesses and gradient; one frame of one block needs
+        # no norm
+        stacks = self.space.grid_blocks(self._grids(c))
+        i, norms = 0, None
+        if stacks.shape[:2] != (1, 1):
+            norms = block_norms(stacks)
+            i = int(np.argmax(norms.max(axis=-1) - self.offsets))
+            norms = norms[i]
+        sigma, grad, _ = stack_value_and_grad(self.space, stacks[i], norms)
+        if sigma <= self.offsets[i]:
+            return 0.0, np.zeros(self.dim, dtype=np.complex128)
+        return float(sigma - self.offsets[i]), grad[self.slot[0], self.slot[1], :]

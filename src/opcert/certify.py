@@ -5,9 +5,12 @@ maximized over the unit sphere of M_n(X); the column defect uses the stacked
 block instead. A designated u of norm one is certified unitary when both
 defects stay at numerical zero across the requested levels, a coisometry
 when only the row defect does, an isometry when only the column defect does.
-The reported worst defect is a certified lower bound for the true supremum,
-so "fail" verdicts are trustworthy; "pass" verdicts are evidence from a
-converged multistart search, not a proof.
+The reported worst defect is attained by its witness, so it is a certified
+lower bound for the true supremum: the verdict (`report.verdict_of`) is
+FAIL once it reaches fail_tol, converged or not. Only when every search
+converged is it also taken as the upper bound, so a PASS needs a worst
+defect within cert_tol from converged searches; it is evidence from a
+multistart search, not a proof.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from .blocks import column_with_unit, grid_value_and_grad, row_with_unit
 from .errors import InvalidInputError, PreconditionError, SolverError
 from .opspace import ConcreteOpSpace
-from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
+from .report import CertificateReport, verdict_of
 from .solver import SolverConfig, maximize_over_sphere
 
 UNIT_NORM_TOL = 1e-6
@@ -101,7 +104,7 @@ def _pad_embed(witness: np.ndarray, n: int) -> np.ndarray:
 
 
 def _resolve_unit(space: ConcreteOpSpace, u) -> np.ndarray:
-    uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
+    uc = space.unit_coeffs(u)
     nu = space.norm(uc)
     if nu > 1.0 + UNIT_NORM_TOL:
         raise PreconditionError(f"designated element has norm {nu:.6g} > 1")
@@ -156,17 +159,12 @@ def _certify(space, u, directions, max_level, config, name) -> CertificateReport
                            salts[direction])
             level_witnesses.append(prof.witness)
             profiles.append(prof)
-    worst = max(p.worst_defect for p in profiles)
     worst_prof = max(profiles, key=lambda p: p.worst_defect)
+    worst = worst_prof.worst_defect
     all_converged = all(p.converged for p in profiles)
-    if worst <= config.cert_tol:
-        verdict = PASS
-    elif worst >= config.fail_tol and worst_prof.converged:
-        verdict = FAIL
-    else:
-        verdict = INCONCLUSIVE
-    if verdict == PASS and not all_converged:
-        verdict = INCONCLUSIVE
+    # the worst defect is attained by its witness; it bounds the supremum
+    # from above only when every search converged
+    verdict = verdict_of(worst, worst if all_converged else np.inf, config)
     detail = {f"{p.direction}_defect_level_{p.level}": p.worst_defect
               for p in profiles}
     detail["converged"] = all_converged

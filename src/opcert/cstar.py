@@ -2,11 +2,15 @@
 
 The multiplication is recaptured through unitaries: for a unitary v and a
 ball element y, the z in Ball(X) minimizing |[[t u, y], [z, t v]]| converges
-to -(v adjoint(y) u) as t grows, with error at most 1/t + 1/t^2. Products
-of arbitrary elements follow by writing the left factor over a spanning set
-of unitaries (collected by averaging hermitians into pairs of unitaries)
-and extending linearly. The detection verdict combines operator-system
-detection, the unitary spanning check, and closure of recovered products.
+to -(v adjoint(y) u) as t grows, with error at most 1/t + 1/t^2. The
+search minimizes the excess of that norm over sqrt(t^2 + |y|^2), the
+`blocks.SlotProblem` of one t frame, toward zero, which it reaches
+exactly when the product stays in the space; an excess of fail_tol or
+more flags the product as escaped. Products of arbitrary elements follow
+by writing the left factor over a spanning set of unitaries (collected
+by averaging hermitians into pairs of unitaries) and extending linearly.
+The detection verdict combines operator-system detection, the unitary
+spanning check, and closure of recovered products.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import grid_value_and_grad, two_by_two
+from .blocks import SlotProblem, t_frames
 from .errors import InvalidInputError, PreconditionError
 from .hermit import delta_span, is_u_hermitian
 from .matcore import EIG_CLAMP, adjoint, block_diag, psd_sqrt, row_span
@@ -25,37 +29,6 @@ from .solver import SolverConfig, minimize_over_ball
 from .sysdetect import detect_operator_system, find_partner, involution_error_bound
 
 DEDUPE_TOL = 1e-6
-
-
-class _ProductProblem:
-    """Block norm |[[t u, y], [z, t v]]| as a function of one variable block."""
-
-    def __init__(self, space, uc, vc, fixed, slot, t):
-        self.space = space
-        self.slot = slot          # (0,1) variable y, (1,0) variable z
-        self.dim = space.dim
-        # the block grid with the variable slot empty
-        y, z = (fixed, None) if slot == (1, 0) else (None, fixed)
-        self.frame = two_by_two(space, t * uc, y, z, t * vc)
-
-    def _grid(self, c):
-        """(..., 2, 2, d) grids for a (..., d) stack of variable blocks."""
-        c = np.asarray(c, dtype=np.complex128)
-        grid = np.broadcast_to(self.frame, c.shape[:-1] + self.frame.shape).copy()
-        grid[..., self.slot[0], self.slot[1], :] = c
-        return grid
-
-    def norm(self, c):
-        return self.space.norm(c)
-
-    def value(self, c):
-        """Block norm of a variable block, or of each row of a (..., d) stack."""
-        return self.space.grid_norm(self._grid(c))
-
-    def value_and_grad(self, c):
-        val, grad, _ = grid_value_and_grad(self.space, self._grid(c))
-        i, j = self.slot
-        return val, grad[i, j, :]
 
 
 @dataclass
@@ -79,34 +52,34 @@ def _solve_product(space, uc, vc, given, slot, t, config, closure,
     ng = space.norm(given)
     if ng > 1.0 + 1e-9:
         raise InvalidInputError("given factor must lie in the unit ball")
-    problem = _ProductProblem(space, uc, vc, given, slot, t)
     target = float(np.sqrt(t * t + ng * ng))
+    y, z = (given, None) if slot == (1, 0) else (None, given)
+    problem = SlotProblem(space, t_frames(space, (t,), uc, y, z, vc), slot,
+                          target)
     ub, vb, gb = space.blocks(uc), space.blocks(vc), space.blocks(given)
     if slot == (1, 0):
         truth = vb @ adjoint(gb) @ ub
     else:
         truth = ub @ adjoint(gb) @ vb
-    proj, proj_res = space.membership_blocks(truth)
-    truth_norm = float(np.linalg.norm(truth))
+    proj, amb_res, member = space.relative_membership(truth)
     extras = []
-    if warm_start and proj_res <= space.membership_tol * max(1.0, truth_norm):
+    if warm_start and member:
         # warm start at the projected ambient product; the block norm is
         # still evaluated from scratch, so this cannot fake feasibility
         extras.append(-proj)
-    res = minimize_over_ball(problem, config, target=target,
+    # the excess of the block norm over the target, minimized to 0
+    res = minimize_over_ball(problem, config, target=0.0,
                              stop_at_target=True, starts=6,
                              extra_starts=extras, seed_salt=(31, slot[0]))
-    candidate = -res.coeffs
-    escaped = res.value >= target + config.fail_tol
-    amb_res = None
+    escaped = res.value >= config.fail_tol
     if closure is not None and closure.envelope_exact:
-        amb_res = proj_res / max(1.0, truth_norm)
-        escaped = amb_res > space.membership_tol
-    slack = max(0.0, float(res.value) - target)
+        escaped = not member
+    else:
+        amb_res = None
     return RecoveredProduct(
-        element=space.element(candidate), escaped=bool(escaped),
-        achieved=float(res.value), target=target,
-        bound=involution_error_bound(t) + 2 * slack + 2 * config.eps_stop,
+        element=space.element(-res.coeffs), escaped=bool(escaped),
+        achieved=target + res.value, target=target,
+        bound=involution_error_bound(t) + 2 * res.value + 2 * config.eps_stop,
         ambient_truth=block_diag(truth), ambient_residual=amb_res,
         converged=res.converged,
         diagnostics={"iterations": res.iterations,
@@ -179,17 +152,12 @@ def hermitian_to_unitaries(space: ConcreteOpSpace, u, x,
     s = psd_sqrt(np.eye(a.shape[-1]) - a @ a)
     v1_rep = xb + 1j * (ub @ s)
     v2_rep = 2.0 * xb - v1_rep
-    c1, r1 = space.membership_blocks(v1_rep)
-    c2, r2 = space.membership_blocks(v2_rep)
-    scale1 = max(1.0, float(np.linalg.norm(v1_rep)))
-    scale2 = max(1.0, float(np.linalg.norm(v2_rep)))
-    tol = space.membership_tol
-    m1 = r1 / scale1 <= tol
-    m2 = r2 / scale2 <= tol
+    c1, r1, m1 = space.relative_membership(v1_rep)
+    c2, r2, m2 = space.relative_membership(v2_rep)
     u1 = m1 and ambient_unitary_check(closure, c1).passed
     u2 = m2 and ambient_unitary_check(closure, c2).passed
     return HermitianSplit(v1_coeffs=c1, v2_coeffs=c2,
-                          v1_residual=r1 / scale1, v2_residual=r2 / scale2,
+                          v1_residual=r1, v2_residual=r2,
                           v1_unitary=u1, v2_unitary=u2,
                           passed=m1 and m2 and u1 and u2)
 
@@ -217,7 +185,7 @@ def collect_unitaries(space: ConcreteOpSpace, u, closure) -> np.ndarray:
 def unitary_span_check(space: ConcreteOpSpace, u=None,
                        closure=None) -> CertificateReport:
     """Do the collected unitaries (with i-multiples) span the space?"""
-    uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
+    uc = space.unit_coeffs(u)
     unitaries = collect_unitaries(space, uc, closure)
     rank = row_span(np.vstack([unitaries, 1j * unitaries])).shape[0]
     ok = rank == space.dim
@@ -256,9 +224,7 @@ def _assemble_table(space, uc, unitaries, t_table, config, closure):
     scales = np.zeros(d)
     iota_err = np.zeros(d)
     per_call = involution_error_bound(t_table) + 2 * config.eps_stop
-    for j in range(d):
-        e = np.zeros(d, dtype=np.complex128)
-        e[j] = 1.0
+    for j, e in enumerate(np.eye(d, dtype=np.complex128)):
         s = max(1.0, space.norm(e))
         scales[j] = s
         r = find_partner(space, uc, e / s, t_grid=(t_table,), config=config)
@@ -287,8 +253,7 @@ def _assemble_table(space, uc, unitaries, t_table, config, closure):
         for i in range(d):
             for j in range(d):
                 truth = space.basis[i] @ ua @ space.basis[j]
-                _, res = space.membership_blocks(truth)
-                memb[i, j] = res / max(1.0, float(np.linalg.norm(truth)))
+                memb[i, j] = space.relative_membership(truth)[1]
     return ProductTable(space=space, entries=entries, residual_bounds=bounds,
                         membership_residuals=memb, t_table=t_table,
                         unitary_coeffs=unitaries, alpha=alpha)
@@ -299,7 +264,7 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
                  t: float = 100.0, table_t: float = 1e5):
     """Full C*-structure detection; returns (report, table-or-None)."""
     config = config or SolverConfig()
-    uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
+    uc = space.unit_coeffs(u)
     sys_rep = detect_operator_system(space, uc, config=config, closure=closure)
     diag = {"system_verdict": sys_rep.verdict}
     if not sys_rep.passed:
@@ -317,9 +282,7 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
     d = space.dim
     worst_escape = 0.0
     for ki in range(unitaries.shape[0]):
-        for j in range(d):
-            e = np.zeros(d, dtype=np.complex128)
-            e[j] = 1.0
+        for j, e in enumerate(np.eye(d, dtype=np.complex128)):
             e = e / max(1.0, space.norm(e))
             rp = recover_product(space, uc, unitaries[ki], e, t=t,
                                  config=config, closure=closure,
@@ -339,9 +302,7 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
     table = _assemble_table(space, uc, unitaries, table_t, config, closure)
     diag["table_bound"] = float(table.residual_bounds.max())
     unit_err = 0.0
-    for j in range(d):
-        e = np.zeros(d, dtype=np.complex128)
-        e[j] = 1.0
+    for e in np.eye(d, dtype=np.complex128):
         left = table.multiply(uc, e)
         right = table.multiply(e, uc)
         unit_err = max(unit_err,

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError
+from .hermit import _ambient_columns
 from .matcore import real_kernel, row_span
 from .opspace import ConcreteOpSpace, make_space, space_from_points
 from .report import FAIL, PASS, CertificateReport
@@ -65,16 +66,12 @@ def scalar_unitary_check(space: ConcreteOpSpace, g=None,
         tol = default_tol(space)
     if not 0 < tol < np.inf:
         raise InvalidInputError("tol must be positive and finite")
-    gc = space.unit_coeffs() if g is None else space.as_coeffs(g)
+    gc = space.unit_coeffs(g)
     gn = space.norm(gc)
     if gn < 1e-12:
         raise InvalidInputError("g must be nonzero")
     gv = space.point_values(gc) / gn
-    sample_coeffs = []
-    for j in range(space.dim):
-        e = np.zeros(space.dim, dtype=np.complex128)
-        e[j] = 1.0
-        sample_coeffs.append(e)
+    sample_coeffs = list(np.eye(space.dim, dtype=np.complex128))
     rng = np.random.default_rng([seed, 51])
     for _ in range(samples):
         c = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
@@ -111,20 +108,17 @@ def g_hermitian_solve(space: ConcreteOpSpace, g=None,
     """Exact pointwise solve for {x : conj(g) x is real at every point}.
 
     Requires |g| = 1 pointwise; for unimodular g the hermitian condition
-    at level one reduces to Im(conj(g(w)) x(w)) = 0 for all w.
+    at level one reduces to Im(conj(g(w)) x(w)) = 0 for all w, the ambient
+    equation adjoint(g) x = adjoint(x) g of `hermit.delta_span` read point
+    by point.
     """
-    values = _point_backed(space).basis[:, :, 0, 0]
-    gc = space.unit_coeffs() if g is None else space.as_coeffs(g)
+    _point_backed(space)
+    gc = space.unit_coeffs(g)
     gv = space.point_values(gc)
     if np.max(np.abs(np.abs(gv) - 1.0)) > tol:
         raise PreconditionError("g is not unimodular on the sample points")
     d = space.dim
-    cols = np.empty((2 * d, values.shape[1]), dtype=np.complex128)
-    for k in range(d):
-        pb = values[k]
-        cols[k] = np.conj(gv) * pb - np.conj(pb) * gv
-        cols[d + k] = 1j * (np.conj(gv) * pb + np.conj(pb) * gv)
-    kern = real_kernel(cols)
+    kern = real_kernel(_ambient_columns(space, gc))
     herms = kern[:, :d] + 1j * kern[:, d:]
     cdim = row_span(np.vstack([herms, 1j * herms])).shape[0]
     return GHermitianResult(real_basis=herms, real_dim=herms.shape[0],
@@ -141,16 +135,14 @@ def selfadjoint_unit_check(space: ConcreteOpSpace, v=None,
     conjugation, and v is real-valued and unimodular.
     """
     values = _point_backed(space).basis[:, :, 0, 0]
-    vc = space.unit_coeffs() if v is None else space.as_coeffs(v)
+    vc = space.unit_coeffs(v)
     vv = space.point_values(vc)
     if np.max(np.abs(np.imag(vv))) > UNIMODULAR_TOL:
         raise PreconditionError("v is not real-valued on the sample points")
     if np.max(np.abs(np.abs(vv) - 1.0)) > UNIMODULAR_TOL:
         raise PreconditionError("v is not unimodular on the sample points")
     for k, x in enumerate(values):
-        _, resid = space.membership_blocks(np.conj(x)[:, None, None])
-        scale = max(1.0, float(np.linalg.norm(x)))
-        if resid > 1e-6 * scale:
+        if not space.relative_membership(np.conj(x)[:, None, None])[2]:
             raise PreconditionError(
                 f"space is not conjugation-closed (basis {k})")
     ghs = g_hermitian_solve(space, vc)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import two_by_two
+from .blocks import t_frames
 from .errors import InvalidInputError
 from .matcore import adjoint, real_kernel, row_span
 from .opspace import ConcreteOpSpace
@@ -44,13 +44,9 @@ class HermitianProfile:
     passed: bool
 
 
-def _resolve(space: ConcreteOpSpace, u) -> np.ndarray:
-    return space.unit_coeffs() if u is None else space.as_coeffs(u)
-
-
 def is_u_hermitian(space: ConcreteOpSpace, u, x, t_grid=None,
                    tol: float = HERMIT_TOL) -> HermitianProfile:
-    uc = _resolve(space, u)
+    uc = space.unit_coeffs(u)
     xc = space.as_coeffs(x)
     nx = space.norm(xc)
     grid = tuple(t_grid if t_grid is not None else DEFAULT_T_GRID)
@@ -64,7 +60,7 @@ def is_u_hermitian(space: ConcreteOpSpace, u, x, t_grid=None,
     xhat = xc / nx if scaled else xc
     pos = np.array(sorted(grid))
     matricial = np.sqrt(pos * pos + 1.0) - space.grid_norm(
-        _shift_grids(space, pos, uc, xhat))
+        t_frames(space, pos, uc, xhat, -xhat))
     min_slack = float(min(scalar.min(), matricial.min()))
     return HermitianProfile(
         coeffs=xc, element_norm=nx, scaled=scaled, scalar_t=signed,
@@ -72,17 +68,9 @@ def is_u_hermitian(space: ConcreteOpSpace, u, x, t_grid=None,
         min_slack=min_slack, tol=tol, passed=min_slack >= -tol)
 
 
-def _shift_grids(space: ConcreteOpSpace, ts: np.ndarray, uc, yc) -> np.ndarray:
-    """(T, 2, 2, d) stack of the grids [[t u, y], [-y, t u]] over ts."""
-    grids = np.broadcast_to(two_by_two(space, None, yc, -yc, None),
-                            (ts.size, 2, 2, space.dim)).copy()
-    grids[:, 0, 0] = grids[:, 1, 1] = ts[:, None] * uc
-    return grids
-
-
 def is_u_positive(space: ConcreteOpSpace, u, x, t_grid=None,
                   tol: float = HERMIT_TOL) -> CertificateReport:
-    uc = _resolve(space, u)
+    uc = space.unit_coeffs(u)
     xc = space.as_coeffs(x)
     nx = space.norm(xc)
     prof = is_u_hermitian(space, uc, xc, t_grid=t_grid, tol=tol)
@@ -92,8 +80,9 @@ def is_u_positive(space: ConcreteOpSpace, u, x, t_grid=None,
             "element_norm": nx}
     if nx <= 1.0 + 1e-12:
         grid = np.array(sorted(t_grid if t_grid is not None else DEFAULT_T_GRID))
+        y = uc - xc
         slack = np.sqrt(grid * grid + 1.0) - space.grid_norm(
-            _shift_grids(space, grid, uc, uc - xc))
+            t_frames(space, grid, uc, y, -y))
         diag["ball_criterion_slack"] = slack
         diag["ball_criterion_pass"] = bool(slack.min() >= -tol)
     ok = prof.passed and shift_ok
@@ -134,7 +123,7 @@ def delta_span(space: ConcreteOpSpace, u=None, closure=None, t_grid=None,
     exact solution set of a real-linear system; otherwise candidate
     combinations of basis elements are screened through the grid criteria.
     """
-    uc = _resolve(space, u)
+    uc = space.unit_coeffs(u)
     d = space.dim
     ambient = False
     if closure is not None and closure.envelope_exact:
@@ -184,7 +173,7 @@ def _candidates(d: int) -> list:
 def operator_system_check(space: ConcreteOpSpace, u=None, closure=None,
                           t_grid=None, tol: float = HERMIT_TOL) -> CertificateReport:
     """Do the u-hermitians span the whole space?"""
-    uc = _resolve(space, u)
+    uc = space.unit_coeffs(u)
     ds = delta_span(space, uc, closure=closure, t_grid=t_grid, tol=tol)
     spanning = ds.complex_dim == space.dim
     if spanning:

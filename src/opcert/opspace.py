@@ -32,7 +32,6 @@ class ConcreteOpSpace:
 
     basis: np.ndarray                 # (d, w, p, q)
     unit: np.ndarray | None           # (d,) complex coefficients
-    membership_tol: float = MEMBERSHIP_TOL
     _proj: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -87,7 +86,10 @@ class ConcreteOpSpace:
     def element(self, coeffs) -> "Element":
         return Element(self, self.as_coeffs(coeffs))
 
-    def unit_coeffs(self) -> np.ndarray:
+    def unit_coeffs(self, u=None) -> np.ndarray:
+        """Coefficients of u, or of the designated unit when u is None."""
+        if u is not None:
+            return self.as_coeffs(u)
         if self.unit is None:
             raise InvalidInputError("space has no designated unit")
         return self.unit
@@ -157,10 +159,13 @@ class ConcreteOpSpace:
         res = float(np.linalg.norm(vec - self._vectors() @ coeffs))
         return coeffs, res
 
-    def is_member(self, matrix, tol: float | None = None) -> bool:
-        _, res = self.membership(matrix)
-        scale = max(1.0, float(np.linalg.norm(matrix)))
-        return res <= (self.membership_tol if tol is None else tol) * scale
+    def relative_membership(self, blocks) -> tuple[np.ndarray, float, bool]:
+        """Least-squares coefficients of a (w, p, q) block stack, its
+        residual relative to max(1, Frobenius norm of the stack), and
+        whether that residual is within MEMBERSHIP_TOL."""
+        coeffs, res = self.membership_blocks(blocks)
+        rel = res / max(1.0, float(np.linalg.norm(blocks)))
+        return coeffs, rel, rel <= MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True)
@@ -202,7 +207,7 @@ class AmplifiedElement:
 ElementLike = Union[Element, np.ndarray, list, tuple]
 
 
-def make_space(basis, unit=None, membership_tol: float = MEMBERSHIP_TOL) -> ConcreteOpSpace:
+def make_space(basis, unit=None) -> ConcreteOpSpace:
     """Validated space from a sequence of same-shape complex matrices.
 
     Square matrices that are all diagonal are stored point-backed, one 1 x 1
@@ -225,27 +230,26 @@ def make_space(basis, unit=None, membership_tol: float = MEMBERSHIP_TOL) -> Conc
         blocks = points[:, :, None, None]
     else:
         blocks = stack[:, None]
-    return _validated(ConcreteOpSpace(basis=blocks, unit=None,
-                                      membership_tol=membership_tol), unit)
+    return _validated(ConcreteOpSpace(basis=blocks, unit=None), unit)
 
 
-def space_from_points(point_basis, unit=None,
-                      membership_tol: float = MEMBERSHIP_TOL) -> ConcreteOpSpace:
+def space_from_points(point_basis, unit=None) -> ConcreteOpSpace:
     """Space of diagonal m x m matrices given by basis diagonals (d, m)."""
     pb = np.asarray(point_basis, dtype=np.complex128)
     if pb.ndim != 2 or pb.shape[0] < 1:
         raise InvalidInputError("point basis must be a (d, m) array")
-    return _validated(ConcreteOpSpace(basis=pb[:, :, None, None], unit=None,
-                                      membership_tol=membership_tol), unit)
+    return _validated(ConcreteOpSpace(basis=pb[:, :, None, None], unit=None),
+                      unit)
 
 
 def _validated(space: ConcreteOpSpace, unit) -> ConcreteOpSpace:
     """Reject a numerically dependent basis: the smallest eigenvalue of the
-    Frobenius Gram matrix must exceed 1e-10 times max(1, the largest)."""
+    Frobenius Gram matrix must exceed 1e-10 times the largest, a rule that
+    does not depend on the scale of the basis."""
     v = space._vectors()
     gram = adjoint(v) @ v
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= GRAM_MIN_EIG * max(1.0, eigs[-1]):
+    if eigs[0] <= GRAM_MIN_EIG * eigs[-1]:
         raise InvalidInputError(
             f"basis is numerically dependent (Gram eigenvalue {eigs[0]:.3e})")
     if unit is not None:
@@ -262,11 +266,4 @@ def amplify_unit(space: ConcreteOpSpace, n: int) -> AmplifiedElement:
     grid = np.zeros((n, n, space.dim), dtype=np.complex128)
     grid[np.arange(n), np.arange(n), :] = space.unit
     return AmplifiedElement(space, n, grid)
-
-
-def norm(elem) -> float:
-    """Spectral norm of the concrete matrix of an Element or AmplifiedElement."""
-    if isinstance(elem, (Element, AmplifiedElement)):
-        return elem.norm()
-    raise InvalidInputError("norm() expects an Element or AmplifiedElement")
 

@@ -62,7 +62,7 @@ def norm_order_unit_check(cone: Cone, u=None, hermitian_basis=None,
                           tol: float = CONE_TOL) -> CertificateReport:
     """Is |x| u - x in the cone for hermitian x (sampled combinations)?"""
     space = cone.space
-    uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
+    uc = space.unit_coeffs(u)
     u_res, _ = cone_membership(cone, uc)
     if u_res > tol * max(1.0, float(np.linalg.norm(_frob_vec(space, uc)))):
         return CertificateReport(
@@ -111,7 +111,7 @@ def cone_equals_delta_plus(cone: Cone, u=None, closure=None,
     Reverse: sampled u-positive directions must have small cone residual.
     """
     space = cone.space
-    uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
+    uc = space.unit_coeffs(u)
     ambient = closure is not None and closure.envelope_exact
     fwd_worst = 0.0
     fwd_witness = None

@@ -12,6 +12,17 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
+def verdict_of(lower: float, upper: float, config) -> str:
+    """The verdict on a quantity that must vanish, from bounds
+    lower <= quantity <= upper: PASS when upper is within config.cert_tol,
+    FAIL when lower reaches config.fail_tol, INCONCLUSIVE otherwise."""
+    if upper <= config.cert_tol:
+        return PASS
+    if lower >= config.fail_tol:
+        return FAIL
+    return INCONCLUSIVE
+
+
 def _jsonable(value: Any) -> Any:
     """Recursively convert numpy scalars/arrays into plain Python values."""
     if isinstance(value, np.ndarray):

@@ -30,7 +30,7 @@ lowest start index, so results are bitwise reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class SolveResult:
     best_start: int
     iterations: int
     reached_target: bool
-    start_values: list = field(default_factory=list)
     # always 0: no finite differences are taken; perfbench's tracer reads
     # this field to derive its solver.fd_calls and solver.fd_share metrics
     fd_calls: int = 0
@@ -97,9 +96,7 @@ def _ball_starts(problem, n_starts: int, extra, rng_key) -> list:
         n = problem.norm(c)
         starts.append(c if n <= 1.0 else c / n)
     starts.append(np.zeros(problem.dim, dtype=np.complex128))
-    for j in range(problem.dim):
-        e = np.zeros(problem.dim, dtype=np.complex128)
-        e[j] = 1.0
+    for e in np.eye(problem.dim, dtype=np.complex128):
         starts.append(e / max(1.0, problem.norm(e)))
     idx = 0
     while len(starts) < n_starts and idx < 50 * n_starts:
@@ -114,9 +111,7 @@ def _ball_starts(problem, n_starts: int, extra, rng_key) -> list:
 
 def _sphere_starts(problem, n_starts: int, extra, rng_key) -> list:
     starts = []
-    for j in range(problem.dim):
-        e = np.zeros(problem.dim, dtype=np.complex128)
-        e[j] = 1.0
+    for e in np.eye(problem.dim, dtype=np.complex128):
         n = problem.norm(e)
         if n > 1e-12:
             starts.append(e / n)
@@ -206,13 +201,11 @@ def _run_start(problem, config, c0, sign, target, stop_at_target):
 def _reduce(problem, config, starts, sign, target, stop_at_target):
     best = None
     total_iters = 0
-    values = []
     any_converged = False
     for i, c0 in enumerate(starts):
         f, c, it, conv, hit = _run_start(
             problem, config, c0, sign, target, stop_at_target)
         total_iters += it
-        values.append(f)
         any_converged = any_converged or conv
         if best is None or sign * (f - best[0]) < 0:
             best = (f, c, i, hit)
@@ -222,7 +215,7 @@ def _reduce(problem, config, starts, sign, target, stop_at_target):
     f, c, i, hit = best
     return SolveResult(coeffs=c, value=float(f), converged=any_converged or hit,
                        best_start=i, iterations=total_iters,
-                       reached_target=hit, start_values=values)
+                       reached_target=hit)
 
 
 def minimize_over_ball(problem, config: SolverConfig | None = None, *,

@@ -4,9 +4,15 @@ For a unit-norm contraction x, the space is an operator system for u
 exactly when some partner y in the unit ball keeps the block
 [[t u, x], [y, t u]] within sqrt(t^2 + 1) for every t > 0. The search for
 such a partner is a convex minimization of the worst hinge residual over
-the t grid. At a single large t the minimizing partner pins down the
-involution: iota(x) = -y agrees with the ambient u adjoint(x) u up to
-1/t + 1/t^2, which is how the involution is recovered constructively.
+the t grid: the `blocks.SlotProblem` of the frames [[t u, x], [., t u]]
+in the lower-left slot, with offsets sqrt(t^2 + 1). The attained residual
+bounds the best partner's from above, and from below once its search has
+converged, so the system verdict (`report.verdict_of`) is PASS when the
+worst attained residual is within cert_tol and FAIL when it reaches
+fail_tol with its search converged. At a single large t the minimizing
+partner pins down the involution: iota(x) = -y agrees with the ambient
+u adjoint(x) u up to 1/t + 1/t^2, which is how the involution is
+recovered constructively.
 """
 
 from __future__ import annotations
@@ -15,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import stack_value_and_grad
+from .blocks import SlotProblem, t_frames
 from .certify import certify_unitary
 from .errors import InvalidInputError, PreconditionError
-from .matcore import adjoint, block_norms
+from .matcore import adjoint
 from .opspace import ConcreteOpSpace, Element
-from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
+from .report import FAIL, PASS, CertificateReport, verdict_of
 from .solver import SolverConfig, minimize_over_ball
 
 PARTNER_STARTS = 6
@@ -42,50 +48,6 @@ class PartnerSearchResult:
     diagnostics: dict
 
 
-class _PartnerProblem:
-    """Hinge objective max_t (|[[tu, x],[y, tu]]| - sqrt(t^2+1))+ in y."""
-
-    def __init__(self, space: ConcreteOpSpace, uc, xc, ts):
-        self.space = space
-        self.ts = np.asarray(ts, dtype=float)
-        self.targets = np.sqrt(self.ts ** 2 + 1.0)
-        self.dim = space.dim
-        # the (T, 2, 2, d) block grids over the t grid with the y slot empty
-        self.frame = np.zeros((self.ts.size, 2, 2, self.dim), dtype=np.complex128)
-        self.frame[:, 0, 0] = self.frame[:, 1, 1] = self.ts[:, None] * uc
-        self.frame[:, 0, 1] = xc
-
-    def norm(self, c: np.ndarray) -> float:
-        return self.space.norm(c)
-
-    def _grids(self, c: np.ndarray) -> np.ndarray:
-        """(..., T, 2, 2, d) grids for a (..., d) stack of partners."""
-        c = np.asarray(c, dtype=np.complex128)
-        grids = np.broadcast_to(self.frame, c.shape[:-1] + self.frame.shape).copy()
-        grids[..., 1, 0, :] = c[..., None, :]
-        return grids
-
-    def _hinges(self, grids: np.ndarray) -> np.ndarray:
-        return np.maximum(self.space.grid_norm(grids) - self.targets, 0.0)
-
-    def value(self, c: np.ndarray):
-        """Worst hinge of a partner, or of each row of a (..., d) stack."""
-        return self._hinges(self._grids(c)).max(axis=-1)
-
-    def value_and_grad(self, c: np.ndarray):
-        # one stack for hinges and gradient; one t of one block needs no norm
-        stacks = self.space.grid_blocks(self._grids(c))
-        i, norms = 0, None
-        if stacks.shape[:2] != (1, 1):
-            norms = block_norms(stacks)
-            i = int(np.argmax(norms.max(axis=-1) - self.targets))
-            norms = norms[i]
-        sigma, grad, _ = stack_value_and_grad(self.space, stacks[i], norms)
-        if sigma <= self.targets[i]:
-            return 0.0, np.zeros(self.dim, dtype=np.complex128)
-        return float(sigma - self.targets[i]), grad[1, 0, :]
-
-
 def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
                  config: SolverConfig | None = None,
                  starts: int | None = None,
@@ -100,18 +62,21 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
     returned point to reflect only the t-constrained geometry disable it.
     """
     config = config or SolverConfig()
-    uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
+    uc = space.unit_coeffs(u)
     if x is None:
         raise InvalidInputError("x is required")
     xc = space.as_coeffs(x)
     if space.norm(xc) > 1.0 + 1e-9:
         raise InvalidInputError("x must lie in the unit ball")
     ts = tuple(t_grid if t_grid is not None else config.t_grid)
-    problem = _PartnerProblem(space, uc, xc, ts)
+    tt = np.asarray(ts, dtype=float)
+    problem = SlotProblem(space, t_frames(space, tt, uc, xc, None), (1, 0),
+                          np.sqrt(tt ** 2 + 1.0))
     extras = [-np.conj(xc)]
     if warm_start:
-        adj_coeffs, adj_res = space.membership_blocks(adjoint(space.blocks(xc)))
-        if adj_res <= space.membership_tol * max(1.0, space.norm(xc)):
+        adj_coeffs, _, adj_member = space.relative_membership(
+            adjoint(space.blocks(xc)))
+        if adj_member:
             extras.insert(0, -adj_coeffs)
     res = minimize_over_ball(
         problem, config, target=0.0, stop_at_target=True,
@@ -131,41 +96,29 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
                            certify_levels: int = 2) -> CertificateReport:
     """Partner-based operator system detection over basis and sampled elements."""
     config = config or SolverConfig()
-    uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
+    uc = space.unit_coeffs(u)
     unit_cert = certify_unitary(space, uc, max_level=certify_levels, config=config)
     diag = {"unit_verdict": unit_cert.verdict}
     if not unit_cert.passed:
         return CertificateReport(
             name="operator-system", verdict=unit_cert.verdict, margin=0.0,
             witness={"stage": "unit-certification"}, diagnostics=diag)
-    elements = []
-    for j in range(space.dim):
-        e = np.zeros(space.dim, dtype=np.complex128)
-        e[j] = 1.0
-        elements.append(e / max(1.0, space.norm(e)))
+    elements = [e / max(1.0, space.norm(e))
+                for e in np.eye(space.dim, dtype=np.complex128)]
     rng = np.random.default_rng([config.root_seed, 23])
     for _ in range(samples):
         g = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         n = space.norm(g)
         if n > 1e-12:
             elements.append(g / n)
-    worst = -1.0
-    worst_x = None
-    worst_conv = True
-    residuals = []
-    for xc in elements:
-        r = find_partner(space, uc, xc, config=config)
-        residuals.append(r.residual)
-        if r.residual > worst:
-            worst, worst_x, worst_conv = r.residual, xc, r.converged
-    if worst <= config.cert_tol:
-        verdict = PASS
-    elif worst >= config.fail_tol and worst_conv:
-        verdict = FAIL
-    else:
-        verdict = INCONCLUSIVE
-    diag["residuals"] = np.array(residuals)
-    diag["worst_residual"] = worst
+    partners = [find_partner(space, uc, xc, config=config) for xc in elements]
+    worst = max(partners, key=lambda r: r.residual)
+    # the attained residual bounds the best partner from above; it bounds
+    # it from below only when its search converged
+    res = worst.residual
+    verdict = verdict_of(res if worst.converged else -np.inf, res, config)
+    diag["residuals"] = np.array([r.residual for r in partners])
+    diag["worst_residual"] = res
     if closure is not None:
         from .hermit import operator_system_check
         amb = operator_system_check(space, uc, closure=closure)
@@ -173,7 +126,7 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
         diag["ambient_agrees"] = amb.verdict == verdict
     return CertificateReport(
         name="operator-system", verdict=verdict,
-        margin=config.cert_tol - worst, witness={"x_coeffs": worst_x},
+        margin=config.cert_tol - res, witness={"x_coeffs": worst.x_coeffs},
         diagnostics=diag)
 
 
@@ -198,7 +151,7 @@ def recover_involution(space: ConcreteOpSpace, u=None, x=None,
     config = config or SolverConfig()
     if not 0 < t_large < np.inf:
         raise InvalidInputError("t_large must be positive and finite")
-    uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
+    uc = space.unit_coeffs(u)
     xc = space.as_coeffs(x)
     # cold starts: the returned point must come from the t_large feasible
     # set alone, so its distance to the true involution scales like 1/t
@@ -231,7 +184,7 @@ def t1_insufficiency_probe(space: ConcreteOpSpace, u=None, x=None,
     makes ``diverges`` True.
     """
     config = config or SolverConfig()
-    uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
+    uc = space.unit_coeffs(u)
     xc = space.as_coeffs(x)
     if abs(space.norm(xc) - 1.0) > 1e-6:
         raise InvalidInputError("probe expects a norm-one element")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .matcore import adjoint, block_diag, block_norms, row_span
-from .opspace import ConcreteOpSpace
+from .opspace import MEMBERSHIP_TOL, ConcreteOpSpace
 from .report import FAIL, PASS, CertificateReport
 
 AMBIENT_TOL = 1e-8
@@ -131,21 +131,19 @@ def involution(closure: TroClosure, u, x) -> np.ndarray:
 def ambient_system_check(closure: TroClosure, u=None) -> CertificateReport:
     """Does u x* u land back in the space for every basis element?"""
     space = closure.space
-    uc = space.unit_coeffs() if u is None else space.as_coeffs(u)
+    uc = space.unit_coeffs(u)
     _require_unitary(closure, uc)
     ub = space.blocks(uc)
     worst = -1.0
     worst_j = 0
     for j in range(space.dim):
-        rep = ub @ adjoint(space.basis[j]) @ ub
-        _, res = space.membership_blocks(rep)
-        rel = res / max(1.0, float(np.linalg.norm(rep)))
+        _, rel, _ = space.relative_membership(ub @ adjoint(space.basis[j]) @ ub)
         if rel > worst:
             worst, worst_j = rel, j
-    verdict = PASS if worst <= space.membership_tol else FAIL
+    verdict = PASS if worst <= MEMBERSHIP_TOL else FAIL
     return CertificateReport(
         name="ambient-system", verdict=verdict,
-        margin=space.membership_tol - worst,
+        margin=MEMBERSHIP_TOL - worst,
         witness={"basis_index": worst_j},
         diagnostics={"worst_residual": worst})
 
@@ -185,17 +183,17 @@ def transfer_check(closure: TroClosure, u, v) -> CertificateReport:
     coeff_rows = []
     worst = 0.0
     for j in range(space.dim):
-        img = vb @ adjoint(ub) @ space.basis[j]
-        coeffs, res = space.membership_blocks(img)
-        worst = max(worst, res / max(1.0, float(np.linalg.norm(img))))
+        coeffs, rel, _ = space.relative_membership(
+            vb @ adjoint(ub) @ space.basis[j])
+        worst = max(worst, rel)
         coeff_rows.append(coeffs)
     m = np.stack(coeff_rows)
     s = np.linalg.svd(m, compute_uv=False)
     full_rank = s.size > 0 and s[-1] > 1e-8 * max(s[0], 1.0)
-    members = worst <= space.membership_tol
+    members = worst <= MEMBERSHIP_TOL
     return CertificateReport(
         name="transfer", verdict=PASS if (members and full_rank) else FAIL,
-        margin=space.membership_tol - worst,
+        margin=MEMBERSHIP_TOL - worst,
         witness=None,
         diagnostics={"worst_residual": worst, "bijective": bool(full_rank),
                      "min_singular": float(s[-1]) if s.size else 0.0})

@@ -6,9 +6,10 @@ from opcert.certify import certify_unitary
 from opcert.errors import InvalidInputError, PreconditionError
 from opcert.hermit import delta_span
 from opcert.matcore import adjoint
-from opcert.opspace import (AmplifiedElement, amplify_unit, make_space, norm,
+from opcert.opspace import (AmplifiedElement, amplify_unit, make_space,
                             space_from_points)
 from opcert.serialize import SpaceFile
+from opcert.solver import SolverConfig
 from opcert.tro import generate_tro
 
 E11 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
@@ -44,6 +45,13 @@ def test_gram_rule_is_relative_for_every_constructor():
         make_space([np.diag(r) for r in rows])
     with pytest.raises(InvalidInputError):
         SpaceFile(kind="function", basis=rows).build_space()
+
+
+def test_gram_rule_accepts_a_small_well_conditioned_basis():
+    # Gram matrix 1e-12 diag(2, 1): small, but a condition number of 2
+    space = make_space([1e-6 * np.eye(2), 1e-6 * E12])
+    assert space.dim == 2
+    assert space_from_points(1e-6 * np.eye(3)).dim == 3
 
 
 def test_make_space_rejects_non_matrix_entries():
@@ -91,8 +99,8 @@ def test_membership_detects_outside_component():
     space = make_space([np.eye(2), E12], unit=[1.0, 0])
     _, res = space.membership(E21)
     assert res == pytest.approx(1.0)
-    assert not space.is_member(E21)
-    assert space.is_member(np.eye(2) + 3j * E12)
+    assert not space.relative_membership(E21[None])[2]
+    assert space.relative_membership((np.eye(2) + 3j * E12)[None])[2]
 
 
 def test_membership_rejects_wrong_shape():
@@ -132,17 +140,12 @@ def test_amplify_unit_norm():
     space = m2_full()
     for n in (1, 2, 3):
         amp = amplify_unit(space, n)
-        assert norm(amp) == pytest.approx(1.0, abs=1e-12)
+        assert amp.norm() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(InvalidInputError):
         amplify_unit(space, 0)
     unitless = make_space([np.eye(2)])
     with pytest.raises(PreconditionError):
         amplify_unit(unitless, 2)
-
-
-def test_norm_rejects_raw_arrays():
-    with pytest.raises(InvalidInputError):
-        norm(np.eye(2))
 
 
 def test_diagonal_layout_detected():
@@ -256,3 +259,17 @@ def test_rotated_pair_agrees_on_every_check(m):
         c2, res2 = dense.membership(q @ mat @ adjoint(q))
         npt.assert_allclose(c1, c2, atol=1e-10)
         assert res1 == pytest.approx(res2, abs=1e-10)
+
+
+def test_rotated_pair_fails_a_shrunk_unit_on_both_layouts():
+    # u = (1 + z)/2 is not unitary; its worst defect is attained by a
+    # witness, so it is a certified lower bound and FAIL does not wait for
+    # the search to converge, whatever the layout
+    z = np.exp(2j * np.pi * np.arange(4) / 4)
+    pb = np.stack([np.ones(4), z, np.conj(z)])
+    points, dense, _ = _rotated_pair(pb, seed=4)
+    config = SolverConfig(starts=8)
+    reps = [certify_unitary(s, [0.5, 0.5, 0], config=config)
+            for s in (points, dense)]
+    assert [r.verdict for r in reps] == ["fail", "fail"]
+    assert reps[0].margin == pytest.approx(reps[1].margin, abs=1e-9)

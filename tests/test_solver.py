@@ -2,14 +2,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from opcert.blocks import grid_value_and_grad
+from opcert.blocks import SlotProblem, grid_value_and_grad, t_frames
 from opcert.certify import _DefectProblem
-from opcert.cstar import _ProductProblem
 from opcert.errors import InvalidInputError, SolverError
 from opcert.funcspace import catalog_entry
 from opcert.opspace import make_space
 from opcert.solver import SolverConfig, maximize_over_sphere, minimize_over_ball
-from opcert.sysdetect import _PartnerProblem
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 E21 = np.array([[0, 0], [1, 0]], dtype=np.complex128)
@@ -18,6 +16,21 @@ E22 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
 
 def m2_full():
     return make_space([np.eye(2), E12, E21, E22], unit=[1.0, 0, 0, 0])
+
+
+def _partner(space, uc, x, ts):
+    """The partner hinge of find_partner over the grid ts."""
+    ts = np.asarray(ts, dtype=float)
+    return SlotProblem(space, t_frames(space, ts, uc, x, None), (1, 0),
+                       np.sqrt(ts ** 2 + 1.0))
+
+
+def _product(space, uc, vc, given, slot, t):
+    """The product excess of recover_product (slot (1, 0)) or of
+    recover_product_left (slot (0, 1)) at t."""
+    y, z = (given, None) if slot == (1, 0) else (None, given)
+    return SlotProblem(space, t_frames(space, (t,), uc, y, z, vc), slot,
+                       np.sqrt(t * t + space.norm(given) ** 2))
 
 
 class _Quadratic:
@@ -221,9 +234,9 @@ def _objectives():
         uc = space.unit_coeffs()
         x = np.linspace(0.1, 0.4, space.dim) * (1 + 0.5j)
         x = x / (1.25 * space.norm(x))
-        out += [_PartnerProblem(space, uc, x, (0.25, 1.0, 32.0)),
-                _ProductProblem(space, uc, uc, x, (1, 0), 10.0),
-                _ProductProblem(space, uc, uc, x, (0, 1), 10.0),
+        out += [_partner(space, uc, x, (0.25, 1.0, 32.0)),
+                _product(space, uc, uc, x, (1, 0), 10.0),
+                _product(space, uc, uc, x, (0, 1), 10.0),
                 _DefectProblem(space, uc, 2, "row"),
                 _DefectProblem(space, uc, 1, "column")]
     return out
@@ -256,13 +269,13 @@ def _convex_objectives():
         uc = space.unit_coeffs()
         x = np.linspace(0.1, 0.4, space.dim) * (1 + 0.5j)
         x = x / (1.25 * space.norm(x))
-        out += [(_PartnerProblem(space, uc, x, (0.25, 1.0, 32.0)), ()),
-                (_PartnerProblem(space, uc, x, (4.0,)), ()),
-                (_ProductProblem(space, uc, uc, x, (1, 0), 10.0), ()),
-                (_ProductProblem(space, uc, uc, x, (0, 1), 10.0), ())]
+        out += [(_partner(space, uc, x, (0.25, 1.0, 32.0)), ()),
+                (_partner(space, uc, x, (4.0,)), ()),
+                (_product(space, uc, uc, x, (1, 0), 10.0), ()),
+                (_product(space, uc, uc, x, (0, 1), 10.0), ())]
     uc, z, y0 = circle.unit_coeffs(), np.array([0, 1.0]), np.zeros(2)
-    out += [(_PartnerProblem(circle, uc, z, (0.25, 1.0, 32.0)), (y0,)),
-            (_ProductProblem(circle, uc, uc, z, (1, 0), 1.0), (y0,))]
+    out += [(_partner(circle, uc, z, (0.25, 1.0, 32.0)), (y0,)),
+            (_product(circle, uc, uc, z, (1, 0), 1.0), (y0,))]
     return out
 
 
@@ -301,7 +314,7 @@ def test_partner_kink_is_flagged_nonsmooth():
     # x = z, y = 0 on circle-1z: the t-blocks [[t, z_k], [0, t]] of all 60
     # points have one norm, so the top block is not unique
     space = catalog_entry("circle-1z").min_space(60)
-    problem = _PartnerProblem(space, space.unit_coeffs(), np.array([0, 1.0]),
+    problem = _partner(space, space.unit_coeffs(), np.array([0, 1.0]),
                               (0.25, 1.0, 32.0))
     grids = problem._grids(np.zeros(2))
     i = int(np.argmax(problem._hinges(grids)))
