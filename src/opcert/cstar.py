@@ -93,10 +93,11 @@ def recover_product(space: ConcreteOpSpace, u, v, y, t: float = 100.0,
 
     v must act as a ternary unitary (a coisometry suffices for this
     direction). When the true product lies inside X the candidate is within
-    1/t + 1/t^2 of it; when it does not, the minimum stays strictly above
-    the target and the result is flagged escaped. Cold starts by default so
-    the achieved error scales with 1/t instead of echoing the ambient
-    product back.
+    ``bound`` = 1/t + 1/t^2 + 2 excess + 2 eps_stop of it in the operator
+    norm, where excess is the block norm's miss of its target; when it does
+    not, the minimum stays strictly above the target and the result is
+    flagged escaped. Cold starts by default so the achieved error scales
+    with 1/t instead of echoing the ambient product back.
     """
     uc, vc, yc = space.as_coeffs(u), space.as_coeffs(v), space.as_coeffs(y)
     return _solve_product(space, uc, vc, yc, (1, 0), t, config, closure,

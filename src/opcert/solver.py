@@ -22,6 +22,10 @@ The step rule combines the guaranteed-safe decay schedule s0/sqrt(k) with a
 Polyak-style step toward an adaptively tightened level; the effective step
 length is the smaller of the two, so the decay guarantee is never violated
 while sharp minima are still reached to high accuracy within the budget.
+A minimization with a target never puts its level below the target, which
+callers pass as a known lower bound on the objective: this is Polyak's step
+with known optimal value (Polyak, USSR Comput. Math. Math. Phys. 9, 1969),
+and it keeps steps from overshooting a small feasible set near the optimum.
 Determinism: every random draw comes from a generator seeded by
 (root_seed, salt..., start_index), and ties across starts resolve to the
 lowest start index, so results are bitwise reproducible.
@@ -138,8 +142,11 @@ def _run_start(problem, config, c0, sign, target, stop_at_target):
 
     Returns (best_value, best_c, iterations, converged, hit_target).
     The adaptive level starts a fixed fraction below the incumbent and halves
-    whenever a stall window passes without improvement; the run ends when the
-    level collapses, the iteration budget runs out, or the target is reached.
+    its distance whenever a stall window passes without improvement; the run
+    ends when the level collapses, the iteration budget runs out, or the
+    target is reached. With stop_at_target the level is max(best - delta,
+    target): the target is a lower bound on the objective (Polyak's known
+    optimal value), so a level below it would only lengthen the step.
     """
     c = np.asarray(c0, dtype=np.complex128).copy()
     f = problem.value(c)
@@ -175,6 +182,8 @@ def _run_start(problem, config, c0, sign, target, stop_at_target):
         if gnorm < 1e-14:
             return best_f, best_c, it, True, False
         level = best_f - sign * delta
+        if stop_at_target:
+            level = max(level, target)
         len_polyak = max(sign * (f - level), 0.0) / gnorm
         len_decay = s0 / np.sqrt(it)
         step = min(len_polyak, len_decay)
@@ -225,8 +234,10 @@ def minimize_over_ball(problem, config: SolverConfig | None = None, *,
     """Minimize problem.value over {c : problem.norm(c) <= 1}.
 
     The returned value is an upper bound on the true minimum (it is attained
-    by the returned feasible point). With stop_at_target, the run ends at the
-    first iterate within eps_stop of the target value.
+    by the returned feasible point). With stop_at_target, ``target`` must be
+    a known lower bound on the objective over the ball: the run ends at the
+    first iterate within eps_stop of it, and the Polyak level never drops
+    below it.
     """
     config = config or SolverConfig()
     config.validate()

@@ -144,9 +144,10 @@ def recover_involution(space: ConcreteOpSpace, u=None, x=None,
     """The recaptured involution applied to x, as -y for the partner at t_large.
 
     On success the concrete matrix of the result is within ``bound`` =
-    1/t_large + 1/t_large^2 + 2 residual + 2 eps_stop of u adjoint(x) u,
-    where residual is the partner's hinge at t_large: the partner may miss
-    the constraint by that much, as a recovered product may miss its target.
+    1/t_large + 1/t_large^2 + 2 residual + 2 eps_stop of u adjoint(x) u in
+    the operator norm, where residual is the partner's hinge at t_large:
+    the partner may miss the constraint by that much, as a recovered
+    product may miss its target.
     """
     config = config or SolverConfig()
     if not 0 < t_large < np.inf:

@@ -8,6 +8,7 @@ from opcert.errors import InvalidInputError, PreconditionError
 from opcert.funcspace import catalog_closure, catalog_entry, catalog_space
 from opcert.matcore import adjoint
 from opcert.opspace import make_space
+from opcert.solver import SolverConfig
 from opcert.sysdetect import involution_error_bound
 from opcert.tro import ambient_unitary_check, generate_tro
 
@@ -48,6 +49,28 @@ def test_recover_product_error_decreases_with_t():
             rec = recover_product(space, uc, vc, yc, t=t)
             errs[t] = np.linalg.norm(rec.element.matrix - rec.ambient_truth)
         assert errs[100.0] < errs[10.0]
+
+
+def test_recover_product_reaches_target_at_large_t():
+    # the m2-sym3 factors recover-cli draws for seed 1; at t = 1000 the
+    # search reaches the target only by stepping toward the known minimum
+    # 0 of the excess
+    space = catalog_space("m2-sym3")
+    config = SolverConfig()
+    rng = np.random.default_rng([1, 1])
+    rng.standard_normal(3), rng.standard_normal(3)   # the involution's x
+    a = 2 * np.pi * rng.uniform()
+    vc = np.array([np.cos(a), 1j * np.sin(a), 1j * np.sin(a)])
+    b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    yc = np.array([b[0], b[1], b[1]])
+    yc *= 0.8 / space.norm(yc)
+    rec = recover_product(space, space.unit_coeffs(), vc, yc, t=1000.0,
+                          config=config)
+    assert not rec.escaped
+    assert rec.diagnostics["reached_target"]
+    assert rec.bound <= involution_error_bound(1000.0) + 4 * config.eps_stop
+    error = np.linalg.norm(rec.element.matrix - rec.ambient_truth, 2)
+    assert error <= rec.bound
 
 
 def test_recover_product_left_matches_other_slot():
