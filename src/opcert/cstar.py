@@ -10,7 +10,11 @@ more flags the product as escaped. Products of arbitrary elements follow
 by writing the left factor over a spanning set of unitaries (collected
 by averaging hermitians into pairs of unitaries) and extending linearly.
 The detection verdict combines operator-system detection, the unitary
-spanning check, and closure of recovered products.
+spanning check, and product closure. Unitaries other than the unit come
+only with an envelope-exact closure (`hermitian_to_unitaries` demands
+one), and with it product closure is the ambient membership check of each
+v adjoint(e) u; the product searches then run only for the table, which
+recovers every product intrinsically.
 """
 
 from __future__ import annotations
@@ -39,9 +43,17 @@ class RecoveredProduct:
     target: float                 # sqrt(t^2 + |given|^2), attained iff the product stays in X
     bound: float                  # guaranteed ambient error 1/t + 1/t^2 when not escaped
     ambient_truth: np.ndarray | None
-    ambient_residual: float | None
     converged: bool
     diagnostics: dict
+
+
+def _ambient_product(space, uc, vc, given, slot) -> np.ndarray:
+    """Block stack of the product a slot search recovers: v adjoint(given) u
+    for slot (1, 0), u adjoint(given) v for slot (0, 1)."""
+    ub, vb, gb = space.blocks(uc), space.blocks(vc), space.blocks(given)
+    if slot == (1, 0):
+        return vb @ adjoint(gb) @ ub
+    return ub @ adjoint(gb) @ vb
 
 
 def _solve_product(space, uc, vc, given, slot, t, config, closure,
@@ -56,12 +68,8 @@ def _solve_product(space, uc, vc, given, slot, t, config, closure,
     y, z = (given, None) if slot == (1, 0) else (None, given)
     problem = SlotProblem(space, t_frames(space, (t,), uc, y, z, vc), slot,
                           target)
-    ub, vb, gb = space.blocks(uc), space.blocks(vc), space.blocks(given)
-    if slot == (1, 0):
-        truth = vb @ adjoint(gb) @ ub
-    else:
-        truth = ub @ adjoint(gb) @ vb
-    proj, amb_res, member = space.relative_membership(truth)
+    truth = _ambient_product(space, uc, vc, given, slot)
+    proj, _, member = space.relative_membership(truth)
     extras = []
     if warm_start and member:
         # warm start at the projected ambient product; the block norm is
@@ -74,16 +82,15 @@ def _solve_product(space, uc, vc, given, slot, t, config, closure,
     escaped = res.value >= config.fail_tol
     if closure is not None and closure.envelope_exact:
         escaped = not member
-    else:
-        amb_res = None
     return RecoveredProduct(
         element=space.element(-res.coeffs), escaped=bool(escaped),
         achieved=target + res.value, target=target,
         bound=involution_error_bound(t) + 2 * res.value + 2 * config.eps_stop,
-        ambient_truth=block_diag(truth), ambient_residual=amb_res,
+        ambient_truth=block_diag(truth),
         converged=res.converged,
         diagnostics={"iterations": res.iterations,
-                     "reached_target": res.reached_target})
+                     "reached_target": res.reached_target,
+                     "stops": res.stops, "certified_min": res.certified_min})
 
 
 def recover_product(space: ConcreteOpSpace, u, v, y, t: float = 100.0,
@@ -263,7 +270,16 @@ def _assemble_table(space, uc, unitaries, t_table, config, closure):
 def detect_cstar(space: ConcreteOpSpace, u=None,
                  config: SolverConfig | None = None, closure=None,
                  t: float = 100.0, table_t: float = 1e5):
-    """Full C*-structure detection; returns (report, table-or-None)."""
+    """Full C*-structure detection; returns (report, table-or-None).
+
+    Stages: operator-system detection, the unitary spanning check, then
+    closure of each product v adjoint(e) u of a collected unitary v and a
+    basis element e. With an envelope-exact closure that stage is the
+    ambient membership check (``escape_gap`` and ``worst_escape_gap`` are
+    relative membership residuals) and runs no search; without one, each
+    product is recovered at ``t`` and its excess over the target is the
+    gap. A PASS ends with the product table at ``table_t``.
+    """
     config = config or SolverConfig()
     uc = space.unit_coeffs(u)
     sys_rep = detect_operator_system(space, uc, config=config, closure=closure)
@@ -281,18 +297,22 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
             witness={"stage": "unitary-span"}, diagnostics=diag), None
     unitaries = span_rep.witness["unitary_coeffs"]
     d = space.dim
+    exact = closure is not None and closure.envelope_exact
     worst_escape = 0.0
     for ki in range(unitaries.shape[0]):
         for j, e in enumerate(np.eye(d, dtype=np.complex128)):
             e = e / max(1.0, space.norm(e))
-            rp = recover_product(space, uc, unitaries[ki], e, t=t,
-                                 config=config, closure=closure,
-                                 warm_start=True)
-            gap = rp.achieved - rp.target
-            if rp.ambient_residual is not None:
-                gap = rp.ambient_residual
+            if exact:
+                _, gap, member = space.relative_membership(
+                    _ambient_product(space, uc, unitaries[ki], e, (1, 0)))
+                escaped = not member
+            else:
+                rp = recover_product(space, uc, unitaries[ki], e, t=t,
+                                     config=config, closure=closure,
+                                     warm_start=True)
+                gap, escaped = rp.achieved - rp.target, rp.escaped
             worst_escape = max(worst_escape, gap)
-            if rp.escaped:
+            if escaped:
                 diag["escape_gap"] = gap
                 return CertificateReport(
                     name="cstar", verdict=FAIL, margin=-gap,

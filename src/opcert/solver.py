@@ -4,6 +4,10 @@ Two entry points: `minimize_over_ball` (constraint: element norm <= 1, the
 reported value is a certified upper bound on the minimum) and
 `maximize_over_sphere` (constraint: element norm = 1 via radial retraction,
 the reported value is a certified lower bound on the supremum).
+The objective of `minimize_over_ball` must be convex. Then a zero
+subgradient certifies a global minimum (Rockafellar, Convex Analysis,
+Thm 27.1): a run that stops on one ends the whole multistart sweep, and
+its value is a lower bound on the minimum as well as an upper bound.
 
 Problems expose a flat complex variable vector:
 
@@ -41,6 +45,11 @@ import numpy as np
 from .errors import InvalidInputError, SolverError
 
 DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+# why a run stopped: within eps_stop of the target, on a zero subgradient,
+# when the adaptive level collapsed, at the end of the iteration budget,
+# or (maximize) pinned at numerical zero with nothing to climb
+STOP_REASONS = ("target", "zero_subgradient", "level_collapse", "budget",
+                "pinned_zero")
 
 
 @dataclass
@@ -82,6 +91,10 @@ class SolveResult:
     best_start: int
     iterations: int
     reached_target: bool
+    stops: dict                   # runs per stop reason, keys STOP_REASONS
+    # the value is also a lower bound on the minimum, to eps_stop or
+    # stat_tol: the sweep ended at the target or on a zero subgradient
+    certified_min: bool
     # always 0: no finite differences are taken; perfbench's tracer reads
     # this field to derive its solver.fd_calls and solver.fd_share metrics
     fd_calls: int = 0
@@ -140,14 +153,18 @@ def _sphere_starts(problem, n_starts: int, extra, rng_key) -> list:
 def _run_start(problem, config, c0, sign, target, stop_at_target):
     """One projected subgradient run. sign=+1 minimizes, sign=-1 maximizes.
 
-    Returns (best_value, best_c, iterations, converged, hit_target).
-    The adaptive level starts a fixed fraction below the incumbent and halves
-    its distance whenever a stall window passes without improvement; the run
-    ends when the level collapses, the iteration budget runs out, or the
-    target is reached. With stop_at_target the level is max(best - delta,
-    target): the target is a lower bound on the objective (Polyak's known
-    optimal value), so a level below it would only lengthen the step.
+    Returns (best_value, best_c, iterations, reason), reason one of
+    STOP_REASONS. The adaptive level starts a fixed fraction below the
+    incumbent and halves its distance whenever a stall window passes
+    without improvement; the run ends when the level collapses, the
+    iteration budget runs out, the target is reached or the subgradient
+    vanishes. With stop_at_target the level is max(best - delta, target):
+    the target is a lower bound on the objective (Polyak's known optimal
+    value), so a level below it would only lengthen the step.
     """
+    def at_target(v):
+        return stop_at_target and sign * (v - target) <= config.eps_stop
+
     c = np.asarray(c0, dtype=np.complex128).copy()
     f = problem.value(c)
     _check_finite(f, c)
@@ -160,9 +177,8 @@ def _run_start(problem, config, c0, sign, target, stop_at_target):
     it = 0
     while it < config.max_iters:
         it += 1
-        gap = sign * (best_f - target)
-        if stop_at_target and gap <= config.eps_stop:
-            return best_f, best_c, it, True, True
+        if at_target(best_f):
+            return best_f, best_c, it, "target"
         f, g = problem.value_and_grad(c)
         _check_finite(f, c)
         if sign * (f - best_f) < -config.stat_tol:
@@ -173,14 +189,18 @@ def _run_start(problem, config, c0, sign, target, stop_at_target):
         if since_improve >= config.stall_window:
             # a maximize run pinned at numerical zero has nothing to climb
             if sign < 0 and best_f <= 1e-8:
-                return best_f, best_c, it, True, False
+                return best_f, best_c, it, "pinned_zero"
             delta *= 0.5
             since_improve = 0
             if delta < floor:
-                return best_f, best_c, it, True, False
+                return best_f, best_c, it, "level_collapse"
         gnorm = float(np.linalg.norm(g))
         if gnorm < 1e-14:
-            return best_f, best_c, it, True, False
+            # an objective flat at its target (a hinge inside its feasible
+            # set) has a zero gradient there: that is a target hit
+            if at_target(f):
+                return best_f, best_c, it, "target"
+            return best_f, best_c, it, "zero_subgradient"
         level = best_f - sign * delta
         if stop_at_target:
             level = max(level, target)
@@ -203,41 +223,48 @@ def _run_start(problem, config, c0, sign, target, stop_at_target):
     _check_finite(f, c)
     if sign * (f - best_f) < 0:
         best_f, best_c = f, c.copy()
-    hit = stop_at_target and sign * (best_f - target) <= config.eps_stop
-    return best_f, best_c, it, False, hit
+    return best_f, best_c, it, "target" if at_target(best_f) else "budget"
 
 
 def _reduce(problem, config, starts, sign, target, stop_at_target):
     best = None
     total_iters = 0
-    any_converged = False
+    stops = dict.fromkeys(STOP_REASONS, 0)
+    settled = False
     for i, c0 in enumerate(starts):
-        f, c, it, conv, hit = _run_start(
+        f, c, it, why = _run_start(
             problem, config, c0, sign, target, stop_at_target)
         total_iters += it
-        any_converged = any_converged or conv
-        if best is None or sign * (f - best[0]) < 0:
-            best = (f, c, i, hit)
-        if hit and stop_at_target:
-            best = (f, c, i, True) if sign * (f - best[0]) <= 0 else best
+        stops[why] += 1
+        # a target hit, or a zero subgradient of a convex minimization,
+        # settles the minimum: the remaining starts cannot go lower
+        settled = why == "target" or (sign > 0 and why == "zero_subgradient")
+        if best is None or sign * (f - best[0]) < 0 or \
+                (settled and sign * (f - best[0]) <= 0):
+            best = (f, c, i, why)
+        if settled:
             break
-    f, c, i, hit = best
-    return SolveResult(coeffs=c, value=float(f), converged=any_converged or hit,
+    f, c, i, why = best
+    return SolveResult(coeffs=c, value=float(f),
+                       converged=stops["budget"] < sum(stops.values()),
                        best_start=i, iterations=total_iters,
-                       reached_target=hit)
+                       reached_target=why == "target", stops=stops,
+                       certified_min=settled)
 
 
 def minimize_over_ball(problem, config: SolverConfig | None = None, *,
                        target: float = 0.0, stop_at_target: bool = True,
                        starts: int | None = None, extra_starts=(),
                        seed_salt=()) -> SolveResult:
-    """Minimize problem.value over {c : problem.norm(c) <= 1}.
+    """Minimize a convex problem.value over {c : problem.norm(c) <= 1}.
 
     The returned value is an upper bound on the true minimum (it is attained
     by the returned feasible point). With stop_at_target, ``target`` must be
     a known lower bound on the objective over the ball: the run ends at the
     first iterate within eps_stop of it, and the Polyak level never drops
-    below it.
+    below it. A run that stops on a zero subgradient has found a global
+    minimum, which needs the objective to be convex: the sweep ends there,
+    and ``certified_min`` marks the value as a lower bound too.
     """
     config = config or SolverConfig()
     config.validate()

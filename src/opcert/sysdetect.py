@@ -55,7 +55,10 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
     """Best unit-ball partner for x across the t grid.
 
     The objective is convex in y, so a handful of starts suffices; the
-    search stops at the first feasible partner (hinge at numerical zero).
+    search stops at the first feasible partner (hinge at numerical zero)
+    or at the first zero subgradient, which certifies the minimum
+    (``certified_min`` in the diagnostics, with the runs per stop reason
+    under ``stops``).
     warm_start seeds the sweep with the adjoint's coefficients when the
     adjoint lies in the space; the hinge is still evaluated from scratch,
     so the verdict cannot be faked, but recovery callers that want the
@@ -87,7 +90,8 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
         x_coeffs=xc, y_coeffs=res.coeffs, residual=float(res.value),
         per_t_residual=per_t, t_grid=ts, converged=res.converged,
         diagnostics={"iterations": res.iterations, "best_start": res.best_start,
-                     "reached_zero": res.reached_target})
+                     "reached_zero": res.reached_target, "stops": res.stops,
+                     "certified_min": res.certified_min})
 
 
 def detect_operator_system(space: ConcreteOpSpace, u=None,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import opcert.cstar as cstar
 from opcert.cstar import (collect_unitaries, detect_cstar,
                           hermitian_to_unitaries, recover_product,
                           recover_product_left, unitary_span_check)
@@ -217,3 +218,53 @@ def test_detect_cstar_flags_missing_unitaries():
     assert table is None
     assert report.witness["stage"] == "unitary-span"
     assert report.diagnostics["span_dim"] == 1
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_escape_stage_reads_ambient_membership(monkeypatch):
+    # with an envelope-exact closure the escape verdict, margin and gap
+    # come from relative membership, so no product search runs for them
+    searches = _count_calls(monkeypatch, cstar, "recover_product")
+    report, table = detect_cstar(catalog_space("m2-sym3"),
+                                 closure=catalog_closure("m2-sym3"))
+    assert table is None
+    assert searches == []
+    assert report.to_dict() == {
+        "name": "cstar", "verdict": "fail", "margin": -0.49999999999999994,
+        "witness": {"stage": "product-closure", "unitary_index": 1,
+                    "basis_index": 1},
+        "diagnostics": {"system_verdict": "pass", "span_verdict": "pass",
+                        "span_dim": 3, "escape_gap": 0.49999999999999994}}
+
+
+def test_table_still_recovers_products_intrinsically(monkeypatch):
+    escape = _count_calls(monkeypatch, cstar, "recover_product")
+    solves = _count_calls(monkeypatch, cstar, "_solve_product")
+    space = catalog_space("m2-full")
+    report, table = detect_cstar(space, closure=catalog_closure("m2-full"))
+    assert report.passed and table is not None
+    assert report.diagnostics["worst_escape_gap"] == 3.982803220822353e-16
+    assert escape == []
+    # one search per (unitary, basis element) pair of the table
+    assert len(solves) == table.unitary_coeffs.shape[0] * space.dim
+
+
+def test_recover_product_reports_stop_reasons():
+    space = catalog_space("m2-full")
+    vc = rotation_coeffs(space, 0.4)
+    yc = np.array([0.3, -0.2j, 0.1, 0.2], dtype=np.complex128)
+    rec = recover_product(space, space.unit_coeffs(), vc, yc, t=100.0,
+                          warm_start=True)
+    assert not rec.escaped
+    assert rec.diagnostics["certified_min"]
+    assert rec.diagnostics["stops"]["target"] == 1

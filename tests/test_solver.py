@@ -334,3 +334,48 @@ def test_stacked_defect_checks_the_bracket_of_every_row():
     with pytest.raises(SolverError) as info:
         problem.value(c)
     npt.assert_array_equal(info.value.iterate, c[2])
+
+
+class _Hinge:
+    """f(c) = max(|c - a| - r, 0): flat at its minimum 0 on a small ball,
+    where value_and_grad returns a zero gradient, as SlotProblem does
+    inside its feasible set."""
+
+    dim = 2
+    a = np.array([0.5, 0.2j])
+    r = 0.1
+
+    def norm(self, c):
+        return float(np.linalg.norm(c))
+
+    def value(self, c):
+        return max(float(np.linalg.norm(c - self.a)) - self.r, 0.0)
+
+    def value_and_grad(self, c):
+        d = c - self.a
+        n = float(np.linalg.norm(d))
+        if n <= self.r:
+            return 0.0, np.zeros(self.dim, dtype=np.complex128)
+        return n - self.r, d / n
+
+
+def test_landing_inside_a_flat_minimum_is_a_target_hit():
+    # the zero gradient met on landing inside the feasible set comes with
+    # a fresh value at the target: one run settles the sweep
+    res = minimize_over_ball(_Hinge(), SolverConfig(), starts=6)
+    assert res.value == 0.0
+    assert res.reached_target and res.certified_min
+    assert res.best_start == 0
+    assert res.stops["target"] == 1
+    assert sum(res.stops.values()) == 1
+    assert res.iterations < 100
+
+
+def test_budget_runs_are_counted_and_not_certified():
+    a = np.array([0.3 + 0.1j, -0.2j, 0.1])
+    res = minimize_over_ball(_Quadratic(a), SolverConfig(max_iters=3),
+                             starts=4, stop_at_target=False)
+    assert res.stops["budget"] == 4 == sum(res.stops.values())
+    assert not res.converged and not res.certified_min
+    # a maximization never certifies its value, whatever stopped it
+    assert not maximize_over_sphere(_Linear(), SolverConfig()).certified_min

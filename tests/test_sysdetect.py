@@ -158,3 +158,18 @@ def test_input_validation():
     with pytest.raises(PreconditionError):
         recover_involution(catalog_entry("circle-1z").min_space(), None,
                            [0, 1.0], t_large=100.0)
+
+
+def test_zero_subgradient_ends_the_partner_sweep():
+    # on m2-upper no partner of E12 is feasible; the first start already
+    # has a zero subgradient, so the hinge's minimum is settled there and
+    # no further start runs
+    space = catalog_space("m2-upper")          # basis I, E12
+    r = find_partner(space, x=np.array([0, 1.0]))
+    assert r.residual == 0.48828482444627497
+    assert r.converged
+    assert r.diagnostics["best_start"] == 0
+    assert r.diagnostics["iterations"] <= 2
+    assert r.diagnostics["certified_min"]
+    assert r.diagnostics["stops"]["zero_subgradient"] == 1
+    assert sum(r.diagnostics["stops"].values()) == 1
