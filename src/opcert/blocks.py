@@ -27,31 +27,49 @@ GAP_TOL = 1e-8
 
 def grid_value_and_grad(space: ConcreteOpSpace, grid: np.ndarray):
     """Norm of the concrete matrix of a grid, its gradient, and a smoothness
-    flag (False near a degenerate top singular value)."""
-    return stack_value_and_grad(space, space.grid_blocks(grid))
+    flag (False near a degenerate top singular value). For an
+    (..., n1, n2, d) stack of grids: arrays of norms and gradients over the
+    leading axes, and whether every grid of the stack is smooth.
+
+    The gap is taken against the top block's second singular value and
+    against the runner-up block, since either can take over the norm.
+    """
+    grid = np.asarray(grid, dtype=np.complex128)
+    lead = grid.shape[:-3]
+    stack = space.grid_blocks(grid.reshape(-1, *grid.shape[-3:]))
+    w = stack.shape[1]
+    norms = block_norms(stack) if w > 1 else None
+    sigma, grad, gap = stack_value_and_grad(space, stack, norms)
+    if w > 1:
+        gap = np.minimum(gap, sigma - np.partition(norms, w - 2, axis=-1)[:, w - 2])
+    smooth = bool((gap > GAP_TOL * np.maximum(sigma, 1.0)).all())
+    sigma = sigma.reshape(lead) if lead else float(sigma[0])
+    return sigma, grad.reshape(grid.shape), smooth
 
 
 def stack_value_and_grad(space: ConcreteOpSpace, stack: np.ndarray,
                          norms: np.ndarray | None = None):
-    """`grid_value_and_grad` of one grid, from its (w, n1 p, n2 q) block
-    stack and, when w > 1, its per-block norms (computed when not given).
+    """Norms (S,), gradients (S, n1, n2, d) and top-block gaps (S,) of S
+    grids, from their (S, w, n1 p, n2 q) block stack and, when w > 1, their
+    (S, w) block norms.
 
-    The gradient comes from the top singular pair of the top block. The
-    gap is taken against the block's second singular value and against
-    the runner-up block, since either can take over the norm.
+    Each row's gradient comes from the top singular pair of its top block,
+    one batched SVD over the S chosen blocks; its gap is the block's
+    sigma_1 - sigma_2.
     """
     _, w, p, q = space.basis.shape
-    top, runner = 0, 0.0
+    rows = stack.shape[0]
     if w > 1:
-        norms = block_norms(stack) if norms is None else norms
-        top = int(np.argmax(norms))
-        runner = float(np.partition(norms, w - 2)[w - 2])
-    sigma, u, v, gap = top_singular_triple(stack[top])
-    gap = min(gap, sigma - runner)
-    t = np.einsum("ip,kpq,jq->ijk", np.conj(u.reshape(-1, p)),
-                  space.basis[:, top], v.reshape(-1, q))
-    smooth = gap > GAP_TOL * max(1.0, sigma)
-    return sigma, np.conj(t), smooth
+        top = norms.argmax(axis=-1)
+        chosen = stack[np.arange(rows), top]
+        basis, spec = space.basis[:, top].swapaxes(0, 1), "sip,skpq,sjq->sijk"
+    else:
+        chosen = stack[:, 0]
+        basis, spec = space.basis[:, 0], "sip,kpq,sjq->sijk"
+    sigma, u, v, gap = top_singular_triple(chosen)
+    t = np.einsum(spec, np.conj(u.reshape(rows, -1, p)), basis,
+                  v.reshape(rows, -1, q))
+    return sigma, np.conj(t), gap
 
 
 def row_with_unit(space: ConcreteOpSpace, u_coeffs: np.ndarray,
@@ -112,13 +130,16 @@ class SlotProblem:
                                        self.frames.shape[:1])
         self.dim = space.dim
 
-    def norm(self, c: np.ndarray) -> float:
-        return self.space.norm(c)
+    def norm(self, c: np.ndarray):
+        """Norm of a slot value, or of each row of a (..., d) stack."""
+        c = np.asarray(c, dtype=np.complex128)
+        return self.space.grid_norm(c[..., None, None, :])
 
     def _grids(self, c: np.ndarray) -> np.ndarray:
         """(..., T, 2, 2, d) grids for a (..., d) stack of slot values."""
         c = np.asarray(c, dtype=np.complex128)
-        grids = np.broadcast_to(self.frames, c.shape[:-1] + self.frames.shape).copy()
+        grids = np.empty(c.shape[:-1] + self.frames.shape, dtype=np.complex128)
+        grids[...] = self.frames
         grids[..., self.slot[0], self.slot[1], :] = c[..., None, :]
         return grids
 
@@ -130,15 +151,30 @@ class SlotProblem:
         return self._hinges(self._grids(c)).max(axis=-1)
 
     def value_and_grad(self, c: np.ndarray):
-        # one stack for excesses and gradient; one frame of one block needs
-        # no norm
-        stacks = self.space.grid_blocks(self._grids(c))
-        i, norms = 0, None
-        if stacks.shape[:2] != (1, 1):
+        """Worst excess and its subgradient in the slot, for a slot value or
+        for each row of an (S, d) stack."""
+        grids = self._grids(c)
+        lead = grids.shape[:-4]
+        # one stack for excesses and gradients; one frame needs no argmax
+        # and one block no norm
+        stacks = self.space.grid_blocks(grids.reshape(-1, *self.frames.shape))
+        rows, frames, w = stacks.shape[:3]
+        if frames == 1:
+            chosen, offset = stacks[:, 0], self.offsets[0]
+            norms = block_norms(chosen) if w > 1 else None
+        else:
             norms = block_norms(stacks)
-            i = int(np.argmax(norms.max(axis=-1) - self.offsets))
-            norms = norms[i]
-        sigma, grad, _ = stack_value_and_grad(self.space, stacks[i], norms)
-        if sigma <= self.offsets[i]:
-            return 0.0, np.zeros(self.dim, dtype=np.complex128)
-        return float(sigma - self.offsets[i]), grad[self.slot[0], self.slot[1], :]
+            pick = (np.arange(rows),
+                    (norms.max(axis=-1) - self.offsets).argmax(axis=-1))
+            chosen, offset, norms = stacks[pick], self.offsets[pick[1]], norms[pick]
+        sigma, grad, _ = stack_value_and_grad(self.space, chosen, norms)
+        excess = sigma - offset
+        grad = grad[:, self.slot[0], self.slot[1], :]
+        if min(excess.tolist()) <= 0.0:
+            # inside the feasible set the hinge is flat at zero
+            inside = excess <= 0.0
+            excess[inside] = 0.0
+            grad[inside] = 0.0
+        if not lead:
+            return float(excess[0]), grad[0]
+        return excess.reshape(lead), grad.reshape(*lead, self.dim)

@@ -43,7 +43,8 @@ class _DefectProblem:
     def _grid(self, c: np.ndarray) -> np.ndarray:
         return c.reshape(*c.shape[:-1], self.n, self.n, self.space.dim)
 
-    def norm(self, c: np.ndarray) -> float:
+    def norm(self, c: np.ndarray):
+        """Norm of an iterate, or of each row of a (..., dim) stack."""
         return self.space.grid_norm(self._grid(c))
 
     def _invariant(self, nx, bn, c: np.ndarray) -> None:
@@ -68,13 +69,17 @@ class _DefectProblem:
         return 1.0 + nx * nx - bn * bn
 
     def value_and_grad(self, c: np.ndarray):
+        """Defect and gradient of an iterate, or of each row of an
+        (S, dim) stack."""
         x = self._grid(c)
         nx, gx, _ = grid_value_and_grad(self.space, x)
         bn, gf, _ = grid_value_and_grad(self.space, self._build(self.space, self.u, x))
         self._invariant(nx, bn, c)
-        part = gf[:, self.n:, :] if self.direction == "row" else gf[self.n:, :, :]
-        grad = 2.0 * nx * gx - 2.0 * bn * part
-        return 1.0 + nx * nx - bn * bn, grad.reshape(-1)
+        n = self.n
+        part = gf[..., :, n:, :] if self.direction == "row" else gf[..., n:, :, :]
+        lead = c.shape[:-1] + (1, 1, 1)
+        grad = 2.0 * np.reshape(nx, lead) * gx - 2.0 * np.reshape(bn, lead) * part
+        return 1.0 + nx * nx - bn * bn, grad.reshape(c.shape)
 
 
 @dataclass

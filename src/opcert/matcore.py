@@ -97,16 +97,25 @@ def row_span(rows: np.ndarray) -> np.ndarray:
     return vh[:int(np.sum(s > RANK_TOL * s[0]))]
 
 
-def top_singular_triple(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """(sigma_1, left vector, right vector, gap) for a single matrix.
+def top_singular_triple(m: np.ndarray):
+    """(sigma_1, left vector, right vector, gap) for a single matrix, or
+    arrays of them over the leading axes of an (..., r, c) stack.
 
     gap is sigma_1 - sigma_2 (sigma_1 itself for rank-one shapes), which
     tells whether the norm is differentiable where this pair was taken.
+    LAPACK takes each matrix of a stack on its own, so a matrix's triple
+    does not depend on what is stacked with it.
     """
-    a = as_cmat(m)
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2:
+        raise InvalidInputError(f"expected a matrix or a stack, got ndim={a.ndim}")
     u, s, vh = np.linalg.svd(a)
-    gap = s[0] if s.size == 1 else s[0] - s[1]
-    return float(s[0]), u[:, 0], np.conj(vh[0, :]), float(gap)
+    sigma = s[..., 0]
+    gap = sigma if s.shape[-1] == 1 else sigma - s[..., 1]
+    left, right = u[..., :, 0], np.conj(vh[..., 0, :])
+    if a.ndim == 2:
+        return float(sigma), left, right, float(gap)
+    return sigma, left, right, gap
 
 
 def block2x2(a, b, c, d) -> np.ndarray:
@@ -162,8 +171,10 @@ def real_kernel(columns: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     if cols.ndim != 2:
         raise InvalidInputError("columns must be a (N, M) array")
     stacked = np.vstack([np.real(cols.T), np.imag(cols.T)])
-    _, s, vt = np.linalg.svd(stacked, full_matrices=True)
     n = cols.shape[0]
+    # a tall matrix has all n right singular vectors in its thin SVD; only a
+    # wide one needs the full vt for its kernel rows
+    _, s, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < n)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
     rank = int(np.sum(s > tol * s[0]))

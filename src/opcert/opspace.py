@@ -112,11 +112,21 @@ class ConcreteOpSpace:
 
     def grid_blocks(self, grid: np.ndarray) -> np.ndarray:
         """(..., w, n1 p, n2 q) block stack of an (..., n1, n2, d) grid:
-        block k is the n1 x n2 grid of the elements' k-th blocks."""
+        block k is the n1 x n2 grid of the elements' k-th blocks.
+
+        A grid's blocks are bitwise the same alone and in any stack: BLAS
+        gives each row of a matrix product the same bits whatever the row
+        count, but takes a one-row product as a matrix-vector product with
+        other bits, so a stack of one-entry grids takes one such product
+        per grid."""
         grid = np.asarray(grid, dtype=np.complex128)
         *lead, n1, n2, d = grid.shape
         _, w, p, q = self.basis.shape
-        vals = np.dot(grid.reshape(-1, d), self._flat).reshape(-1, n1, n2, w, p, q)
+        if n1 * n2 == 1 and grid.size > d:
+            vals = np.matmul(grid.reshape(-1, 1, d), self._flat)
+        else:
+            vals = np.dot(grid.reshape(-1, d), self._flat)
+        vals = vals.reshape(-1, n1, n2, w, p, q)
         return vals.transpose(0, 3, 1, 4, 2, 5).reshape(*lead, w, n1 * p, n2 * q)
 
     def grid_norm(self, grid: np.ndarray):

@@ -9,18 +9,32 @@ subgradient certifies a global minimum (Rockafellar, Convex Analysis,
 Thm 27.1): a run that stops on one ends the whole multistart sweep, and
 its value is a lower bound on the minimum as well as an upper bound.
 
-Problems expose a flat complex variable vector:
+Problems expose a flat complex variable vector and take a stack of them:
 
     dim             number of complex coefficients
-    value(c)        objective, a float; on a (..., dim) stack of variables,
-                    the array of objectives over the leading axes
-    value_and_grad(c) -> (value, wirtinger_grad)
-    norm(c)         constraint norm of the variable (an operator norm)
+    value(c)        objectives (S,) of an (S, dim) stack of variables
+    value_and_grad(c) -> (values (S,), wirtinger gradients (S, dim))
+    norm(c)         constraint norms (S,) of the stack (operator norms)
 
-Each iteration makes one value_and_grad call and steps along its
-gradient, at kinks too: there the top singular pair of the active (t,
-block) gives a subgradient of the convex partner and product objectives
-(Danskin 1967; Overton, SIAM J. Optim. 1992).
+A row's results must not depend on the other rows of its stack: the
+objectives in this package compute every row with its own products and
+one batched LAPACK call, so a run is bitwise the same alone and stacked.
+
+`_run_stack` steps a stack of runs in lockstep, each with its own level,
+step and stop rules: every iteration makes one value_and_grad call on the
+runs still going and one norm call on the runs that stepped. A maximize
+sweep runs every start whatever happens, so it hands all of them over as
+one stack; for a unitary nearly every start stops at iteration 1, and the
+whole sweep takes one to three stacked calls. A minimize sweep ends at
+its first settled run, so it runs its starts one at a time: run
+alongside, the later starts would be wasted work (a first start that
+settles at iteration 347 would pay for 347 iterations of every other
+start too).
+
+Each iteration of a run steps along its gradient, at kinks too: there the
+top singular pair of the active (t, block) gives a subgradient of the
+convex partner and product objectives (Danskin 1967; Overton, SIAM J.
+Optim. 1992).
 
 The step rule combines the guaranteed-safe decay schedule s0/sqrt(k) with a
 Polyak-style step toward an adaptively tightened level; the effective step
@@ -100,148 +114,198 @@ class SolveResult:
     fd_calls: int = 0
 
 
-def _check_finite(f: float, c: np.ndarray) -> None:
-    if not np.isfinite(f):
-        raise SolverError("objective is not finite", iterate=c)
+def _values(f, c: np.ndarray) -> list:
+    """The objective values of a stack of iterates as floats; raise on the
+    first one that is not finite."""
+    f = f.tolist()
+    for k, v in enumerate(f):
+        if not math.isfinite(v):
+            raise SolverError("objective is not finite", iterate=c[k])
+    return f
 
 
 def _ball_starts(problem, n_starts: int, extra, rng_key) -> list:
     # caller-provided warm starts go first so a target hit ends the sweep early
-    starts = []
-    for c in extra:
-        c = np.asarray(c, dtype=np.complex128)
-        n = problem.norm(c)
-        starts.append(c if n <= 1.0 else c / n)
-    starts.append(np.zeros(problem.dim, dtype=np.complex128))
-    for e in np.eye(problem.dim, dtype=np.complex128):
-        starts.append(e / max(1.0, problem.norm(e)))
-    idx = 0
-    while len(starts) < n_starts and idx < 50 * n_starts:
-        rng = np.random.default_rng(list(rng_key) + [idx])
-        g = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
-        n = problem.norm(g)
-        if n > 1e-12:
-            starts.append(g * (rng.uniform(0.0, 1.0) / n))
-        idx += 1
+    dim = problem.dim
+    extra = np.asarray(extra, dtype=np.complex128).reshape(-1, dim)
+    eye = np.eye(dim, dtype=np.complex128)
+    norms = problem.norm(np.concatenate([extra, eye]))
+    starts = [c if n <= 1.0 else c / n for c, n in zip(extra, norms)]
+    starts.append(np.zeros(dim, dtype=np.complex128))
+    starts += [e / max(1.0, n) for e, n in zip(eye, norms[len(extra):])]
+    for g, n, rng in _draws(problem, n_starts - len(starts), n_starts, rng_key):
+        starts.append(g * (rng.uniform(0.0, 1.0) / n))
     return starts[:max(n_starts, len(extra) + 1)]
 
 
 def _sphere_starts(problem, n_starts: int, extra, rng_key) -> list:
-    starts = []
-    for e in np.eye(problem.dim, dtype=np.complex128):
-        n = problem.norm(e)
-        if n > 1e-12:
-            starts.append(e / n)
-    for c in extra:
-        c = np.asarray(c, dtype=np.complex128)
-        n = problem.norm(c)
-        if n > 1e-12:
-            starts.append(c / n)
-    idx = 0
-    # cap rejection sampling so a degenerate norm cannot spin forever
-    while len(starts) < n_starts and idx < 50 * n_starts:
-        rng = np.random.default_rng(list(rng_key) + [idx])
-        g = rng.standard_normal(problem.dim) + 1j * rng.standard_normal(problem.dim)
-        n = problem.norm(g)
-        if n > 1e-12:
-            starts.append(g / n)
-        idx += 1
+    dim = problem.dim
+    fixed = np.concatenate([np.eye(dim, dtype=np.complex128),
+                            np.asarray(extra, dtype=np.complex128).reshape(-1, dim)])
+    starts = [c / n for c, n in zip(fixed, problem.norm(fixed)) if n > 1e-12]
+    starts += [g / n for g, n, _ in _draws(problem, n_starts - len(starts),
+                                           n_starts, rng_key)]
     # never truncated: the basis and every warm start run even past n_starts
     return starts
 
 
-def _run_start(problem, config, c0, sign, target, stop_at_target):
-    """One projected subgradient run. sign=+1 minimizes, sign=-1 maximizes.
+def _draws(problem, want: int, n_starts: int, rng_key) -> list:
+    """(g, norm of g, its generator) for the first `want` gaussian draws of
+    nonzero norm. Draw idx comes from the generator seeded by rng_key +
+    [idx]; at most 50 n_starts draws are tried, so a degenerate norm cannot
+    spin forever."""
+    out, idx = [], 0
+    while len(out) < want and idx < 50 * n_starts:
+        rngs = [np.random.default_rng(list(rng_key) + [i])
+                for i in range(idx, min(idx + want - len(out), 50 * n_starts))]
+        gs = np.array([r.standard_normal(problem.dim)
+                       + 1j * r.standard_normal(problem.dim) for r in rngs])
+        out += [(g, n, r) for g, n, r in zip(gs, problem.norm(gs), rngs)
+                if n > 1e-12]
+        idx += len(rngs)
+    return out
 
-    Returns (best_value, best_c, iterations, reason), reason one of
-    STOP_REASONS. The adaptive level starts a fixed fraction below the
-    incumbent and halves its distance whenever a stall window passes
-    without improvement; the run ends when the level collapses, the
-    iteration budget runs out, the target is reached or the subgradient
-    vanishes. With stop_at_target the level is max(best - delta, target):
-    the target is a lower bound on the objective (Polyak's known optimal
-    value), so a level below it would only lengthen the step.
+
+class _Run:
+    """State of one projected subgradient run; sign=+1 minimizes, sign=-1
+    maximizes.
+
+    The adaptive level starts a fixed fraction below the incumbent and
+    halves its distance whenever a stall window passes without improvement;
+    the run ends when the level collapses, the iteration budget runs out,
+    the target is reached or the subgradient vanishes. With stop_at_target
+    the level is max(best - delta, target): the target is a lower bound on
+    the objective (Polyak's known optimal value), so a level below it would
+    only lengthen the step.
     """
-    def at_target(v):
-        return stop_at_target and sign * (v - target) <= config.eps_stop
 
-    c = np.asarray(c0, dtype=np.complex128).copy()
-    f = problem.value(c)
-    _check_finite(f, c)
-    best_f, best_c = f, c.copy()
-    scale = max(abs(f - target), 1.0)
-    s0 = config.step_scale * scale
-    delta = max(0.25 * abs(f - target), 100.0 * config.eps_stop)
-    floor = 1e-12 * scale
-    since_improve = 0
-    it = 0
-    while it < config.max_iters:
-        it += 1
-        if at_target(best_f):
-            return best_f, best_c, it, "target"
-        f, g = problem.value_and_grad(c)
-        _check_finite(f, c)
-        if sign * (f - best_f) < -config.stat_tol:
-            best_f, best_c = f, c.copy()
-            since_improve = 0
+    def __init__(self, config, c, f, sign, target, stop_at_target):
+        self.config, self.sign = config, sign
+        self.target, self.stop_at_target = target, stop_at_target
+        self.c, self.best_c, self.best_f = c, c.copy(), f
+        scale = max(abs(f - target), 1.0)
+        self.s0 = config.step_scale * scale
+        self.delta = max(0.25 * abs(f - target), 100.0 * config.eps_stop)
+        self.floor = 1e-12 * scale
+        self.since_improve = 0
+        self.iterations = 0
+        self.why = None              # the stop reason, one of STOP_REASONS
+
+    def at_target(self, v: float) -> bool:
+        return self.stop_at_target and \
+            self.sign * (v - self.target) <= self.config.eps_stop
+
+    def _stop(self, why: str) -> None:
+        self.why = why
+
+    def step(self, f: float, g: np.ndarray):
+        """Take one iteration from the value and gradient at self.c: the
+        stepped point before retraction, or None when the run stops."""
+        sign, config = self.sign, self.config
+        if sign * (f - self.best_f) < -config.stat_tol:
+            self.best_f, self.best_c = f, self.c.copy()
+            self.since_improve = 0
         else:
-            since_improve += 1
-        if since_improve >= config.stall_window:
+            self.since_improve += 1
+        if self.since_improve >= config.stall_window:
             # a maximize run pinned at numerical zero has nothing to climb
-            if sign < 0 and best_f <= 1e-8:
-                return best_f, best_c, it, "pinned_zero"
-            delta *= 0.5
-            since_improve = 0
-            if delta < floor:
-                return best_f, best_c, it, "level_collapse"
+            if sign < 0 and self.best_f <= 1e-8:
+                return self._stop("pinned_zero")
+            self.delta *= 0.5
+            self.since_improve = 0
+            if self.delta < self.floor:
+                return self._stop("level_collapse")
         gnorm = float(np.linalg.norm(g))
         if gnorm < 1e-14:
             # an objective flat at its target (a hinge inside its feasible
             # set) has a zero gradient there: that is a target hit
-            if at_target(f):
-                return best_f, best_c, it, "target"
-            return best_f, best_c, it, "zero_subgradient"
-        level = best_f - sign * delta
-        if stop_at_target:
-            level = max(level, target)
+            return self._stop("target" if self.at_target(f) else
+                              "zero_subgradient")
+        level = self.best_f - sign * self.delta
+        if self.stop_at_target:
+            level = max(level, self.target)
         len_polyak = max(sign * (f - level), 0.0) / gnorm
-        len_decay = s0 / np.sqrt(it)
+        len_decay = self.s0 / math.sqrt(self.iterations)
         step = min(len_polyak, len_decay)
         if step <= 0.0:
             step = len_decay
-        c = c - sign * step * (g / gnorm)
-        n = problem.norm(c)
-        if sign > 0:
-            if n > 1.0:
-                c = c / n
+        return self.c - sign * step * (g / gnorm)
+
+    def retract(self, c: np.ndarray, n: float) -> None:
+        """Move to the stepped point c of norm n, pulled back into the ball
+        (minimize) or onto the sphere (maximize)."""
+        if self.sign > 0:
+            self.c = c / n if n > 1.0 else c
         else:
-            if n < 1e-12:
-                c = best_c.copy()
-            else:
-                c = c / n
-    f = problem.value(c)
-    _check_finite(f, c)
-    if sign * (f - best_f) < 0:
-        best_f, best_c = f, c.copy()
-    return best_f, best_c, it, "target" if at_target(best_f) else "budget"
+            self.c = self.best_c.copy() if n < 1e-12 else c / n
+
+    def finish(self, f: float) -> None:
+        """End at the iteration budget with the value at the last iterate."""
+        if self.sign * (f - self.best_f) < 0:
+            self.best_f, self.best_c = f, self.c.copy()
+        self.why = "target" if self.at_target(self.best_f) else "budget"
 
 
-def _reduce(problem, config, starts, sign, target, stop_at_target):
+def _run_stack(problem, config, starts, sign, target, stop_at_target) -> list:
+    """Projected subgradient runs from a stack of starts, in lockstep.
+
+    Every iteration makes one problem.value_and_grad call on the runs still
+    going and one problem.norm call on the runs that stepped; each run
+    follows the rules of `_Run` on its own, so a start ends bitwise the
+    same alone and in any stack. Returns one `_Run` per start.
+    """
+    c = np.array(starts, dtype=np.complex128)
+    runs = [_Run(config, ck, fk, sign, target, stop_at_target)
+            for ck, fk in zip(c, _values(problem.value(c), c))]
+    live = runs
+    for it in range(1, config.max_iters + 1):
+        for r in live:
+            r.iterations = it
+            if r.at_target(r.best_f):
+                r.why = "target"
+        going = [r for r in live if r.why is None]
+        if not going:
+            return runs
+        c = _stack([r.c for r in going])
+        f, g = problem.value_and_grad(c)
+        live, steps = [], []
+        for r, fk, gk in zip(going, _values(f, c), g):
+            ck = r.step(fk, gk)
+            if ck is not None:
+                live.append(r)
+                steps.append(ck)
+        if not live:
+            return runs
+        c = _stack(steps)
+        for r, ck, n in zip(live, c, problem.norm(c).tolist()):
+            r.retract(ck, n)
+    c = _stack([r.c for r in live])
+    for r, fk in zip(live, _values(problem.value(c), c)):
+        r.finish(fk)
+    return runs
+
+
+def _stack(rows: list) -> np.ndarray:
+    # a single row needs a view, not the copy np.array makes
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+
+def _reduce(runs, sign) -> SolveResult:
+    """One SolveResult from the runs of a sweep, taken in start order."""
     best = None
     total_iters = 0
     stops = dict.fromkeys(STOP_REASONS, 0)
     settled = False
-    for i, c0 in enumerate(starts):
-        f, c, it, why = _run_start(
-            problem, config, c0, sign, target, stop_at_target)
-        total_iters += it
+    for i, r in enumerate(runs):
+        f, why = r.best_f, r.why
+        total_iters += r.iterations
         stops[why] += 1
         # a target hit, or a zero subgradient of a convex minimization,
         # settles the minimum: the remaining starts cannot go lower
         settled = why == "target" or (sign > 0 and why == "zero_subgradient")
         if best is None or sign * (f - best[0]) < 0 or \
                 (settled and sign * (f - best[0]) <= 0):
-            best = (f, c, i, why)
+            best = (f, r.best_c, i, why)
         if settled:
             break
     f, c, i, why = best
@@ -271,7 +335,11 @@ def minimize_over_ball(problem, config: SolverConfig | None = None, *,
     n = starts if starts is not None else config.starts
     key = [config.root_seed, *seed_salt, 1]
     cands = _ball_starts(problem, n, extra_starts, key)
-    return _reduce(problem, config, cands, +1, target, stop_at_target)
+    # one start at a time: the sweep ends at its first settled run
+    runs = (r for c in cands
+            for r in _run_stack(problem, config, [c], +1, target,
+                                stop_at_target))
+    return _reduce(runs, +1)
 
 
 def maximize_over_sphere(problem, config: SolverConfig | None = None, *,
@@ -289,5 +357,6 @@ def maximize_over_sphere(problem, config: SolverConfig | None = None, *,
     cands = _sphere_starts(problem, n, extra_starts, key)
     if not cands:
         raise InvalidInputError("no feasible start on the unit sphere")
-    return _reduce(problem, config, cands, -1, 0.0, False)
+    # every start runs: one stack, stepped in lockstep
+    return _reduce(_run_stack(problem, config, cands, -1, 0.0, False), -1)
 

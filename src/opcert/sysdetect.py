@@ -98,7 +98,14 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
                            config: SolverConfig | None = None,
                            closure=None, samples: int = 3,
                            certify_levels: int = 2) -> CertificateReport:
-    """Partner-based operator system detection over basis and sampled elements."""
+    """Partner-based operator system detection over basis and sampled elements.
+
+    The elements are searched in order, and the search ends at the first
+    partner certified at a residual of at least fail_tol: that element
+    alone decides a certified FAIL and its margin, so ``residuals`` in the
+    diagnostics lists only the elements searched. Otherwise the worst
+    residual over all elements decides.
+    """
     config = config or SolverConfig()
     uc = space.unit_coeffs(u)
     unit_cert = certify_unitary(space, uc, max_level=certify_levels, config=config)
@@ -115,8 +122,15 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
         n = space.norm(g)
         if n > 1e-12:
             elements.append(g / n)
-    partners = [find_partner(space, uc, xc, config=config) for xc in elements]
-    worst = max(partners, key=lambda r: r.residual)
+    partners = []
+    for xc in elements:
+        partners.append(find_partner(space, uc, xc, config=config))
+        worst = partners[-1]
+        # a certified minimum at or above fail_tol settles a FAIL
+        if worst.diagnostics["certified_min"] and worst.residual >= config.fail_tol:
+            break
+    else:
+        worst = max(partners, key=lambda r: r.residual)
     # the attained residual bounds the best partner from above; it bounds
     # it from below only when its search converged
     res = worst.residual

@@ -296,3 +296,15 @@ def test_entry_point_runs_in_subprocess():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == NAMES
+
+
+def test_point_backed_recovery_reports_ambient_error(tmp_path):
+    # circle-1zzbar's ternary closure is not stable; the distance to
+    # u x* u comes from the blocks
+    report = tmp_path / "report.json"
+    code = main(["recover", "involution",
+                 "--space", write_catalog_file(tmp_path, "circle-1zzbar"),
+                 "--x", "[0, 0.8, 0]", "--t", "10", "--out", str(report)])
+    assert code == 0
+    extra = json.loads(report.read_text())["extra"]
+    assert 0.0 <= extra["ambient_error"] <= extra["bound"]

@@ -265,3 +265,19 @@ def test_real_kernel_rows_annihilate():
     for row in k:
         npt.assert_allclose(row @ cols, 0.0, atol=1e-10)
     npt.assert_allclose(k @ k.T, np.eye(k.shape[0]), atol=1e-10)
+
+
+def test_real_kernel_of_a_tall_input_matches_the_full_svd():
+    # 40 complex constraints on 6 real parameters, two of them dependent:
+    # the thin SVD already holds every right singular vector
+    rng = np.random.default_rng(19)
+    cols = rng.standard_normal((6, 40)) + 1j * rng.standard_normal((6, 40))
+    cols[4] = cols[0] - 2.0 * cols[1]
+    cols[5] = 3.0 * cols[2]
+    k = real_kernel(cols)
+    stacked = np.vstack([np.real(cols.T), np.imag(cols.T)])
+    _, s, vt = np.linalg.svd(stacked, full_matrices=True)
+    want = vt[int(np.sum(s > 1e-9 * s[0])):]
+    assert k.shape == want.shape == (2, 6)
+    npt.assert_allclose(k.T @ k, want.T @ want, atol=1e-12)
+    npt.assert_allclose(k @ stacked.T, 0.0, atol=1e-10)

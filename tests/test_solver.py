@@ -5,9 +5,10 @@ import pytest
 from opcert.blocks import SlotProblem, grid_value_and_grad, t_frames
 from opcert.certify import _DefectProblem
 from opcert.errors import InvalidInputError, SolverError
-from opcert.funcspace import catalog_entry
+from opcert.funcspace import catalog_entry, catalog_space
 from opcert.opspace import make_space
-from opcert.solver import SolverConfig, maximize_over_sphere, minimize_over_ball
+from opcert.solver import (SolverConfig, _run_stack, _sphere_starts,
+                           maximize_over_sphere, minimize_over_ball)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 E21 = np.array([[0, 0], [1, 0]], dtype=np.complex128)
@@ -41,10 +42,10 @@ class _Quadratic:
         self.dim = self.a.shape[0]
 
     def norm(self, c):
-        return float(np.linalg.norm(c))
+        return np.linalg.norm(c, axis=-1)
 
     def value(self, c):
-        return float(np.linalg.norm(c - self.a) ** 2)
+        return np.linalg.norm(c - self.a, axis=-1) ** 2
 
     def value_and_grad(self, c):
         return self.value(c), 2.0 * (c - self.a)
@@ -56,14 +57,14 @@ class _Linear:
     dim = 3
 
     def norm(self, c):
-        return float(np.linalg.norm(c))
+        return np.linalg.norm(c, axis=-1)
 
     def value(self, c):
-        return float(np.real(c[0]))
+        return np.real(c[..., 0])
 
     def value_and_grad(self, c):
-        g = np.zeros(self.dim, dtype=np.complex128)
-        g[0] = 1.0
+        g = np.zeros(np.shape(c), dtype=np.complex128)
+        g[..., 0] = 1.0
         return self.value(c), g
 
 
@@ -71,13 +72,13 @@ class _NonFinite:
     dim = 1
 
     def norm(self, c):
-        return float(np.abs(c[0]))
+        return np.abs(c[..., 0])
 
     def value(self, c):
-        return float("nan")
+        return np.full(np.shape(c)[:-1], np.nan)
 
     def value_and_grad(self, c):
-        return float("nan"), np.zeros(1, dtype=np.complex128)
+        return self.value(c), np.zeros(np.shape(c), dtype=np.complex128)
 
 
 def test_config_validation():
@@ -127,7 +128,7 @@ def test_maximize_linear_functional():
 def test_maximize_requires_feasible_start():
     class Degenerate(_Linear):
         def norm(self, c):
-            return 0.0
+            return np.zeros(np.shape(c)[:-1])
 
     with pytest.raises(InvalidInputError):
         maximize_over_sphere(Degenerate(), SolverConfig())
@@ -346,17 +347,17 @@ class _Hinge:
     r = 0.1
 
     def norm(self, c):
-        return float(np.linalg.norm(c))
+        return np.linalg.norm(c, axis=-1)
 
     def value(self, c):
-        return max(float(np.linalg.norm(c - self.a)) - self.r, 0.0)
+        return np.maximum(np.linalg.norm(c - self.a, axis=-1) - self.r, 0.0)
 
     def value_and_grad(self, c):
         d = c - self.a
-        n = float(np.linalg.norm(d))
-        if n <= self.r:
-            return 0.0, np.zeros(self.dim, dtype=np.complex128)
-        return n - self.r, d / n
+        n = np.linalg.norm(d, axis=-1, keepdims=True)
+        inside = n <= self.r
+        grad = np.where(inside, 0.0, d / np.where(inside, 1.0, n))
+        return np.where(inside[..., 0], 0.0, n[..., 0] - self.r), grad
 
 
 def test_landing_inside_a_flat_minimum_is_a_target_hit():
@@ -379,3 +380,52 @@ def test_budget_runs_are_counted_and_not_certified():
     assert not res.converged and not res.certified_min
     # a maximization never certifies its value, whatever stopped it
     assert not maximize_over_sphere(_Linear(), SolverConfig()).certified_min
+
+
+@pytest.mark.parametrize("name, u, level", [
+    ("m2-full", [1, 0, 0, -0.5], 2),          # u = diag(1, 1/2)
+    ("circle-1zzbar", [0.5, 0.5, 0], 1),      # u = (1 + z)/2
+])
+def test_a_stack_of_starts_runs_each_start_as_alone(name, u, level):
+    # a unit that is not unitary: runs stop on a zero subgradient, a
+    # collapsed level or the budget, at different iterations
+    space = catalog_space(name)
+    problem = _DefectProblem(space, np.array(u, dtype=np.complex128), level,
+                             "row")
+    config = SolverConfig(max_iters=200, stall_window=3)
+    starts = _sphere_starts(problem, 24, (), [7, level])
+    stacked = _run_stack(problem, config, starts, -1, 0.0, False)
+    assert len({r.why for r in stacked}) >= 2
+    assert len({r.iterations for r in stacked}) >= 3
+    for c0, run in zip(starts, stacked):
+        (alone,) = _run_stack(problem, config, [c0], -1, 0.0, False)
+        assert alone.best_f == run.best_f
+        npt.assert_array_equal(alone.best_c, run.best_c)
+        assert (alone.iterations, alone.why) == (run.iterations, run.why)
+
+
+class _Counted:
+    """A problem that counts its calls and the rows they carry."""
+
+    def __init__(self, problem):
+        self.problem, self.dim = problem, problem.dim
+        self.calls = {"value": [], "value_and_grad": [], "norm": []}
+
+    def __getattr__(self, name):
+        def call(c):
+            self.calls[name].append(len(c))
+            return getattr(self.problem, name)(c)
+        return call
+
+
+def test_a_sphere_sweep_steps_its_starts_as_one_stack():
+    # every start of a unitary's defect stops at iteration 1 on a zero
+    # subgradient: the whole sweep is one gradient call over all starts
+    space = m2_full()
+    problem = _Counted(_DefectProblem(space, space.unit_coeffs(), 1, "row"))
+    res = maximize_over_sphere(problem, SolverConfig())
+    assert res.stops["zero_subgradient"] == 32 == res.iterations
+    assert problem.calls["value_and_grad"] == [32]
+    assert problem.calls["value"] == [32]
+    # the start norms: the basis, then the random draws
+    assert problem.calls["norm"] == [4, 28]

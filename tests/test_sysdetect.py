@@ -173,3 +173,14 @@ def test_zero_subgradient_ends_the_partner_sweep():
     assert r.diagnostics["certified_min"]
     assert r.diagnostics["stops"]["zero_subgradient"] == 1
     assert sum(r.diagnostics["stops"].values()) == 1
+
+
+def test_certified_fail_ends_the_element_loop():
+    # E12 is certified at 0.488 in one iteration; the sampled elements
+    # after it, whose uncertified residuals are 0.16-0.41, are not searched
+    rep = detect_operator_system(catalog_space("m2-upper"))
+    assert rep.verdict == "fail"
+    assert rep.diagnostics["worst_residual"] == 0.48828482444627497
+    assert rep.margin == SolverConfig().cert_tol - 0.48828482444627497
+    assert len(rep.diagnostics["residuals"]) == 2
+    np.testing.assert_array_equal(rep.witness["x_coeffs"], [0, 1.0])
