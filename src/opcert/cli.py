@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .order import Cone, norm_order_unit_check
 from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
 from .serialize import SpaceFile, dumps_report, loads_coeffs
 from .solver import SolverConfig
-from .sysdetect import detect_operator_system, recover_involution
+from .sysdetect import RECOVERY_T, detect_operator_system, recover_involution
 
 EXIT_BY_VERDICT = {PASS: 0, FAIL: 1, INCONCLUSIVE: 2}
 EXIT_INPUT_ERROR = 3
@@ -58,19 +57,19 @@ def _load_space_file(path: str) -> SpaceFile:
 
 
 def _solver_config(args, sf: SpaceFile) -> SolverConfig:
-    config = SolverConfig()
     overrides = dict(sf.solver or {})
     if getattr(args, "t_grid", None):
-        overrides["t_grid"] = tuple(
-            float(v) for v in args.t_grid.split(","))
+        overrides["t_grid"] = args.t_grid.split(",")
     known = {f for f in SolverConfig.__dataclass_fields__}
     bad = set(overrides) - known
     if bad:
         raise InvalidInputError(f"unknown solver overrides: {sorted(bad)}")
     if "t_grid" in overrides:
-        overrides["t_grid"] = tuple(float(v) for v in overrides["t_grid"])
-    config = replace(config, **overrides)
-    config = replace(config, root_seed=args.seed)
+        try:
+            overrides["t_grid"] = tuple(float(v) for v in overrides["t_grid"])
+        except (TypeError, ValueError):
+            raise InvalidInputError("t_grid must be a list of numbers") from None
+    config = SolverConfig(**overrides | {"root_seed": args.seed})
     config.validate()
     return config
 
@@ -135,7 +134,7 @@ def cmd_check(args) -> int:
             raise InvalidInputError(f"check {kind} requires --element")
         xc = space.as_coeffs(loads_coeffs(args.element, "--element"))
         rep = _wrap_hermitian(space, uc, xc, config) if kind == "hermitian" \
-            else is_u_positive(space, uc, xc)
+            else is_u_positive(space, uc, xc, t_grid=config.t_grid)
     elif kind == "unitary":
         rep = certify_unitary(space, uc, max_level=args.level, config=config)
     elif kind == "isometry":
@@ -259,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     recover.add_argument("--x", default=None)
     recover.add_argument("--v", default=None)
     recover.add_argument("--y", default=None)
-    recover.add_argument("--t", type=float, default=100.0)
+    recover.add_argument("--t", type=float, default=RECOVERY_T)
     recover.add_argument("--seed", type=int, default=None)
     recover.add_argument("--out", default=None)
     recover.set_defaults(func=cmd_recover)

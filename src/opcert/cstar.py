@@ -30,9 +30,12 @@ from .matcore import EIG_CLAMP, adjoint, block_diag, psd_sqrt, row_span
 from .opspace import ConcreteOpSpace, Element
 from .report import FAIL, PASS, CertificateReport
 from .solver import SolverConfig, minimize_over_ball
-from .sysdetect import detect_operator_system, find_partner, involution_error_bound
+from .sysdetect import (RECOVERY_T, SLOT_STARTS, detect_operator_system,
+                        find_partner, involution_error_bound)
 
 DEDUPE_TOL = 1e-6
+# the t of the product table's searches: its bound 1/t + 1/t^2 is ~1e-5
+TABLE_T = 1e5
 
 
 @dataclass
@@ -76,8 +79,7 @@ def _solve_product(space, uc, vc, given, slot, t, config, closure,
         # still evaluated from scratch, so this cannot fake feasibility
         extras.append(-proj)
     # the excess of the block norm over the target, minimized to 0
-    res = minimize_over_ball(problem, config, target=0.0,
-                             stop_at_target=True, starts=6,
+    res = minimize_over_ball(problem, config, target=0.0, starts=SLOT_STARTS,
                              extra_starts=extras, seed_salt=(31, slot[0]))
     escaped = res.value >= config.fail_tol
     if closure is not None and closure.envelope_exact:
@@ -93,7 +95,7 @@ def _solve_product(space, uc, vc, given, slot, t, config, closure,
                      "stops": res.stops, "certified_min": res.certified_min})
 
 
-def recover_product(space: ConcreteOpSpace, u, v, y, t: float = 100.0,
+def recover_product(space: ConcreteOpSpace, u, v, y, t: float = RECOVERY_T,
                     config: SolverConfig | None = None,
                     closure=None, warm_start: bool = False) -> RecoveredProduct:
     """Candidate for v adjoint(y) u recovered from the block norm alone.
@@ -111,7 +113,8 @@ def recover_product(space: ConcreteOpSpace, u, v, y, t: float = 100.0,
                           warm_start=warm_start)
 
 
-def recover_product_left(space: ConcreteOpSpace, u, v, z, t: float = 100.0,
+def recover_product_left(space: ConcreteOpSpace, u, v, z,
+                         t: float = RECOVERY_T,
                          config: SolverConfig | None = None,
                          closure=None, warm_start: bool = False) -> RecoveredProduct:
     """Left-variant recovery: the y with z = -(v adjoint(y) u), i.e. a
@@ -192,10 +195,10 @@ def collect_unitaries(space: ConcreteOpSpace, u, closure) -> np.ndarray:
 
 def unitary_span_check(space: ConcreteOpSpace, u=None,
                        closure=None) -> CertificateReport:
-    """Do the collected unitaries (with i-multiples) span the space?"""
+    """Do the collected unitaries span the space?"""
     uc = space.unit_coeffs(u)
     unitaries = collect_unitaries(space, uc, closure)
-    rank = row_span(np.vstack([unitaries, 1j * unitaries])).shape[0]
+    rank = row_span(unitaries).shape[0]
     ok = rank == space.dim
     return CertificateReport(
         name="unitary-span", verdict=PASS if ok else FAIL,
@@ -268,8 +271,7 @@ def _assemble_table(space, uc, unitaries, t_table, config, closure):
 
 
 def detect_cstar(space: ConcreteOpSpace, u=None,
-                 config: SolverConfig | None = None, closure=None,
-                 t: float = 100.0, table_t: float = 1e5):
+                 config: SolverConfig | None = None, closure=None):
     """Full C*-structure detection; returns (report, table-or-None).
 
     Stages: operator-system detection, the unitary spanning check, then
@@ -277,8 +279,8 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
     basis element e. With an envelope-exact closure that stage is the
     ambient membership check (``escape_gap`` and ``worst_escape_gap`` are
     relative membership residuals) and runs no search; without one, each
-    product is recovered at ``t`` and its excess over the target is the
-    gap. A PASS ends with the product table at ``table_t``.
+    product is recovered at RECOVERY_T and its excess over the target is
+    the gap. A PASS ends with the product table at TABLE_T.
     """
     config = config or SolverConfig()
     uc = space.unit_coeffs(u)
@@ -307,7 +309,7 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
                     _ambient_product(space, uc, unitaries[ki], e, (1, 0)))
                 escaped = not member
             else:
-                rp = recover_product(space, uc, unitaries[ki], e, t=t,
+                rp = recover_product(space, uc, unitaries[ki], e,
                                      config=config, closure=closure,
                                      warm_start=True)
                 gap, escaped = rp.achieved - rp.target, rp.escaped
@@ -320,7 +322,7 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
                              "unitary_index": ki, "basis_index": j},
                     diagnostics=diag), None
     diag["worst_escape_gap"] = worst_escape
-    table = _assemble_table(space, uc, unitaries, table_t, config, closure)
+    table = _assemble_table(space, uc, unitaries, TABLE_T, config, closure)
     diag["table_bound"] = float(table.residual_bounds.max())
     unit_err = 0.0
     for e in np.eye(d, dtype=np.complex128):

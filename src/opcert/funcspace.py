@@ -16,7 +16,7 @@ default to 10/m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,6 +28,7 @@ from .opspace import ConcreteOpSpace, make_space, space_from_points
 from .report import FAIL, PASS, CertificateReport
 
 UNIMODULAR_TOL = 1e-9
+CONJUGATION_TOL = 1e-8
 
 
 def _point_backed(space) -> ConcreteOpSpace:
@@ -103,8 +104,7 @@ class GHermitianResult:
     is_function_system: bool
 
 
-def g_hermitian_solve(space: ConcreteOpSpace, g=None,
-                      tol: float = 1e-9) -> GHermitianResult:
+def g_hermitian_solve(space: ConcreteOpSpace, g=None) -> GHermitianResult:
     """Exact pointwise solve for {x : conj(g) x is real at every point}.
 
     Requires |g| = 1 pointwise; for unimodular g the hermitian condition
@@ -115,19 +115,19 @@ def g_hermitian_solve(space: ConcreteOpSpace, g=None,
     _point_backed(space)
     gc = space.unit_coeffs(g)
     gv = space.point_values(gc)
-    if np.max(np.abs(np.abs(gv) - 1.0)) > tol:
+    if np.max(np.abs(np.abs(gv) - 1.0)) > UNIMODULAR_TOL:
         raise PreconditionError("g is not unimodular on the sample points")
     d = space.dim
     kern = real_kernel(_ambient_columns(space, gc))
     herms = kern[:, :d] + 1j * kern[:, d:]
-    cdim = row_span(np.vstack([herms, 1j * herms])).shape[0]
+    cdim = row_span(herms).shape[0]
     return GHermitianResult(real_basis=herms, real_dim=herms.shape[0],
                             complex_dim=cdim,
                             is_function_system=cdim == d)
 
 
-def selfadjoint_unit_check(space: ConcreteOpSpace, v=None,
-                           tol: float = 1e-8) -> CertificateReport:
+def selfadjoint_unit_check(space: ConcreteOpSpace,
+                           v=None) -> CertificateReport:
     """For conjugation-closed spaces: is v a unit making x -> v conj(x) v
     the usual conjugation, with the v-hermitians spanning?
 
@@ -150,10 +150,10 @@ def selfadjoint_unit_check(space: ConcreteOpSpace, v=None,
     for x in values:
         dev = np.max(np.abs(vv * np.conj(x) * vv - np.conj(x)))
         worst = max(worst, float(dev) / max(1.0, float(np.max(np.abs(x)))))
-    ok = ghs.is_function_system and worst <= tol
+    ok = ghs.is_function_system and worst <= CONJUGATION_TOL
     return CertificateReport(
         name="selfadjoint-unit", verdict=PASS if ok else FAIL,
-        margin=tol - worst if ghs.is_function_system else -1.0,
+        margin=CONJUGATION_TOL - worst if ghs.is_function_system else -1.0,
         witness=None,
         diagnostics={"conjugation_residual": worst,
                      "real_dim": ghs.real_dim,
@@ -165,14 +165,12 @@ def selfadjoint_unit_check(space: ConcreteOpSpace, v=None,
 class CatalogEntry:
     name: str
     kind: str                      # "function" or "matrix"
-    params: dict = field(default_factory=dict)
-    expected: dict = field(default_factory=dict)
     aliases: tuple = ()
     builder: Callable = None
 
     def build(self, points: int | None = None) -> ConcreteOpSpace:
         if points is None:
-            points = self.params.get("points", 360)
+            points = 360
         elif points < 1:
             raise InvalidInputError(f"points must be positive, got {points}")
         if self.kind == "function":
@@ -235,40 +233,13 @@ def _build_m2_sym3() -> ConcreteOpSpace:
 
 
 CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry(
-        name="circle-1zzbar", kind="function",
-        params={"points": 360},
-        expected={"unitary": "pass", "system": "pass", "cstar": "fail"},
-        aliases=("circle-1zz̄",),
-        builder=_build_circle_1zzbar),
-    CatalogEntry(
-        name="circle-1z", kind="function",
-        params={"points": 360},
-        expected={"unitary": "pass", "system": "fail"},
-        aliases=(),
-        builder=_build_circle_1z),
-    CatalogEntry(
-        name="two-circles", kind="function",
-        params={"points": 360, "candidate_units": ("1", "g")},
-        expected={"unitary": "pass", "system": "pass",
-                  "selfadjoint-unit": "pass"},
-        aliases=(),
-        builder=_build_two_circles),
-    CatalogEntry(
-        name="m2-full", kind="matrix",
-        expected={"unitary": "pass", "system": "pass", "cstar": "pass"},
-        aliases=(),
-        builder=_build_m2_full),
-    CatalogEntry(
-        name="m2-upper", kind="matrix",
-        expected={"unitary": "pass", "system": "fail"},
-        aliases=(),
-        builder=_build_m2_upper),
-    CatalogEntry(
-        name="m2-sym3", kind="matrix",
-        expected={"unitary": "pass", "system": "pass", "cstar": "fail"},
-        aliases=(),
-        builder=_build_m2_sym3),
+    CatalogEntry("circle-1zzbar", "function", aliases=("circle-1zz̄",),
+                 builder=_build_circle_1zzbar),
+    CatalogEntry("circle-1z", "function", builder=_build_circle_1z),
+    CatalogEntry("two-circles", "function", builder=_build_two_circles),
+    CatalogEntry("m2-full", "matrix", builder=_build_m2_full),
+    CatalogEntry("m2-upper", "matrix", builder=_build_m2_upper),
+    CatalogEntry("m2-sym3", "matrix", builder=_build_m2_sym3),
 )
 
 

@@ -44,8 +44,8 @@ class HermitianProfile:
     passed: bool
 
 
-def is_u_hermitian(space: ConcreteOpSpace, u, x, t_grid=None,
-                   tol: float = HERMIT_TOL) -> HermitianProfile:
+def is_u_hermitian(space: ConcreteOpSpace, u, x,
+                   t_grid=None) -> HermitianProfile:
     uc = space.unit_coeffs(u)
     xc = space.as_coeffs(x)
     nx = space.norm(xc)
@@ -65,17 +65,17 @@ def is_u_hermitian(space: ConcreteOpSpace, u, x, t_grid=None,
     return HermitianProfile(
         coeffs=xc, element_norm=nx, scaled=scaled, scalar_t=signed,
         scalar_slack=scalar, matricial_t=pos, matricial_slack=matricial,
-        min_slack=min_slack, tol=tol, passed=min_slack >= -tol)
+        min_slack=min_slack, tol=HERMIT_TOL, passed=min_slack >= -HERMIT_TOL)
 
 
-def is_u_positive(space: ConcreteOpSpace, u, x, t_grid=None,
-                  tol: float = HERMIT_TOL) -> CertificateReport:
+def is_u_positive(space: ConcreteOpSpace, u, x,
+                  t_grid=None) -> CertificateReport:
     uc = space.unit_coeffs(u)
     xc = space.as_coeffs(x)
     nx = space.norm(xc)
-    prof = is_u_hermitian(space, uc, xc, t_grid=t_grid, tol=tol)
+    prof = is_u_hermitian(space, uc, xc, t_grid=t_grid)
     shift = space.norm(nx * uc - xc)
-    shift_ok = shift <= nx + tol
+    shift_ok = shift <= nx + HERMIT_TOL
     diag = {"hermitian_min_slack": prof.min_slack, "shift_norm": shift,
             "element_norm": nx}
     if nx <= 1.0 + 1e-12:
@@ -84,11 +84,11 @@ def is_u_positive(space: ConcreteOpSpace, u, x, t_grid=None,
         slack = np.sqrt(grid * grid + 1.0) - space.grid_norm(
             t_frames(space, grid, uc, y, -y))
         diag["ball_criterion_slack"] = slack
-        diag["ball_criterion_pass"] = bool(slack.min() >= -tol)
+        diag["ball_criterion_pass"] = bool(slack.min() >= -HERMIT_TOL)
     ok = prof.passed and shift_ok
     return CertificateReport(
         name="u-positive", verdict=PASS if ok else FAIL,
-        margin=min(prof.min_slack + tol, nx + tol - shift),
+        margin=min(prof.min_slack + HERMIT_TOL, nx + HERMIT_TOL - shift),
         witness=None, diagnostics=diag)
 
 
@@ -115,13 +115,13 @@ def _ambient_columns(space: ConcreteOpSpace, uc: np.ndarray) -> np.ndarray:
     return np.vstack([(m - mh).reshape(d, -1), (1j * (m + mh)).reshape(d, -1)])
 
 
-def delta_span(space: ConcreteOpSpace, u=None, closure=None, t_grid=None,
-               tol: float = HERMIT_TOL) -> DeltaSpan:
+def delta_span(space: ConcreteOpSpace, u=None, closure=None) -> DeltaSpan:
     """Real basis of the u-hermitians in the space and of their complex span.
 
     With an envelope-exact closure certifying u, the hermitians are the
     exact solution set of a real-linear system; otherwise candidate
-    combinations of basis elements are screened through the grid criteria.
+    combinations of basis elements are screened through the grid criteria
+    on the default t grid.
     """
     uc = space.unit_coeffs(u)
     d = space.dim
@@ -141,7 +141,7 @@ def delta_span(space: ConcreteOpSpace, u=None, closure=None, t_grid=None,
     else:
         cands = _candidates(d)
         keep = [c for c in cands
-                if is_u_hermitian(space, uc, c, t_grid=t_grid, tol=tol).passed]
+                if is_u_hermitian(space, uc, c).passed]
         if keep:
             rows = np.stack(keep)
             flat = np.hstack([np.real(rows), np.imag(rows)])
@@ -170,11 +170,11 @@ def _candidates(d: int) -> list:
     return out
 
 
-def operator_system_check(space: ConcreteOpSpace, u=None, closure=None,
-                          t_grid=None, tol: float = HERMIT_TOL) -> CertificateReport:
+def operator_system_check(space: ConcreteOpSpace, u=None,
+                          closure=None) -> CertificateReport:
     """Do the u-hermitians span the whole space?"""
     uc = space.unit_coeffs(u)
-    ds = delta_span(space, uc, closure=closure, t_grid=t_grid, tol=tol)
+    ds = delta_span(space, uc, closure=closure)
     spanning = ds.complex_dim == space.dim
     if spanning:
         verdict = PASS

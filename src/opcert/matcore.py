@@ -159,13 +159,13 @@ def psd_sqrt(m) -> np.ndarray:
     return (v * np.sqrt(w)[..., None, :]) @ adjoint(v)
 
 
-def real_kernel(columns: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def real_kernel(columns: np.ndarray) -> np.ndarray:
     """Real kernel of a complex-valued real-linear map.
 
     columns has shape (N, M): column j is the complex constraint vector
     multiplied by the j-th real parameter. Returns a (k, N) orthonormal real
     basis of the parameter vectors r with sum_j r[j]*columns[j] = 0, using
-    singular values below tol * sigma_max as the rank cut.
+    singular values below RANK_TOL * sigma_max as the rank cut.
     """
     cols = np.asarray(columns, dtype=np.complex128)
     if cols.ndim != 2:
@@ -177,5 +177,5 @@ def real_kernel(columns: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     _, s, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < n)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     return vt[rank:]

@@ -13,7 +13,6 @@ affordable at matrix level 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -212,9 +211,6 @@ class AmplifiedElement:
 
     def norm(self) -> float:
         return self.space.grid_norm(self.coeff_grid)
-
-
-ElementLike = Union[Element, np.ndarray, list, tuple]
 
 
 def make_space(basis, unit=None) -> ConcreteOpSpace:

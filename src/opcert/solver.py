@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -84,16 +85,22 @@ class SolverConfig:
         return self.fail_ratio * self.cert_tol
 
     def validate(self) -> None:
-        # every test is written so that NaN fails it
-        if not (self.starts >= 1 and self.max_iters >= 1):
-            raise InvalidInputError("starts and max_iters must be positive")
+        # every test is written so that NaN fails it, and a value of the
+        # wrong type (from a space file's solver block) fails it too
+        if not all(isinstance(n, Integral) and n >= 1
+                   for n in (self.starts, self.max_iters)):
+            raise InvalidInputError("starts and max_iters must be positive "
+                                    "integers")
         for name in ("step_scale", "stat_tol", "stall_window", "cert_tol",
                      "eps_stop"):
-            if not 0 < getattr(self, name) < math.inf:
+            v = getattr(self, name)
+            if not (isinstance(v, Real) and 0 < v < math.inf):
                 raise InvalidInputError(f"{name} must be positive and finite")
-        if not 1 <= self.fail_ratio < math.inf:
+        if not (isinstance(self.fail_ratio, Real)
+                and 1 <= self.fail_ratio < math.inf):
             raise InvalidInputError("fail_ratio must be finite and at least 1")
-        if not self.t_grid or not all(0 < t < math.inf for t in self.t_grid):
+        if not self.t_grid or not all(isinstance(t, Real) and 0 < t < math.inf
+                                      for t in self.t_grid):
             raise InvalidInputError("t_grid must be positive and finite")
 
 
@@ -173,15 +180,15 @@ class _Run:
     The adaptive level starts a fixed fraction below the incumbent and
     halves its distance whenever a stall window passes without improvement;
     the run ends when the level collapses, the iteration budget runs out,
-    the target is reached or the subgradient vanishes. With stop_at_target
-    the level is max(best - delta, target): the target is a lower bound on
-    the objective (Polyak's known optimal value), so a level below it would
-    only lengthen the step.
+    the target is reached or the subgradient vanishes. A minimize run stops
+    at its target, and its level is max(best - delta, target): the target
+    is a lower bound on the objective (Polyak's known optimal value), so a
+    level below it would only lengthen the step. A maximize run has no
+    target; its `target` of 0 only scales the first step and level.
     """
 
-    def __init__(self, config, c, f, sign, target, stop_at_target):
-        self.config, self.sign = config, sign
-        self.target, self.stop_at_target = target, stop_at_target
+    def __init__(self, config, c, f, sign, target):
+        self.config, self.sign, self.target = config, sign, target
         self.c, self.best_c, self.best_f = c, c.copy(), f
         scale = max(abs(f - target), 1.0)
         self.s0 = config.step_scale * scale
@@ -192,8 +199,7 @@ class _Run:
         self.why = None              # the stop reason, one of STOP_REASONS
 
     def at_target(self, v: float) -> bool:
-        return self.stop_at_target and \
-            self.sign * (v - self.target) <= self.config.eps_stop
+        return self.sign > 0 and v - self.target <= self.config.eps_stop
 
     def _stop(self, why: str) -> None:
         self.why = why
@@ -222,7 +228,7 @@ class _Run:
             return self._stop("target" if self.at_target(f) else
                               "zero_subgradient")
         level = self.best_f - sign * self.delta
-        if self.stop_at_target:
+        if sign > 0:
             level = max(level, self.target)
         len_polyak = max(sign * (f - level), 0.0) / gnorm
         len_decay = self.s0 / math.sqrt(self.iterations)
@@ -246,7 +252,7 @@ class _Run:
         self.why = "target" if self.at_target(self.best_f) else "budget"
 
 
-def _run_stack(problem, config, starts, sign, target, stop_at_target) -> list:
+def _run_stack(problem, config, starts, sign, target) -> list:
     """Projected subgradient runs from a stack of starts, in lockstep.
 
     Every iteration makes one problem.value_and_grad call on the runs still
@@ -255,7 +261,7 @@ def _run_stack(problem, config, starts, sign, target, stop_at_target) -> list:
     same alone and in any stack. Returns one `_Run` per start.
     """
     c = np.array(starts, dtype=np.complex128)
-    runs = [_Run(config, ck, fk, sign, target, stop_at_target)
+    runs = [_Run(config, ck, fk, sign, target)
             for ck, fk in zip(c, _values(problem.value(c), c))]
     live = runs
     for it in range(1, config.max_iters + 1):
@@ -317,16 +323,14 @@ def _reduce(runs, sign) -> SolveResult:
 
 
 def minimize_over_ball(problem, config: SolverConfig | None = None, *,
-                       target: float = 0.0, stop_at_target: bool = True,
-                       starts: int | None = None, extra_starts=(),
-                       seed_salt=()) -> SolveResult:
+                       target: float = 0.0, starts: int | None = None,
+                       extra_starts=(), seed_salt=()) -> SolveResult:
     """Minimize a convex problem.value over {c : problem.norm(c) <= 1}.
 
     The returned value is an upper bound on the true minimum (it is attained
-    by the returned feasible point). With stop_at_target, ``target`` must be
-    a known lower bound on the objective over the ball: the run ends at the
-    first iterate within eps_stop of it, and the Polyak level never drops
-    below it. A run that stops on a zero subgradient has found a global
+    by the returned feasible point). ``target`` must be a known lower bound
+    on the objective over the ball: a run ends at the first iterate within
+    eps_stop of it, and the Polyak level never drops below it. A run that stops on a zero subgradient has found a global
     minimum, which needs the objective to be convex: the sweep ends there,
     and ``certified_min`` marks the value as a lower bound too.
     """
@@ -337,14 +341,12 @@ def minimize_over_ball(problem, config: SolverConfig | None = None, *,
     cands = _ball_starts(problem, n, extra_starts, key)
     # one start at a time: the sweep ends at its first settled run
     runs = (r for c in cands
-            for r in _run_stack(problem, config, [c], +1, target,
-                                stop_at_target))
+            for r in _run_stack(problem, config, [c], +1, target))
     return _reduce(runs, +1)
 
 
 def maximize_over_sphere(problem, config: SolverConfig | None = None, *,
-                         starts: int | None = None, extra_starts=(),
-                         seed_salt=()) -> SolveResult:
+                         extra_starts=(), seed_salt=()) -> SolveResult:
     """Maximize problem.value over {c : problem.norm(c) = 1}.
 
     The returned value is a lower bound on the true supremum. Iterates are
@@ -352,11 +354,10 @@ def maximize_over_sphere(problem, config: SolverConfig | None = None, *,
     """
     config = config or SolverConfig()
     config.validate()
-    n = starts if starts is not None else config.starts
     key = [config.root_seed, *seed_salt, 2]
-    cands = _sphere_starts(problem, n, extra_starts, key)
+    cands = _sphere_starts(problem, config.starts, extra_starts, key)
     if not cands:
         raise InvalidInputError("no feasible start on the unit sphere")
     # every start runs: one stack, stepped in lockstep
-    return _reduce(_run_stack(problem, config, cands, -1, 0.0, False), -1)
+    return _reduce(_run_stack(problem, config, cands, -1, 0.0), -1)
 

@@ -29,7 +29,9 @@ from .opspace import ConcreteOpSpace, Element
 from .report import FAIL, PASS, CertificateReport, verdict_of
 from .solver import SolverConfig, minimize_over_ball
 
-PARTNER_STARTS = 6
+SLOT_STARTS = 6         # starts of a partner or product search
+RECOVERY_T = 100.0      # t of a single-t recovery, error bound 1/t + 1/t^2
+SYSTEM_SAMPLES = 3      # random elements detect_operator_system searches
 
 
 def involution_error_bound(t: float) -> float:
@@ -82,8 +84,8 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
         if adj_member:
             extras.insert(0, -adj_coeffs)
     res = minimize_over_ball(
-        problem, config, target=0.0, stop_at_target=True,
-        starts=starts if starts is not None else PARTNER_STARTS,
+        problem, config, target=0.0,
+        starts=starts if starts is not None else SLOT_STARTS,
         extra_starts=extras, seed_salt=(21,))
     per_t = problem._hinges(problem._grids(res.coeffs))
     return PartnerSearchResult(
@@ -96,9 +98,9 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
 
 def detect_operator_system(space: ConcreteOpSpace, u=None,
                            config: SolverConfig | None = None,
-                           closure=None, samples: int = 3,
-                           certify_levels: int = 2) -> CertificateReport:
-    """Partner-based operator system detection over basis and sampled elements.
+                           closure=None) -> CertificateReport:
+    """Partner-based operator system detection over the basis and
+    SYSTEM_SAMPLES random elements, after a level-2 unit certificate.
 
     The elements are searched in order, and the search ends at the first
     partner certified at a residual of at least fail_tol: that element
@@ -108,7 +110,7 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
     """
     config = config or SolverConfig()
     uc = space.unit_coeffs(u)
-    unit_cert = certify_unitary(space, uc, max_level=certify_levels, config=config)
+    unit_cert = certify_unitary(space, uc, config=config)
     diag = {"unit_verdict": unit_cert.verdict}
     if not unit_cert.passed:
         return CertificateReport(
@@ -117,7 +119,7 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
     elements = [e / max(1.0, space.norm(e))
                 for e in np.eye(space.dim, dtype=np.complex128)]
     rng = np.random.default_rng([config.root_seed, 23])
-    for _ in range(samples):
+    for _ in range(SYSTEM_SAMPLES):
         g = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         n = space.norm(g)
         if n > 1e-12:
@@ -157,7 +159,7 @@ class RecoveredInvolution(Element):
 
 
 def recover_involution(space: ConcreteOpSpace, u=None, x=None,
-                       t_large: float = 100.0,
+                       t_large: float = RECOVERY_T,
                        config: SolverConfig | None = None) -> RecoveredInvolution:
     """The recaptured involution applied to x, as -y for the partner at t_large.
 

@@ -52,22 +52,21 @@ def _span_of(stacks: np.ndarray, w: int, p: int, q: int) -> np.ndarray:
     return row_span(stacks.reshape(-1, w * p * q)).reshape(-1, w, p, q)
 
 
-def generate_tro(space: ConcreteOpSpace, envelope_exact: bool = False,
-                 max_dim: int | None = None) -> TroClosure:
+def generate_tro(space: ConcreteOpSpace,
+                 envelope_exact: bool = False) -> TroClosure:
     """Span closure of the space under products a b* c.
 
     Growth per generation multiplies the current span by the original basis
     in the middle slot, which reaches the same closure as full triples at
-    stability. Growth stops at max_dim dimensions, by default
-    min(w, 24) p q: that runs a space of p x q matrices to stability, and
-    caps a point-backed space at min(points, 24). A truncated closure is
-    flagged unstable.
+    stability. Growth stops at min(w, 24) p q dimensions: that runs a
+    space of p x q matrices to stability, and caps a point-backed space at
+    min(points, 24). A truncated closure is flagged unstable.
     """
     d, w, p, q = space.basis.shape
     gens = space.basis / np.linalg.norm(space.basis.reshape(d, -1),
                                         axis=1).reshape(d, 1, 1, 1)
     basis = _span_of(gens, w, p, q)
-    cap = max_dim if max_dim is not None else min(w, DIAG_MAX_DIM) * p * q
+    cap = min(w, DIAG_MAX_DIM) * p * q
     stable = False
     generations = 0
     while not stable and basis.shape[0] <= cap:

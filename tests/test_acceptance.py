@@ -219,7 +219,7 @@ def test_ac07_t1_alone_looks_satisfiable():
     # is h(1) = phi - sqrt(2) and the full-grid residual is the grid
     # maximum h(32) (the grid_min_hinge of the AC5 margin fixture): the
     # single constraint is no more satisfiable than the whole grid.
-    space = catalog_entry("circle-1z").min_space()
+    space = catalog_entry("circle-1z").build()
     config = SolverConfig()
     rep = t1_insufficiency_probe(space, None, [0, 1.0], config=config)
     t1 = rep.diagnostics["t1_residual"]

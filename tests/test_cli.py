@@ -147,6 +147,36 @@ def test_check_hermitian_with_element_and_grid(tmp_path, capsys):
     assert code == 1
 
 
+def test_check_positive_uses_the_t_grid(tmp_path):
+    space = write_catalog_file(tmp_path, "m2-full")
+    out = tmp_path / "report.json"
+    code = main(["check", "positive", "--space", space, "--element",
+                 "[0.5, 0.25, 0.25, 0]", "--t-grid", "0.5,2",
+                 "--out", str(out)])
+    assert code == 0
+    diag = json.loads(out.read_text())["checks"][0]["diagnostics"]
+    assert len(diag["ball_criterion_slack"]) == 2
+
+
+@pytest.mark.parametrize("argv, solver", [
+    (["--t-grid", "abc"], None),
+    (["--t-grid", "1,,2"], None),
+    ([], {"starts": "abc"}),
+    ([], {"max_iters": 2.5}),
+    ([], {"t_grid": 5}),
+    ([], {"t_grid": ["x"]}),
+], ids=["t-grid-word", "t-grid-empty-entry", "starts-word",
+        "max-iters-fraction", "t-grid-number", "t-grid-word-entry"])
+def test_bad_solver_settings_are_input_errors(tmp_path, capsys, argv, solver):
+    space = tmp_path / "m2-full.json"
+    space.write_text(SpaceFile.from_space(catalog_space("m2-full"),
+                                          solver=solver).dumps())
+    code = main(["check", "unitary", "--space", str(space), "--level", "1"]
+                + argv)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_recover_involution_reports_ambient_error(tmp_path, capsys):
     space = write_catalog_file(tmp_path, "m2-full")
     code = main(["recover", "involution", "--space", space,

@@ -175,7 +175,7 @@ def test_unitary_span_verdicts():
     assert rep.passed
     assert rep.diagnostics["span_dim"] == 3
 
-    circle = catalog_entry("circle-1zzbar").min_space()
+    circle = catalog_entry("circle-1zzbar").build()
     rep = unitary_span_check(circle, closure=catalog_closure("circle-1zzbar"))
     assert rep.verdict == "fail"
     assert rep.diagnostics["span_dim"] == 1
@@ -211,7 +211,7 @@ def test_detect_cstar_flags_product_escape():
 
 
 def test_detect_cstar_flags_missing_unitaries():
-    space = catalog_entry("circle-1zzbar").min_space()
+    space = catalog_entry("circle-1zzbar").build()
     closure = catalog_closure("circle-1zzbar")
     report, table = detect_cstar(space, closure=closure)
     assert report.verdict == "fail"

@@ -195,8 +195,8 @@ def test_function_checks_need_a_point_backed_space():
 
 def test_catalog_spaces_serve_matrix_and_function_checks():
     # one space type: a sampled catalog space goes to the matrix-level
-    # certificate, and a min_space goes to the scalar check
+    # certificate, and a built catalog space goes to the scalar check
     verdicts = (PASS, FAIL, INCONCLUSIVE)
     assert certify_unitary(catalog_space("circle-1z", 12)).verdict in verdicts
-    rep = scalar_unitary_check(catalog_entry("circle-1z").min_space(12))
+    rep = scalar_unitary_check(catalog_entry("circle-1z").build(12))
     assert rep.verdict in verdicts

@@ -126,7 +126,7 @@ def test_corner_compression_preserves_hermiticity():
 def test_stacked_profiles_match_the_per_t_loop():
     rng = np.random.default_rng(41)
     for name in ("m2-full", "circle-1zzbar"):
-        space = catalog_entry(name).min_space(24)
+        space = catalog_entry(name).build(24)
         uc = space.unit_coeffs()
         xc = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         xc = 0.8 * xc / space.norm(xc)

@@ -141,10 +141,8 @@ def test_solver_raises_on_non_finite_objective():
 
 def test_determinism_bitwise():
     a = np.array([0.4, -0.3 + 0.2j, 0.1j, 0.0])
-    r1 = minimize_over_ball(_Quadratic(a), SolverConfig(root_seed=5),
-                            stop_at_target=False)
-    r2 = minimize_over_ball(_Quadratic(a), SolverConfig(root_seed=5),
-                            stop_at_target=False)
+    r1 = minimize_over_ball(_Quadratic(a), SolverConfig(root_seed=5))
+    r2 = minimize_over_ball(_Quadratic(a), SolverConfig(root_seed=5))
     assert r1.value == r2.value
     npt.assert_array_equal(r1.coeffs, r2.coeffs)
     assert r1.best_start == r2.best_start
@@ -231,7 +229,7 @@ def _objectives():
     """The partner, product and defect objectives on a dense and a
     point-backed space."""
     out = []
-    for space in (m2_full(), catalog_entry("circle-1z").min_space(60)):
+    for space in (m2_full(), catalog_entry("circle-1z").build(60)):
         uc = space.unit_coeffs()
         x = np.linspace(0.1, 0.4, space.dim) * (1 + 0.5j)
         x = x / (1.25 * space.norm(x))
@@ -265,7 +263,7 @@ def _convex_objectives():
     on circle-1z at 60 points. On circle-1z with x = z and y = 0 every block
     of every t ties, a kink of both."""
     out = []
-    circle = catalog_entry("circle-1z").min_space(60)
+    circle = catalog_entry("circle-1z").build(60)
     for space in (m2_full(), circle):
         uc = space.unit_coeffs()
         x = np.linspace(0.1, 0.4, space.dim) * (1 + 0.5j)
@@ -314,7 +312,7 @@ def test_gradient_at_the_identity_grid_is_a_subgradient():
 def test_partner_kink_is_flagged_nonsmooth():
     # x = z, y = 0 on circle-1z: the t-blocks [[t, z_k], [0, t]] of all 60
     # points have one norm, so the top block is not unique
-    space = catalog_entry("circle-1z").min_space(60)
+    space = catalog_entry("circle-1z").build(60)
     problem = _partner(space, space.unit_coeffs(), np.array([0, 1.0]),
                               (0.25, 1.0, 32.0))
     grids = problem._grids(np.zeros(2))
@@ -375,7 +373,7 @@ def test_landing_inside_a_flat_minimum_is_a_target_hit():
 def test_budget_runs_are_counted_and_not_certified():
     a = np.array([0.3 + 0.1j, -0.2j, 0.1])
     res = minimize_over_ball(_Quadratic(a), SolverConfig(max_iters=3),
-                             starts=4, stop_at_target=False)
+                             starts=4)
     assert res.stops["budget"] == 4 == sum(res.stops.values())
     assert not res.converged and not res.certified_min
     # a maximization never certifies its value, whatever stopped it
@@ -394,11 +392,11 @@ def test_a_stack_of_starts_runs_each_start_as_alone(name, u, level):
                              "row")
     config = SolverConfig(max_iters=200, stall_window=3)
     starts = _sphere_starts(problem, 24, (), [7, level])
-    stacked = _run_stack(problem, config, starts, -1, 0.0, False)
+    stacked = _run_stack(problem, config, starts, -1, 0.0)
     assert len({r.why for r in stacked}) >= 2
     assert len({r.iterations for r in stacked}) >= 3
     for c0, run in zip(starts, stacked):
-        (alone,) = _run_stack(problem, config, [c0], -1, 0.0, False)
+        (alone,) = _run_stack(problem, config, [c0], -1, 0.0)
         assert alone.best_f == run.best_f
         npt.assert_array_equal(alone.best_c, run.best_c)
         assert (alone.iterations, alone.why) == (run.iterations, run.why)

@@ -108,7 +108,7 @@ def test_recover_involution_reaches_zero_hinge_at_large_t(seed):
 
 
 def test_probe_flags_one_sided_circle():
-    space = catalog_entry("circle-1z").min_space()
+    space = catalog_entry("circle-1z").build()
     rep = t1_insufficiency_probe(space, None, [0, 1.0])
     assert rep.verdict == "fail"
     assert rep.diagnostics["t1_residual"] == pytest.approx(0.2038204264,
@@ -156,7 +156,7 @@ def test_input_validation():
     with pytest.raises(InvalidInputError):
         t1_insufficiency_probe(space, None, [0, 0.5, 0, 0])
     with pytest.raises(PreconditionError):
-        recover_involution(catalog_entry("circle-1z").min_space(), None,
+        recover_involution(catalog_entry("circle-1z").build(), None,
                            [0, 1.0], t_large=100.0)
 
 
