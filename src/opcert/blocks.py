@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import block_norms, top_singular_triple
+from .matcore import adjoint, block_norms, top_singular_triple
 from .opspace import ConcreteOpSpace
 
 GAP_TOL = 1e-8
@@ -70,6 +70,12 @@ def stack_value_and_grad(space: ConcreteOpSpace, stack: np.ndarray,
     t = np.einsum(spec, np.conj(u.reshape(rows, -1, p)), basis,
                   v.reshape(rows, -1, q))
     return sigma, np.conj(t), gap
+
+
+def ambient_product(space: ConcreteOpSpace, a, b, c) -> np.ndarray:
+    """Block stack of the ambient ternary product a adjoint(b) c of three
+    coefficient vectors."""
+    return space.blocks(a) @ adjoint(space.blocks(b)) @ space.blocks(c)
 
 
 def row_with_unit(space: ConcreteOpSpace, u_coeffs: np.ndarray,
@@ -145,10 +151,6 @@ class SlotProblem:
 
     def _hinges(self, grids: np.ndarray) -> np.ndarray:
         return np.maximum(self.space.grid_norm(grids) - self.offsets, 0.0)
-
-    def value(self, c: np.ndarray):
-        """Worst excess of a slot value, or of each row of a (..., d) stack."""
-        return self._hinges(self._grids(c)).max(axis=-1)
 
     def value_and_grad(self, c: np.ndarray):
         """Worst excess and its subgradient in the slot, for a slot value or

@@ -60,14 +60,6 @@ class _DefectProblem:
                 f"[{lo:.6g}, {np.ravel(hi)[k]:.6g}] bracket",
                 iterate=c.reshape(-1, self.dim)[k])
 
-    def value(self, c: np.ndarray):
-        """Defect of an iterate, or of each row of a (..., dim) stack."""
-        x = self._grid(c)
-        nx = self.space.grid_norm(x)
-        bn = self.space.grid_norm(self._build(self.space, self.u, x))
-        self._invariant(nx, bn, c)
-        return 1.0 + nx * nx - bn * bn
-
     def value_and_grad(self, c: np.ndarray):
         """Defect and gradient of an iterate, or of each row of an
         (S, dim) stack."""

@@ -16,13 +16,14 @@ import sys
 import numpy as np
 
 from . import __version__
+from .blocks import ambient_product
 from .certify import certify_coisometry, certify_isometry, certify_unitary
 from .cstar import detect_cstar, recover_product
 from .errors import InvalidInputError, PreconditionError, SolverError
 from .funcspace import (catalog_entry, catalog_names, g_hermitian_solve,
                         scalar_unitary_check)
 from .hermit import is_u_hermitian, is_u_positive
-from .matcore import adjoint, block_norms
+from .matcore import block_norms
 from .order import Cone, norm_order_unit_check
 from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
 from .serialize import SpaceFile, dumps_report, loads_coeffs
@@ -60,7 +61,8 @@ def _solver_config(args, sf: SpaceFile) -> SolverConfig:
     overrides = dict(sf.solver or {})
     if getattr(args, "t_grid", None):
         overrides["t_grid"] = args.t_grid.split(",")
-    known = {f for f in SolverConfig.__dataclass_fields__}
+    # the seed has one source, --seed or OPSPACE_SEED, which the report records
+    known = set(SolverConfig.__dataclass_fields__) - {"root_seed"}
     bad = set(overrides) - known
     if bad:
         raise InvalidInputError(f"unknown solver overrides: {sorted(bad)}")
@@ -170,8 +172,7 @@ def cmd_recover(args) -> int:
         elem = recover_involution(space, uc, xc, t_large=args.t,
                                   config=config)
         # operator-norm distance to u x* u, block by block
-        ub = space.blocks(uc)
-        truth = ub @ adjoint(space.blocks(xc)) @ ub
+        truth = ambient_product(space, uc, xc, uc)
         err = float(np.max(block_norms(space.blocks(elem.coeffs) - truth)))
         extra = {"recovered": elem.coeffs, "bound": elem.bound,
                  "ambient_error": err}

@@ -10,11 +10,12 @@ more flags the product as escaped. Products of arbitrary elements follow
 by writing the left factor over a spanning set of unitaries (collected
 by averaging hermitians into pairs of unitaries) and extending linearly.
 The detection verdict combines operator-system detection, the unitary
-spanning check, and product closure. Unitaries other than the unit come
-only with an envelope-exact closure (`hermitian_to_unitaries` demands
-one), and with it product closure is the ambient membership check of each
-v adjoint(e) u; the product searches then run only for the table, which
-recovers every product intrinsically.
+spanning check, and product closure. Every stage from the unitary span on
+needs an envelope-exact closure: unitaries other than the unit come only
+with one (`hermitian_to_unitaries` demands it), and product closure is
+the ambient membership check of each v adjoint(e) u. There is no
+intrinsic escape search; the product searches run only for the table,
+which recovers every product intrinsically.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import SlotProblem, t_frames
+from .blocks import SlotProblem, ambient_product, t_frames
 from .errors import InvalidInputError, PreconditionError
 from .hermit import delta_span, is_u_hermitian
 from .matcore import EIG_CLAMP, adjoint, block_diag, psd_sqrt, row_span
@@ -50,17 +51,7 @@ class RecoveredProduct:
     diagnostics: dict
 
 
-def _ambient_product(space, uc, vc, given, slot) -> np.ndarray:
-    """Block stack of the product a slot search recovers: v adjoint(given) u
-    for slot (1, 0), u adjoint(given) v for slot (0, 1)."""
-    ub, vb, gb = space.blocks(uc), space.blocks(vc), space.blocks(given)
-    if slot == (1, 0):
-        return vb @ adjoint(gb) @ ub
-    return ub @ adjoint(gb) @ vb
-
-
-def _solve_product(space, uc, vc, given, slot, t, config, closure,
-                   warm_start=False):
+def _solve_product(space, uc, vc, given, slot, t, config, warm_start=False):
     config = config or SolverConfig()
     if not 0 < t < np.inf:
         raise InvalidInputError("t must be positive and finite")
@@ -71,7 +62,10 @@ def _solve_product(space, uc, vc, given, slot, t, config, closure,
     y, z = (given, None) if slot == (1, 0) else (None, given)
     problem = SlotProblem(space, t_frames(space, (t,), uc, y, z, vc), slot,
                           target)
-    truth = _ambient_product(space, uc, vc, given, slot)
+    # the product the search recovers: v adjoint(given) u for slot (1, 0),
+    # u adjoint(given) v for slot (0, 1)
+    truth = ambient_product(space, *((vc, given, uc) if slot == (1, 0)
+                                     else (uc, given, vc)))
     proj, _, member = space.relative_membership(truth)
     extras = []
     if warm_start and member:
@@ -82,8 +76,6 @@ def _solve_product(space, uc, vc, given, slot, t, config, closure,
     res = minimize_over_ball(problem, config, target=0.0, starts=SLOT_STARTS,
                              extra_starts=extras, seed_salt=(31, slot[0]))
     escaped = res.value >= config.fail_tol
-    if closure is not None and closure.envelope_exact:
-        escaped = not member
     return RecoveredProduct(
         element=space.element(-res.coeffs), escaped=bool(escaped),
         achieved=target + res.value, target=target,
@@ -97,7 +89,7 @@ def _solve_product(space, uc, vc, given, slot, t, config, closure,
 
 def recover_product(space: ConcreteOpSpace, u, v, y, t: float = RECOVERY_T,
                     config: SolverConfig | None = None,
-                    closure=None, warm_start: bool = False) -> RecoveredProduct:
+                    warm_start: bool = False) -> RecoveredProduct:
     """Candidate for v adjoint(y) u recovered from the block norm alone.
 
     v must act as a ternary unitary (a coisometry suffices for this
@@ -109,18 +101,18 @@ def recover_product(space: ConcreteOpSpace, u, v, y, t: float = RECOVERY_T,
     with 1/t instead of echoing the ambient product back.
     """
     uc, vc, yc = space.as_coeffs(u), space.as_coeffs(v), space.as_coeffs(y)
-    return _solve_product(space, uc, vc, yc, (1, 0), t, config, closure,
+    return _solve_product(space, uc, vc, yc, (1, 0), t, config,
                           warm_start=warm_start)
 
 
 def recover_product_left(space: ConcreteOpSpace, u, v, z,
                          t: float = RECOVERY_T,
                          config: SolverConfig | None = None,
-                         closure=None, warm_start: bool = False) -> RecoveredProduct:
+                         warm_start: bool = False) -> RecoveredProduct:
     """Left-variant recovery: the y with z = -(v adjoint(y) u), i.e. a
     candidate for u adjoint(z) v. Requires v to act as an isometry."""
     uc, vc, zc = space.as_coeffs(u), space.as_coeffs(v), space.as_coeffs(z)
-    return _solve_product(space, uc, vc, zc, (0, 1), t, config, closure,
+    return _solve_product(space, uc, vc, zc, (0, 1), t, config,
                           warm_start=warm_start)
 
 
@@ -213,7 +205,7 @@ class ProductTable:
     space: ConcreteOpSpace
     entries: np.ndarray           # (d, d, d): coeffs of basis product (i, j)
     residual_bounds: np.ndarray   # (d, d) guaranteed reconstruction error
-    membership_residuals: np.ndarray | None  # ambient check when closure exact
+    membership_residuals: np.ndarray  # (d, d) ambient check of each product
     t_table: float
     unitary_coeffs: np.ndarray
     alpha: np.ndarray             # (d, K): basis over unitaries
@@ -225,7 +217,7 @@ class ProductTable:
             np.einsum("i,j,ijk->k", ac, bc, self.entries))
 
 
-def _assemble_table(space, uc, unitaries, t_table, config, closure):
+def _assemble_table(space, uc, unitaries, t_table, config):
     d = space.dim
     k = unitaries.shape[0]
     alpha, *_ = np.linalg.lstsq(unitaries.T, np.eye(d, dtype=np.complex128),
@@ -251,20 +243,17 @@ def _assemble_table(space, uc, unitaries, t_table, config, closure):
             n = space.norm(ic)
             rescale = max(n, 1.0)
             rp = _solve_product(space, uc, unitaries[ki], ic / rescale,
-                                (1, 0), t_table, config, closure,
-                                warm_start=True)
+                                (1, 0), t_table, config, warm_start=True)
             prods[ki, j] = rp.element.coeffs * rescale * scales[j]
             call_bound[ki, j] = rp.bound + iota_err[j]
     entries = np.einsum("ik,kjm->ijm", alpha, prods)
     bounds = np.einsum("ik,kj->ij", np.abs(alpha), call_bound) * scales[None, :]
-    memb = None
-    if closure is not None and closure.envelope_exact:
-        memb = np.zeros((d, d))
-        ua = adjoint(space.blocks(uc))
-        for i in range(d):
-            for j in range(d):
-                truth = space.basis[i] @ ua @ space.basis[j]
-                memb[i, j] = space.relative_membership(truth)[1]
+    memb = np.zeros((d, d))
+    ua = adjoint(space.blocks(uc))
+    for i in range(d):
+        for j in range(d):
+            truth = space.basis[i] @ ua @ space.basis[j]
+            memb[i, j] = space.relative_membership(truth)[1]
     return ProductTable(space=space, entries=entries, residual_bounds=bounds,
                         membership_residuals=memb, t_table=t_table,
                         unitary_coeffs=unitaries, alpha=alpha)
@@ -276,11 +265,11 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
 
     Stages: operator-system detection, the unitary spanning check, then
     closure of each product v adjoint(e) u of a collected unitary v and a
-    basis element e. With an envelope-exact closure that stage is the
-    ambient membership check (``escape_gap`` and ``worst_escape_gap`` are
-    relative membership residuals) and runs no search; without one, each
-    product is recovered at RECOVERY_T and its excess over the target is
-    the gap. A PASS ends with the product table at TABLE_T.
+    basis element e, the ambient membership check (``escape_gap`` and
+    ``worst_escape_gap`` are relative membership residuals). Every stage
+    after the first needs an envelope-exact closure: without one, a space
+    that passes the first stage raises PreconditionError. A PASS ends with
+    the product table at TABLE_T.
     """
     config = config or SolverConfig()
     uc = space.unit_coeffs(u)
@@ -290,6 +279,8 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
         return CertificateReport(
             name="cstar", verdict=sys_rep.verdict, margin=sys_rep.margin,
             witness={"stage": "operator-system"}, diagnostics=diag), None
+    if closure is None or not closure.envelope_exact:
+        raise PreconditionError("an envelope-exact closure is required")
     span_rep = unitary_span_check(space, uc, closure=closure)
     diag["span_verdict"] = span_rep.verdict
     diag["span_dim"] = span_rep.diagnostics["span_dim"]
@@ -299,22 +290,14 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
             witness={"stage": "unitary-span"}, diagnostics=diag), None
     unitaries = span_rep.witness["unitary_coeffs"]
     d = space.dim
-    exact = closure is not None and closure.envelope_exact
     worst_escape = 0.0
     for ki in range(unitaries.shape[0]):
         for j, e in enumerate(np.eye(d, dtype=np.complex128)):
             e = e / max(1.0, space.norm(e))
-            if exact:
-                _, gap, member = space.relative_membership(
-                    _ambient_product(space, uc, unitaries[ki], e, (1, 0)))
-                escaped = not member
-            else:
-                rp = recover_product(space, uc, unitaries[ki], e,
-                                     config=config, closure=closure,
-                                     warm_start=True)
-                gap, escaped = rp.achieved - rp.target, rp.escaped
+            _, gap, member = space.relative_membership(
+                ambient_product(space, unitaries[ki], e, uc))
             worst_escape = max(worst_escape, gap)
-            if escaped:
+            if not member:
                 diag["escape_gap"] = gap
                 return CertificateReport(
                     name="cstar", verdict=FAIL, margin=-gap,
@@ -322,7 +305,7 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
                              "unitary_index": ki, "basis_index": j},
                     diagnostics=diag), None
     diag["worst_escape_gap"] = worst_escape
-    table = _assemble_table(space, uc, unitaries, TABLE_T, config, closure)
+    table = _assemble_table(space, uc, unitaries, TABLE_T, config)
     diag["table_bound"] = float(table.residual_bounds.max())
     unit_err = 0.0
     for e in np.eye(d, dtype=np.complex128):

@@ -119,7 +119,7 @@ def delta_span(space: ConcreteOpSpace, u=None, closure=None) -> DeltaSpan:
     """Real basis of the u-hermitians in the space and of their complex span.
 
     With an envelope-exact closure certifying u, the hermitians are the
-    exact solution set of a real-linear system; otherwise candidate
+    exact solution set of a real-linear system; otherwise u and candidate
     combinations of basis elements are screened through the grid criteria
     on the default t grid.
     """
@@ -139,8 +139,7 @@ def delta_span(space: ConcreteOpSpace, u=None, closure=None) -> DeltaSpan:
         real_basis = flat[:, :d] + 1j * flat[:, d:]
         route = "ambient"
     else:
-        cands = _candidates(d)
-        keep = [c for c in cands
+        keep = [c for c in _candidates(uc)
                 if is_u_hermitian(space, uc, c).passed]
         if keep:
             rows = np.stack(keep)
@@ -155,8 +154,11 @@ def delta_span(space: ConcreteOpSpace, u=None, closure=None) -> DeltaSpan:
                      route=route)
 
 
-def _candidates(d: int) -> list:
-    out = []
+def _candidates(uc: np.ndarray) -> list:
+    """u, which is always u-hermitian, then the basis elements and their
+    pairwise combinations."""
+    d = uc.shape[0]
+    out = [uc]
     eye = np.eye(d, dtype=np.complex128)
     for j in range(d):
         out.append(eye[j])

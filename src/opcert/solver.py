@@ -12,8 +12,8 @@ its value is a lower bound on the minimum as well as an upper bound.
 Problems expose a flat complex variable vector and take a stack of them:
 
     dim             number of complex coefficients
-    value(c)        objectives (S,) of an (S, dim) stack of variables
-    value_and_grad(c) -> (values (S,), wirtinger gradients (S, dim))
+    value_and_grad(c) -> (objectives (S,), wirtinger gradients (S, dim))
+                    of an (S, dim) stack of variables
     norm(c)         constraint norms (S,) of the stack (operator norms)
 
 A row's results must not depend on the other rows of its stack: the
@@ -22,11 +22,14 @@ one batched LAPACK call, so a run is bitwise the same alone and stacked.
 
 `_run_stack` steps a stack of runs in lockstep, each with its own level,
 step and stop rules: every iteration makes one value_and_grad call on the
-runs still going and one norm call on the runs that stepped. A maximize
-sweep runs every start whatever happens, so it hands all of them over as
-one stack; for a unitary nearly every start stops at iteration 1, and the
-whole sweep takes one to three stacked calls. A minimize sweep ends at
-its first settled run, so it runs its starts one at a time: run
+runs still going and one norm call on the runs that stepped. Each iterate
+is evaluated once: a start's value comes with the gradient of its first
+step, and a run that ends at its budget ends on the value of its last
+iterate, so K iterations cost K + 1 evaluations. A maximize sweep runs
+every start whatever happens, so it hands all of them over as one stack;
+for a catalog unitary every start stops at iteration 1 on a zero
+subgradient, and the whole sweep is one stacked call. A minimize sweep
+ends at its first settled run, so it runs its starts one at a time: run
 alongside, the later starts would be wasted work (a first start that
 settles at iteration 347 would pay for 347 iterations of every other
 start too).
@@ -121,14 +124,15 @@ class SolveResult:
     fd_calls: int = 0
 
 
-def _values(f, c: np.ndarray) -> list:
-    """The objective values of a stack of iterates as floats; raise on the
-    first one that is not finite."""
+def _evaluate(problem, c: np.ndarray):
+    """Objective values, as floats, and gradients of a stack of iterates;
+    raise on the first value that is not finite."""
+    f, g = problem.value_and_grad(c)
     f = f.tolist()
     for k, v in enumerate(f):
         if not math.isfinite(v):
             raise SolverError("objective is not finite", iterate=c[k])
-    return f
+    return f, g
 
 
 def _ball_starts(problem, n_starts: int, extra, rng_key) -> list:
@@ -181,10 +185,17 @@ class _Run:
     halves its distance whenever a stall window passes without improvement;
     the run ends when the level collapses, the iteration budget runs out,
     the target is reached or the subgradient vanishes. A minimize run stops
-    at its target, and its level is max(best - delta, target): the target
-    is a lower bound on the objective (Polyak's known optimal value), so a
-    level below it would only lengthen the step. A maximize run has no
-    target; its `target` of 0 only scales the first step and level.
+    once its best value is within eps_stop of its target, and its level is
+    max(best - delta, target): the target is a lower bound on the objective
+    (Polyak's known optimal value), so a level below it would only lengthen
+    the step. A maximize run has no target; its `target` of 0 only scales
+    the first step and level.
+
+    A subgradient g shorter than 1e-13 max(1, |f0 - target|), with f0 the
+    start's value, counts as zero: rounding leaves gradients of that size
+    where the true one vanishes. For a convex objective, f(y) >= f(c) -
+    |g| |y - c| then makes the value of such a stop the minimum up to |g|
+    times the ball's euclidean diameter, far below stat_tol.
     """
 
     def __init__(self, config, c, f, sign, target):
@@ -194,6 +205,7 @@ class _Run:
         self.s0 = config.step_scale * scale
         self.delta = max(0.25 * abs(f - target), 100.0 * config.eps_stop)
         self.floor = 1e-12 * scale
+        self.flat = 1e-13 * scale
         self.since_improve = 0
         self.iterations = 0
         self.why = None              # the stop reason, one of STOP_REASONS
@@ -213,6 +225,8 @@ class _Run:
             self.since_improve = 0
         else:
             self.since_improve += 1
+        if self.at_target(self.best_f):
+            return self._stop("target")
         if self.since_improve >= config.stall_window:
             # a maximize run pinned at numerical zero has nothing to climb
             if sign < 0 and self.best_f <= 1e-8:
@@ -222,7 +236,7 @@ class _Run:
             if self.delta < self.floor:
                 return self._stop("level_collapse")
         gnorm = float(np.linalg.norm(g))
-        if gnorm < 1e-14:
+        if gnorm < self.flat:
             # an objective flat at its target (a hinge inside its feasible
             # set) has a zero gradient there: that is a target hit
             return self._stop("target" if self.at_target(f) else
@@ -255,38 +269,31 @@ class _Run:
 def _run_stack(problem, config, starts, sign, target) -> list:
     """Projected subgradient runs from a stack of starts, in lockstep.
 
-    Every iteration makes one problem.value_and_grad call on the runs still
-    going and one problem.norm call on the runs that stepped; each run
-    follows the rules of `_Run` on its own, so a start ends bitwise the
-    same alone and in any stack. Returns one `_Run` per start.
+    Every iteration steps the runs still going from one
+    problem.value_and_grad call, then makes one problem.norm call on the
+    runs that stepped and one value_and_grad call on their new iterates;
+    each run follows the rules of `_Run` on its own, so a start ends
+    bitwise the same alone and in any stack. Returns one `_Run` per start.
     """
     c = np.array(starts, dtype=np.complex128)
-    runs = [_Run(config, ck, fk, sign, target)
-            for ck, fk in zip(c, _values(problem.value(c), c))]
-    live = runs
+    f, g = _evaluate(problem, c)
+    runs = live = [_Run(config, ck, fk, sign, target) for ck, fk in zip(c, f)]
     for it in range(1, config.max_iters + 1):
-        for r in live:
+        stepped, steps = [], []
+        for r, fk, gk in zip(live, f, g):
             r.iterations = it
-            if r.at_target(r.best_f):
-                r.why = "target"
-        going = [r for r in live if r.why is None]
-        if not going:
-            return runs
-        c = _stack([r.c for r in going])
-        f, g = problem.value_and_grad(c)
-        live, steps = [], []
-        for r, fk, gk in zip(going, _values(f, c), g):
             ck = r.step(fk, gk)
             if ck is not None:
-                live.append(r)
+                stepped.append(r)
                 steps.append(ck)
-        if not live:
+        if not stepped:
             return runs
-        c = _stack(steps)
+        live, c = stepped, _stack(steps)
         for r, ck, n in zip(live, c, problem.norm(c).tolist()):
             r.retract(ck, n)
-    c = _stack([r.c for r in live])
-    for r, fk in zip(live, _values(problem.value(c), c)):
+        c = _stack([r.c for r in live])
+        f, g = _evaluate(problem, c)
+    for r, fk in zip(live, f):
         r.finish(fk)
     return runs
 
@@ -325,7 +332,7 @@ def _reduce(runs, sign) -> SolveResult:
 def minimize_over_ball(problem, config: SolverConfig | None = None, *,
                        target: float = 0.0, starts: int | None = None,
                        extra_starts=(), seed_salt=()) -> SolveResult:
-    """Minimize a convex problem.value over {c : problem.norm(c) <= 1}.
+    """Minimize a convex objective over {c : problem.norm(c) <= 1}.
 
     The returned value is an upper bound on the true minimum (it is attained
     by the returned feasible point). ``target`` must be a known lower bound
@@ -347,7 +354,7 @@ def minimize_over_ball(problem, config: SolverConfig | None = None, *,
 
 def maximize_over_sphere(problem, config: SolverConfig | None = None, *,
                          extra_starts=(), seed_salt=()) -> SolveResult:
-    """Maximize problem.value over {c : problem.norm(c) = 1}.
+    """Maximize the objective over {c : problem.norm(c) = 1}.
 
     The returned value is a lower bound on the true supremum. Iterates are
     kept on the sphere by radial retraction after every step.

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import SlotProblem, t_frames
+from .blocks import SlotProblem, ambient_product, t_frames
 from .certify import certify_unitary
 from .errors import InvalidInputError, PreconditionError
-from .matcore import adjoint
 from .opspace import ConcreteOpSpace, Element
 from .report import FAIL, PASS, CertificateReport, verdict_of
 from .solver import SolverConfig, minimize_over_ball
@@ -61,8 +60,8 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
     or at the first zero subgradient, which certifies the minimum
     (``certified_min`` in the diagnostics, with the runs per stop reason
     under ``stops``).
-    warm_start seeds the sweep with the adjoint's coefficients when the
-    adjoint lies in the space; the hinge is still evaluated from scratch,
+    warm_start seeds the sweep with -u adjoint(x) u, the exact partner,
+    when it lies in the space; the hinge is still evaluated from scratch,
     so the verdict cannot be faked, but recovery callers that want the
     returned point to reflect only the t-constrained geometry disable it.
     """
@@ -79,10 +78,10 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
                           np.sqrt(tt ** 2 + 1.0))
     extras = [-np.conj(xc)]
     if warm_start:
-        adj_coeffs, _, adj_member = space.relative_membership(
-            adjoint(space.blocks(xc)))
-        if adj_member:
-            extras.insert(0, -adj_coeffs)
+        inv_coeffs, _, inv_member = space.relative_membership(
+            ambient_product(space, uc, xc, uc))
+        if inv_member:
+            extras.insert(0, -inv_coeffs)
     res = minimize_over_ball(
         problem, config, target=0.0,
         starts=starts if starts is not None else SLOT_STARTS,

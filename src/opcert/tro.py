@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .blocks import ambient_product
 from .errors import PreconditionError
 from .matcore import adjoint, block_diag, block_norms, row_span
 from .opspace import MEMBERSHIP_TOL, ConcreteOpSpace
@@ -123,8 +124,7 @@ def involution(closure: TroClosure, u, x) -> np.ndarray:
     """Concrete matrix of u x* u for an ambient-unitary u."""
     _require_unitary(closure, u)
     space = closure.space
-    ub = space.blocks(u)
-    return block_diag(ub @ adjoint(space.blocks(x)) @ ub)
+    return block_diag(ambient_product(space, u, x, u))
 
 
 def ambient_system_check(closure: TroClosure, u=None) -> CertificateReport:

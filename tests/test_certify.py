@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opcert import certify
 from opcert.blocks import column_with_unit, row_with_unit
 from opcert.certify import (certify_coisometry, certify_isometry,
                             certify_unitary, column_defect, row_defect)
 from opcert.errors import InvalidInputError, PreconditionError
-from opcert.funcspace import catalog_space
+from opcert.funcspace import catalog_names, catalog_space
 from opcert.opspace import make_space
 from opcert.solver import SolverConfig
 
@@ -133,3 +134,20 @@ def test_near_unit_lands_inconclusive():
                        unit=[1.0, a])
     rep = certify_unitary(space, max_level=1)
     assert rep.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_catalog_unit_takes_one_stacked_call_per_sweep(name, monkeypatch):
+    # every start of a unitary's defect stops at its first evaluation on a
+    # zero subgradient, rounding-level gradients included: each (direction,
+    # level) sweep is one value_and_grad call over all of its starts
+    rows = []
+    inner = certify._DefectProblem.value_and_grad
+
+    def counted(self, c):
+        rows.append(len(c))
+        return inner(self, c)
+    monkeypatch.setattr(certify._DefectProblem, "value_and_grad", counted)
+    rep = certify_unitary(catalog_space(name), max_level=2)
+    assert rep.passed
+    assert len(rows) == 4

@@ -273,6 +273,18 @@ def test_dropped_solver_knob_exits_cleanly(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_space_file_seed_is_an_unknown_override(tmp_path, capsys):
+    # the seed comes from --seed or OPSPACE_SEED alone, which the report
+    # records; a space file's root_seed would be overwritten unseen
+    space = tmp_path / "m2-upper.json"
+    space.write_text(SpaceFile.from_space(catalog_space("m2-upper"),
+                                          solver={"root_seed": 3}).dumps())
+    code = main(["check", "system", "--space", str(space)])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        "error: unknown solver overrides: ['root_seed']\n"
+
+
 def test_recover_product_escape_exits_nonzero(tmp_path, capsys):
     space = write_catalog_file(tmp_path, "m2-upper")
     code = main(["recover", "product", "--space", space,

@@ -107,7 +107,7 @@ def test_recovery_on_row_line_where_unit_is_ternary():
     for solver, slot_truth in (
             (recover_product, lambda um, ym, vm: vm @ adjoint(ym) @ um),
             (recover_product_left, lambda um, ym, vm: um @ adjoint(ym) @ vm)):
-        rec = solver(line, u, u, [0.7], t=100.0, closure=closure)
+        rec = solver(line, u, u, [0.7], t=100.0)
         um = line.embed(np.array([1.0 + 0j]))
         truth = slot_truth(um, 0.7 * um, um)
         assert not rec.escaped
@@ -268,3 +268,15 @@ def test_recover_product_reports_stop_reasons():
     assert not rec.escaped
     assert rec.diagnostics["certified_min"]
     assert rec.diagnostics["stops"]["target"] == 1
+
+
+def test_detect_cstar_needs_an_exact_closure_past_the_system_stage():
+    # span{I} with u = e^{i pi/4} I is an operator system; the unitary span
+    # and product stages need the ambient model
+    space = make_space([np.eye(2)], unit=[np.exp(0.25j * np.pi)])
+    with pytest.raises(PreconditionError, match="envelope-exact closure"):
+        detect_cstar(space)
+    report, table = detect_cstar(space,
+                                 closure=generate_tro(space, envelope_exact=True))
+    assert report.passed and table is not None
+    assert report.diagnostics["system_verdict"] == "pass"

@@ -144,3 +144,12 @@ def test_stacked_profiles_match_the_per_t_loop():
                 - space.grid_norm(two_by_two(space, t * uc, uc - xc, xc - uc, t * uc))
                 for t in prof.matricial_t]
         np.testing.assert_allclose(slack, want, rtol=0, atol=1e-12)
+
+
+def test_screening_finds_a_non_real_unit():
+    # span{I} with u = e^{i pi/4} I: the hermitians are the real multiples
+    # of u, which neither candidate I nor iI is; u itself is screened first
+    space = make_space([np.eye(2)], unit=[np.exp(0.25j * np.pi)])
+    ds = delta_span(space)
+    assert ds.route == "numerical" and ds.complex_dim == 1
+    assert operator_system_check(space).passed

@@ -5,8 +5,16 @@ import pytest
 
 import opcert
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos")
-               .glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# defaulted parameters that no call sets, as tools/unset_defaults.py lists
+# them: optional inputs whose None means "absent", and settings of the
+# public API or read by perfbench
+UNSET_DEFAULTS = [
+    "__init__(iterate)", "ambient_system_check(u)", "catalog_closure(points)",
+    "column_defect(config)", "column_defect(u)", "cone_equals_delta_plus(u)",
+    "min_space(points)", "recover_product_left(config)",
+    "recover_product_left(t)", "recover_product_left(warm_start)"]
 
 
 def test_every_public_name_resolves_once():
@@ -23,3 +31,12 @@ def test_demo_imports_resolve(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def test_no_setting_goes_unset():
+    # a new defaulted parameter that no call sets is a constant in disguise
+    spec = importlib.util.spec_from_file_location(
+        "unset_defaults", ROOT / "tools" / "unset_defaults.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.unset_defaults(ROOT) == UNSET_DEFAULTS

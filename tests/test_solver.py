@@ -44,11 +44,8 @@ class _Quadratic:
     def norm(self, c):
         return np.linalg.norm(c, axis=-1)
 
-    def value(self, c):
-        return np.linalg.norm(c - self.a, axis=-1) ** 2
-
     def value_and_grad(self, c):
-        return self.value(c), 2.0 * (c - self.a)
+        return np.linalg.norm(c - self.a, axis=-1) ** 2, 2.0 * (c - self.a)
 
 
 class _Linear:
@@ -59,13 +56,10 @@ class _Linear:
     def norm(self, c):
         return np.linalg.norm(c, axis=-1)
 
-    def value(self, c):
-        return np.real(c[..., 0])
-
     def value_and_grad(self, c):
         g = np.zeros(np.shape(c), dtype=np.complex128)
         g[..., 0] = 1.0
-        return self.value(c), g
+        return np.real(c[..., 0]), g
 
 
 class _NonFinite:
@@ -74,11 +68,9 @@ class _NonFinite:
     def norm(self, c):
         return np.abs(c[..., 0])
 
-    def value(self, c):
-        return np.full(np.shape(c)[:-1], np.nan)
-
     def value_and_grad(self, c):
-        return self.value(c), np.zeros(np.shape(c), dtype=np.complex128)
+        return (np.full(np.shape(c)[:-1], np.nan),
+                np.zeros(np.shape(c), dtype=np.complex128))
 
 
 def test_config_validation():
@@ -156,7 +148,7 @@ def test_extra_starts_bound_the_result():
     a = np.array([0.5, 0.0 + 0j])
     prob = _Quadratic(a)
     res = minimize_over_ball(prob, SolverConfig(), extra_starts=[a])
-    assert res.value <= prob.value(a) + 1e-12
+    assert res.value <= prob.value_and_grad(a)[0] + 1e-12
     assert res.best_start == 0
 
 
@@ -252,10 +244,13 @@ def test_stacked_value_matches_row_by_row():
     rng = np.random.default_rng(15)
     for problem in _objectives():
         c = _sphere_points(problem, rng, (3, 2))
-        got = problem.value(c)
-        assert got.shape == (3, 2)
-        want = [[problem.value(row) for row in rows] for rows in c]
-        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        got, grad = problem.value_and_grad(c)
+        assert got.shape == (3, 2) and grad.shape == c.shape
+        rows = [[problem.value_and_grad(row) for row in rs] for rs in c]
+        npt.assert_allclose(got, [[f for f, _ in rs] for rs in rows],
+                            rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(grad, [[g for _, g in rs] for rs in rows],
+                            rtol=1e-12, atol=1e-15)
 
 
 def _convex_objectives():
@@ -287,10 +282,9 @@ def test_gradient_is_a_subgradient_of_the_convex_objectives():
                                     * rng.uniform(0.0, 1.5, (4, 1)))
         for y in points:
             f, g = problem.value_and_grad(y)
-            assert f == pytest.approx(problem.value(y), rel=1e-12, abs=1e-14)
             deltas = _sphere_points(problem, rng, (12,)) \
                 * np.repeat([1e-6, 1e-3, 0.1, 0.5, 1.0, 3.0], 2)[:, None]
-            got = problem.value(y + deltas)
+            got, _ = problem.value_and_grad(y + deltas)
             assert np.all(got >= f + np.real(deltas @ np.conj(g)) - 1e-12)
 
 
@@ -317,7 +311,7 @@ def test_partner_kink_is_flagged_nonsmooth():
                               (0.25, 1.0, 32.0))
     grids = problem._grids(np.zeros(2))
     i = int(np.argmax(problem._hinges(grids)))
-    assert problem.value(np.zeros(2)) > 0.0
+    assert problem.value_and_grad(np.zeros(2))[0] > 0.0
     assert not grid_value_and_grad(space, grids[i])[2]
 
 
@@ -328,10 +322,10 @@ def test_stacked_defect_checks_the_bracket_of_every_row():
     problem.u_norm = 1.5
     rng = np.random.default_rng(17)
     c = 3.0 * _sphere_points(problem, rng, (3,))
-    problem.value(c)
+    problem.value_and_grad(c)
     c[2] /= 6.0
     with pytest.raises(SolverError) as info:
-        problem.value(c)
+        problem.value_and_grad(c)
     npt.assert_array_equal(info.value.iterate, c[2])
 
 
@@ -346,9 +340,6 @@ class _Hinge:
 
     def norm(self, c):
         return np.linalg.norm(c, axis=-1)
-
-    def value(self, c):
-        return np.maximum(np.linalg.norm(c - self.a, axis=-1) - self.r, 0.0)
 
     def value_and_grad(self, c):
         d = c - self.a
@@ -407,11 +398,11 @@ class _Counted:
 
     def __init__(self, problem):
         self.problem, self.dim = problem, problem.dim
-        self.calls = {"value": [], "value_and_grad": [], "norm": []}
+        self.calls = {}             # method name -> rows of each call
 
     def __getattr__(self, name):
         def call(c):
-            self.calls[name].append(len(c))
+            self.calls.setdefault(name, []).append(len(c))
             return getattr(self.problem, name)(c)
         return call
 
@@ -424,6 +415,26 @@ def test_a_sphere_sweep_steps_its_starts_as_one_stack():
     res = maximize_over_sphere(problem, SolverConfig())
     assert res.stops["zero_subgradient"] == 32 == res.iterations
     assert problem.calls["value_and_grad"] == [32]
-    assert problem.calls["value"] == [32]
     # the start norms: the basis, then the random draws
     assert problem.calls["norm"] == [4, 28]
+    assert set(problem.calls) == {"value_and_grad", "norm"}
+
+
+def test_each_iterate_is_evaluated_once():
+    # a run that ends at its budget after K iterations makes K + 1
+    # evaluations, all through value_and_grad: its start, every stepped
+    # iterate, and nothing twice
+    k = 3
+    a = np.array([0.3 + 0.1j, -0.2j, 0.1])
+    problem = _Counted(_Quadratic(a))
+    res = minimize_over_ball(problem, SolverConfig(max_iters=k), starts=2)
+    assert res.stops["budget"] == 2 and res.iterations == 2 * k
+    # the minimize starts run one at a time
+    assert problem.calls["value_and_grad"] == [1] * (2 * (k + 1))
+    assert set(problem.calls) == {"value_and_grad", "norm"}
+    problem = _Counted(_Linear())
+    res = maximize_over_sphere(problem, SolverConfig(max_iters=k))
+    assert res.stops["budget"] == 32
+    # the maximize starts run as one stack
+    assert problem.calls["value_and_grad"] == [32] * (k + 1)
+    assert set(problem.calls) == {"value_and_grad", "norm"}

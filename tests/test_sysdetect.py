@@ -184,3 +184,15 @@ def test_certified_fail_ends_the_element_loop():
     assert rep.margin == SolverConfig().cert_tol - 0.48828482444627497
     assert len(rep.diagnostics["residuals"]) == 2
     np.testing.assert_array_equal(rep.witness["x_coeffs"], [0, 1.0])
+
+
+def test_warm_start_is_the_exact_partner_for_a_non_real_unit():
+    # unit iI and x = E12: the exact partner -u x* u is +E21, where the
+    # adjoint x* = E21 would start with the wrong sign
+    space = make_space([np.eye(2), [[0, 1], [0, 0]], [[0, 0], [1, 0]],
+                        [[0, 0], [0, 1]]], unit=[1j, 0, 0, 0])
+    r = find_partner(space, x=np.array(E12_COEFFS))
+    assert r.residual == 0.0
+    assert r.diagnostics["best_start"] == 0
+    assert r.diagnostics["iterations"] <= 1
+    np.testing.assert_allclose(r.y_coeffs, [0, 0, 1.0, 0], atol=1e-12)
