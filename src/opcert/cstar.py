@@ -11,8 +11,9 @@ by writing the left factor over a spanning set of unitaries (collected
 by averaging hermitians into pairs of unitaries) and extending linearly.
 The detection verdict combines operator-system detection, the unitary
 spanning check, and product closure. Every stage from the unitary span on
-needs an envelope-exact closure: unitaries other than the unit come only
-with one (`hermitian_to_unitaries` demands it), and product closure is
+needs an envelope-exact closure: `unitary_span_check` demands one, since
+the unitaries other than the unit come from `hermitian_to_unitaries`, which
+needs it, and product closure is
 the ambient membership check of each v adjoint(e) u. There is no
 intrinsic escape search; the product searches run only for the table,
 which recovers every product intrinsically.
@@ -127,6 +128,11 @@ class HermitianSplit:
     passed: bool
 
 
+def _require_exact(closure):
+    if closure is None or not closure.envelope_exact:
+        raise PreconditionError("an envelope-exact closure is required")
+
+
 def hermitian_to_unitaries(space: ConcreteOpSpace, u, x,
                            closure) -> HermitianSplit:
     """Write a hermitian contraction as the average of two unitaries.
@@ -136,8 +142,7 @@ def hermitian_to_unitaries(space: ConcreteOpSpace, u, x,
     membership residuals; passed means both are members certified as
     ternary unitaries.
     """
-    if closure is None or not closure.envelope_exact:
-        raise PreconditionError("an envelope-exact closure is required")
+    _require_exact(closure)
     from .tro import ambient_unitary_check
     uc = space.as_coeffs(u)
     xc = space.as_coeffs(x)
@@ -185,9 +190,11 @@ def collect_unitaries(space: ConcreteOpSpace, u, closure) -> np.ndarray:
     return np.stack(out)
 
 
-def unitary_span_check(space: ConcreteOpSpace, u=None,
-                       closure=None) -> CertificateReport:
-    """Do the collected unitaries span the space?"""
+def unitary_span_check(space: ConcreteOpSpace, u=None, *,
+                       closure) -> CertificateReport:
+    """Do the collected unitaries span the space? Needs an envelope-exact
+    closure."""
+    _require_exact(closure)
     uc = space.unit_coeffs(u)
     unitaries = collect_unitaries(space, uc, closure)
     rank = row_span(unitaries).shape[0]
@@ -249,11 +256,11 @@ def _assemble_table(space, uc, unitaries, t_table, config):
     entries = np.einsum("ik,kjm->ijm", alpha, prods)
     bounds = np.einsum("ik,kj->ij", np.abs(alpha), call_bound) * scales[None, :]
     memb = np.zeros((d, d))
-    ua = adjoint(space.blocks(uc))
+    eye = np.eye(d)
     for i in range(d):
         for j in range(d):
-            truth = space.basis[i] @ ua @ space.basis[j]
-            memb[i, j] = space.relative_membership(truth)[1]
+            memb[i, j] = space.relative_membership(
+                ambient_product(space, eye[i], uc, eye[j]))[1]
     return ProductTable(space=space, entries=entries, residual_bounds=bounds,
                         membership_residuals=memb, t_table=t_table,
                         unitary_coeffs=unitaries, alpha=alpha)
@@ -279,8 +286,6 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
         return CertificateReport(
             name="cstar", verdict=sys_rep.verdict, margin=sys_rep.margin,
             witness={"stage": "operator-system"}, diagnostics=diag), None
-    if closure is None or not closure.envelope_exact:
-        raise PreconditionError("an envelope-exact closure is required")
     span_rep = unitary_span_check(space, uc, closure=closure)
     diag["span_verdict"] = span_rep.verdict
     diag["span_dim"] = span_rep.diagnostics["span_dim"]

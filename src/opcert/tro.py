@@ -132,11 +132,10 @@ def ambient_system_check(closure: TroClosure, u=None) -> CertificateReport:
     space = closure.space
     uc = space.unit_coeffs(u)
     _require_unitary(closure, uc)
-    ub = space.blocks(uc)
     worst = -1.0
     worst_j = 0
-    for j in range(space.dim):
-        _, rel, _ = space.relative_membership(ub @ adjoint(space.basis[j]) @ ub)
+    for j, e in enumerate(np.eye(space.dim)):
+        _, rel, _ = space.relative_membership(ambient_product(space, uc, e, uc))
         if rel > worst:
             worst, worst_j = rel, j
     verdict = PASS if worst <= MEMBERSHIP_TOL else FAIL
@@ -178,12 +177,11 @@ def transfer_check(closure: TroClosure, u, v) -> CertificateReport:
     vc = space.as_coeffs(v)
     _require_unitary(closure, uc)
     _require_unitary(closure, vc)
-    ub, vb = space.blocks(uc), space.blocks(vc)
     coeff_rows = []
     worst = 0.0
-    for j in range(space.dim):
+    for e in np.eye(space.dim):
         coeffs, rel, _ = space.relative_membership(
-            vb @ adjoint(ub) @ space.basis[j])
+            ambient_product(space, vc, uc, e))
         worst = max(worst, rel)
         coeff_rows.append(coeffs)
     m = np.stack(coeff_rows)

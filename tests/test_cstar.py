@@ -276,6 +276,10 @@ def test_detect_cstar_needs_an_exact_closure_past_the_system_stage():
     space = make_space([np.eye(2)], unit=[np.exp(0.25j * np.pi)])
     with pytest.raises(PreconditionError, match="envelope-exact closure"):
         detect_cstar(space)
+    # the span check itself refuses any closure that is not envelope-exact
+    for closure in (None, generate_tro(space)):
+        with pytest.raises(PreconditionError, match="envelope-exact closure"):
+            unitary_span_check(space, closure=closure)
     report, table = detect_cstar(space,
                                  closure=generate_tro(space, envelope_exact=True))
     assert report.passed and table is not None

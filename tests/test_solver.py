@@ -282,6 +282,9 @@ def test_gradient_is_a_subgradient_of_the_convex_objectives():
                                     * rng.uniform(0.0, 1.5, (4, 1)))
         for y in points:
             f, g = problem.value_and_grad(y)
+            # the value agrees with the norm-only hinge formula
+            assert f == pytest.approx(problem._hinges(problem._grids(y)).max(),
+                                      rel=1e-12, abs=1e-14)
             deltas = _sphere_points(problem, rng, (12,)) \
                 * np.repeat([1e-6, 1e-3, 0.1, 0.5, 1.0, 3.0], 2)[:, None]
             got, _ = problem.value_and_grad(y + deltas)
