@@ -9,12 +9,11 @@ from .cstar import (ProductTable, RecoveredProduct, collect_unitaries,
                     detect_cstar, hermitian_to_unitaries, recover_product,
                     recover_product_left, unitary_span_check)
 from .errors import InvalidInputError, PreconditionError, SolverError
-from .funcspace import (CatalogEntry, GHermitianResult, catalog_closure,
-                        catalog_entry, catalog_names, catalog_space,
-                        g_hermitian_solve, scalar_unitary_check,
-                        selfadjoint_unit_check)
-from .hermit import (DeltaSpan, HermitianProfile, delta_span, is_u_hermitian,
-                     is_u_positive, operator_system_check)
+from .funcspace import (CatalogEntry, catalog_closure, catalog_entry,
+                        catalog_names, catalog_space, g_hermitian_solve,
+                        scalar_unitary_check, selfadjoint_unit_check)
+from .hermit import (DeltaSpan, delta_span, is_u_hermitian, is_u_positive,
+                     operator_system_check)
 from .opspace import (AmplifiedElement, ConcreteOpSpace, Element,
                       amplify_unit, make_space, space_from_points)
 from .order import Cone, cone_equals_delta_plus, cone_membership, \
@@ -36,9 +35,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AmplifiedElement", "CatalogEntry", "CertificateReport", "Cone",
     "ConcreteOpSpace", "DefectProfile", "DeltaSpan", "Element", "FAIL",
-    "GHermitianResult", "HermitianProfile", "INCONCLUSIVE",
-    "InvalidInputError", "PASS", "ParseError", "PartnerSearchResult",
-    "PreconditionError", "ProductTable", "RecoveredInvolution",
+    "INCONCLUSIVE", "InvalidInputError", "PASS", "ParseError",
+    "PartnerSearchResult", "PreconditionError", "ProductTable",
+    "RecoveredInvolution",
     "RecoveredProduct", "SolveResult", "SolverConfig", "SolverError",
     "SpaceFile", "TroClosure", "amplify_unit", "catalog_closure",
     "catalog_entry", "catalog_names", "catalog_space",

@@ -26,6 +26,8 @@ from .report import CertificateReport, verdict_of
 from .solver import SolverConfig, maximize_over_sphere
 
 UNIT_NORM_TOL = 1e-6
+# seed salt of each defect direction's sweeps
+DEFECT_SALTS = {"row": 11, "column": 12}
 
 
 class _DefectProblem:
@@ -108,11 +110,11 @@ def _resolve_unit(space: ConcreteOpSpace, u) -> np.ndarray:
     return uc
 
 
-def _defect(space, u, level, direction, config, extra_starts, salt) -> DefectProfile:
+def _defect(space, u, level, direction, config, extra_starts) -> DefectProfile:
     problem = _DefectProblem(space, u, level, direction)
     extras = [g.reshape(-1) for g in extra_starts]
     res = maximize_over_sphere(problem, config, extra_starts=extras,
-                               seed_salt=(salt, level))
+                               seed_salt=(DEFECT_SALTS[direction], level))
     worst = max(0.0, res.value)
     witness = res.coeffs.reshape(level, level, space.dim)
     diag = {"iterations": res.iterations, "best_start": res.best_start}
@@ -126,7 +128,7 @@ def row_defect(space: ConcreteOpSpace, u=None, level: int = 1,
                extra_starts=()) -> DefectProfile:
     uc = _resolve_unit(space, u)
     return _defect(space, uc, level, "row", config or SolverConfig(),
-                   extra_starts, 11)
+                   extra_starts)
 
 
 def column_defect(space: ConcreteOpSpace, u=None, level: int = 1,
@@ -134,7 +136,7 @@ def column_defect(space: ConcreteOpSpace, u=None, level: int = 1,
                   extra_starts=()) -> DefectProfile:
     uc = _resolve_unit(space, u)
     return _defect(space, uc, level, "column", config or SolverConfig(),
-                   extra_starts, 12)
+                   extra_starts)
 
 
 def _certify(space, u, directions, max_level, config, name) -> CertificateReport:
@@ -144,7 +146,6 @@ def _certify(space, u, directions, max_level, config, name) -> CertificateReport
     if max_level < 1:
         raise InvalidInputError("max_level must be at least 1")
     profiles = []
-    salts = {"row": 11, "column": 12}
     for direction in directions:
         level_witnesses = []
         for n in range(1, max_level + 1):
@@ -152,8 +153,7 @@ def _certify(space, u, directions, max_level, config, name) -> CertificateReport
             if level_witnesses:
                 extras.append(_diag_embed(level_witnesses[0], n))
                 extras.append(_pad_embed(level_witnesses[-1], n))
-            prof = _defect(space, uc, n, direction, config, extras,
-                           salts[direction])
+            prof = _defect(space, uc, n, direction, config, extras)
             level_witnesses.append(prof.witness)
             profiles.append(prof)
     worst_prof = max(profiles, key=lambda p: p.worst_defect)

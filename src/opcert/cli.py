@@ -10,6 +10,7 @@ the OPSPACE_SEED environment variable when set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -62,7 +63,7 @@ def _solver_config(args, sf: SpaceFile) -> SolverConfig:
     if getattr(args, "t_grid", None):
         overrides["t_grid"] = args.t_grid.split(",")
     # the seed has one source, --seed or OPSPACE_SEED, which the report records
-    known = set(SolverConfig.__dataclass_fields__) - {"root_seed"}
+    known = {f.name for f in dataclasses.fields(SolverConfig)} - {"root_seed"}
     bad = set(overrides) - known
     if bad:
         raise InvalidInputError(f"unknown solver overrides: {sorted(bad)}")
@@ -91,30 +92,6 @@ def _emit(args, reports, command: str, extra: dict | None = None) -> None:
             fh.write(text)
 
 
-def _wrap_hermitian(space, uc, xc, config) -> CertificateReport:
-    prof = is_u_hermitian(space, uc, xc, t_grid=config.t_grid)
-    return CertificateReport(
-        name="u-hermitian", verdict=PASS if prof.passed else FAIL,
-        margin=prof.min_slack + prof.tol,
-        witness=None if prof.passed else {"element": prof.coeffs},
-        diagnostics={"scalar_slack": prof.scalar_slack,
-                     "matricial_slack": prof.matricial_slack,
-                     "scaled": prof.scaled,
-                     "element_norm": prof.element_norm})
-
-
-def _wrap_function_system(space, gc) -> CertificateReport:
-    res = g_hermitian_solve(space, gc)
-    ok = res.is_function_system
-    return CertificateReport(
-        name="function-system", verdict=PASS if ok else FAIL,
-        margin=float(res.complex_dim - space.dim),
-        witness=None,
-        diagnostics={"real_dim": res.real_dim,
-                     "complex_dim": res.complex_dim,
-                     "space_dim": space.dim})
-
-
 def cmd_check(args) -> int:
     sf = _load_space_file(args.space)
     space = sf.build_space()
@@ -127,7 +104,7 @@ def cmd_check(args) -> int:
             rep = scalar_unitary_check(space, gc, seed=args.seed,
                                        tol=args.tol)
         else:
-            rep = _wrap_function_system(space, gc)
+            rep = g_hermitian_solve(space, gc)
         _emit(args, [rep], _echo(args))
         return EXIT_BY_VERDICT[rep.verdict]
     uc = space.unit_coeffs()
@@ -135,8 +112,8 @@ def cmd_check(args) -> int:
         if args.element is None:
             raise InvalidInputError(f"check {kind} requires --element")
         xc = space.as_coeffs(loads_coeffs(args.element, "--element"))
-        rep = _wrap_hermitian(space, uc, xc, config) if kind == "hermitian" \
-            else is_u_positive(space, uc, xc, t_grid=config.t_grid)
+        check = is_u_hermitian if kind == "hermitian" else is_u_positive
+        rep = check(space, uc, xc, t_grid=config.t_grid)
     elif kind == "unitary":
         rep = certify_unitary(space, uc, max_level=args.level, config=config)
     elif kind == "isometry":

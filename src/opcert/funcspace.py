@@ -8,7 +8,8 @@ matrix-level ones and, for the checks below, equivalent at level one: a
 norm-one g acts like a unitary iff sup over the unit sphere of |s f + t g|
 equals sqrt(2) for every norm-one f in the space, and g-hermitian elements
 solve a pointwise real-linear system instead of a matrix feasibility
-problem. The checks reject any space that is not point-backed.
+problem (the ambient solve of `hermit`). Every check returns a
+CertificateReport and rejects any space that is not point-backed.
 
 Sampling error scales like 1/m for Lipschitz data, so verdict tolerances
 default to 10/m.
@@ -22,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError, PreconditionError
-from .hermit import _ambient_columns
-from .matcore import real_kernel, row_span
+from .hermit import _ambient_hermitians
+from .matcore import row_span
 from .opspace import ConcreteOpSpace, make_space, space_from_points
 from .report import FAIL, PASS, CertificateReport
 
@@ -96,34 +97,27 @@ def scalar_unitary_check(space: ConcreteOpSpace, g=None,
                      "tol": tol, "g_norm": gn})
 
 
-@dataclass
-class GHermitianResult:
-    real_basis: np.ndarray    # (r, d) real coefficient combinations
-    real_dim: int
-    complex_dim: int
-    is_function_system: bool
-
-
-def g_hermitian_solve(space: ConcreteOpSpace, g=None) -> GHermitianResult:
-    """Exact pointwise solve for {x : conj(g) x is real at every point}.
+def g_hermitian_solve(space: ConcreteOpSpace, g=None) -> CertificateReport:
+    """Is the space a function system with unit g: do the exact solutions
+    of {x : conj(g) x is real at every point} span it?
 
     Requires |g| = 1 pointwise; for unimodular g the hermitian condition
     at level one reduces to Im(conj(g(w)) x(w)) = 0 for all w, the ambient
-    equation adjoint(g) x = adjoint(x) g of `hermit.delta_span` read point
-    by point.
+    equation adjoint(g) x = adjoint(x) g of `hermit.delta_span`, solved by
+    the same real-linear kernel.
     """
     _point_backed(space)
     gc = space.unit_coeffs(g)
     gv = space.point_values(gc)
     if np.max(np.abs(np.abs(gv) - 1.0)) > UNIMODULAR_TOL:
         raise PreconditionError("g is not unimodular on the sample points")
-    d = space.dim
-    kern = real_kernel(_ambient_columns(space, gc))
-    herms = kern[:, :d] + 1j * kern[:, d:]
+    herms = _ambient_hermitians(space, gc)
     cdim = row_span(herms).shape[0]
-    return GHermitianResult(real_basis=herms, real_dim=herms.shape[0],
-                            complex_dim=cdim,
-                            is_function_system=cdim == d)
+    return CertificateReport(
+        name="function-system", verdict=PASS if cdim == space.dim else FAIL,
+        margin=float(cdim - space.dim), witness=None,
+        diagnostics={"real_dim": herms.shape[0], "complex_dim": cdim,
+                     "space_dim": space.dim})
 
 
 def selfadjoint_unit_check(space: ConcreteOpSpace,
@@ -150,15 +144,15 @@ def selfadjoint_unit_check(space: ConcreteOpSpace,
     for x in values:
         dev = np.max(np.abs(vv * np.conj(x) * vv - np.conj(x)))
         worst = max(worst, float(dev) / max(1.0, float(np.max(np.abs(x)))))
-    ok = ghs.is_function_system and worst <= CONJUGATION_TOL
+    ok = ghs.passed and worst <= CONJUGATION_TOL
     return CertificateReport(
         name="selfadjoint-unit", verdict=PASS if ok else FAIL,
-        margin=CONJUGATION_TOL - worst if ghs.is_function_system else -1.0,
+        margin=CONJUGATION_TOL - worst if ghs.passed else -1.0,
         witness=None,
         diagnostics={"conjugation_residual": worst,
-                     "real_dim": ghs.real_dim,
-                     "complex_dim": ghs.complex_dim,
-                     "is_function_system": bool(ghs.is_function_system)})
+                     "real_dim": ghs.diagnostics["real_dim"],
+                     "complex_dim": ghs.diagnostics["complex_dim"],
+                     "is_function_system": ghs.passed})
 
 
 @dataclass

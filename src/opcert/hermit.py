@@ -3,12 +3,14 @@
 An element x is u-hermitian when |u + itx|^2 <= 1 + |x|^2 t^2 for all real
 t; intrinsically, a contraction x is u-hermitian exactly when the level-2
 block [[tu, x], [-x, tu]] has norm at most sqrt(t^2 + 1) for every t > 0.
-Both criteria are evaluated on a fixed t grid. u-positives are the
-u-hermitians x with | |x| u - x | <= |x|.
+Both criteria are evaluated on a fixed t grid, and `is_u_hermitian`
+reports the slack of each. u-positives are the u-hermitians x with
+| |x| u - x | <= |x|.
 
 The span of the u-hermitians is computed two ways: an exact real-linear
 ambient solve of adjoint(x) u = adjoint(u) x (available when a ternary
-closure certifies u and is flagged envelope-exact), or intrinsic screening
+closure certifies u and is flagged envelope-exact; the same solve, read
+point by point, is `funcspace.g_hermitian_solve`), or intrinsic screening
 of candidate combinations through the grid criteria. The intrinsic route
 can only under-detect, so its non-spanning verdicts are reported as
 inconclusive rather than failures.
@@ -30,22 +32,11 @@ from .solver import DEFAULT_T_GRID
 HERMIT_TOL = 1e-8
 
 
-@dataclass
-class HermitianProfile:
-    coeffs: np.ndarray
-    element_norm: float
-    scaled: bool                  # matricial criterion ran on x/|x|
-    scalar_t: np.ndarray          # signed grid
-    scalar_slack: np.ndarray      # (1 + |x|^2 t^2) - |u + itx|^2
-    matricial_t: np.ndarray       # positive grid
-    matricial_slack: np.ndarray   # sqrt(t^2+1) - |[[tu, x],[-x, tu]]|
-    min_slack: float
-    tol: float
-    passed: bool
-
-
 def is_u_hermitian(space: ConcreteOpSpace, u, x,
-                   t_grid=None) -> HermitianProfile:
+                   t_grid=None) -> CertificateReport:
+    """Is x u-hermitian on the t grid? The diagnostics hold each
+    criterion's slack per t (the matricial one taken on x/|x| when scaled);
+    the margin is the least slack plus HERMIT_TOL."""
     uc = space.unit_coeffs(u)
     xc = space.as_coeffs(x)
     nx = space.norm(xc)
@@ -62,10 +53,13 @@ def is_u_hermitian(space: ConcreteOpSpace, u, x,
     matricial = np.sqrt(pos * pos + 1.0) - space.grid_norm(
         t_frames(space, pos, uc, xhat, -xhat))
     min_slack = float(min(scalar.min(), matricial.min()))
-    return HermitianProfile(
-        coeffs=xc, element_norm=nx, scaled=scaled, scalar_t=signed,
-        scalar_slack=scalar, matricial_t=pos, matricial_slack=matricial,
-        min_slack=min_slack, tol=HERMIT_TOL, passed=min_slack >= -HERMIT_TOL)
+    passed = min_slack >= -HERMIT_TOL
+    return CertificateReport(
+        name="u-hermitian", verdict=PASS if passed else FAIL,
+        margin=min_slack + HERMIT_TOL,
+        witness=None if passed else {"element": xc},
+        diagnostics={"scalar_slack": scalar, "matricial_slack": matricial,
+                     "scaled": scaled, "element_norm": nx})
 
 
 def is_u_positive(space: ConcreteOpSpace, u, x,
@@ -73,10 +67,13 @@ def is_u_positive(space: ConcreteOpSpace, u, x,
     uc = space.unit_coeffs(u)
     xc = space.as_coeffs(x)
     nx = space.norm(xc)
-    prof = is_u_hermitian(space, uc, xc, t_grid=t_grid)
+    herm = is_u_hermitian(space, uc, xc, t_grid=t_grid)
+    # the least slack itself: margin - HERMIT_TOL can differ by rounding
+    least = min(herm.diagnostics[k].min()
+                for k in ("scalar_slack", "matricial_slack"))
     shift = space.norm(nx * uc - xc)
     shift_ok = shift <= nx + HERMIT_TOL
-    diag = {"hermitian_min_slack": prof.min_slack, "shift_norm": shift,
+    diag = {"hermitian_min_slack": float(least), "shift_norm": shift,
             "element_norm": nx}
     if nx <= 1.0 + 1e-12:
         grid = np.array(sorted(t_grid if t_grid is not None else DEFAULT_T_GRID))
@@ -85,10 +82,10 @@ def is_u_positive(space: ConcreteOpSpace, u, x,
             t_frames(space, grid, uc, y, -y))
         diag["ball_criterion_slack"] = slack
         diag["ball_criterion_pass"] = bool(slack.min() >= -HERMIT_TOL)
-    ok = prof.passed and shift_ok
+    ok = herm.passed and shift_ok
     return CertificateReport(
         name="u-positive", verdict=PASS if ok else FAIL,
-        margin=min(prof.min_slack + HERMIT_TOL, nx + HERMIT_TOL - shift),
+        margin=min(herm.margin, nx + HERMIT_TOL - shift),
         witness=None, diagnostics=diag)
 
 
@@ -107,12 +104,16 @@ class DeltaSpan:
         return self.complex_basis.shape[0]
 
 
-def _ambient_columns(space: ConcreteOpSpace, uc: np.ndarray) -> np.ndarray:
-    """Columns of the real-linear map c -> adjoint(u) x(c) - adjoint(x(c)) u."""
+def _ambient_hermitians(space: ConcreteOpSpace, uc: np.ndarray) -> np.ndarray:
+    """Coefficient rows of an orthonormal real basis of the exact solutions
+    of adjoint(u) x = adjoint(x) u, the kernel of the real-linear map
+    c -> adjoint(u) x(c) - adjoint(x(c)) u."""
     m = adjoint(space.blocks(uc)) @ space.basis      # u* b_k, blockwise
     mh = adjoint(m)                                  # b_k* u
     d = space.dim
-    return np.vstack([(m - mh).reshape(d, -1), (1j * (m + mh)).reshape(d, -1)])
+    kern = real_kernel(np.vstack([(m - mh).reshape(d, -1),
+                                  (1j * (m + mh)).reshape(d, -1)]))
+    return kern[:, :d] + 1j * kern[:, d:]
 
 
 def delta_span(space: ConcreteOpSpace, u=None, closure=None) -> DeltaSpan:
@@ -130,27 +131,15 @@ def delta_span(space: ConcreteOpSpace, u=None, closure=None) -> DeltaSpan:
         from .tro import ambient_unitary_check
         ambient = ambient_unitary_check(closure, uc).passed
     if ambient:
-        kern = real_kernel(_ambient_columns(space, uc))
-        real_rows = kern[:, :d] + 1j * kern[:, d:]
-        real_rows = real_rows[np.linalg.norm(real_rows, axis=1) > 1e-12]
-        # re-orthonormalize in the real (2d) coordinates
-        flat = np.hstack([np.real(real_rows), np.imag(real_rows)])
-        flat = row_span(flat)
-        real_basis = flat[:, :d] + 1j * flat[:, d:]
-        route = "ambient"
+        rows, route = _ambient_hermitians(space, uc), "ambient"
     else:
         keep = [c for c in _candidates(uc)
                 if is_u_hermitian(space, uc, c).passed]
-        if keep:
-            rows = np.stack(keep)
-            flat = np.hstack([np.real(rows), np.imag(rows)])
-            flat = row_span(flat)
-            real_basis = flat[:, :d] + 1j * flat[:, d:]
-        else:
-            real_basis = np.zeros((0, d), dtype=np.complex128)
-        route = "numerical"
-    complex_basis = row_span(real_basis)
-    return DeltaSpan(real_basis=real_basis, complex_basis=complex_basis,
+        rows, route = np.reshape(keep, (-1, d)), "numerical"
+    # re-orthonormalize in the real (2d) coordinates
+    flat = row_span(np.hstack([np.real(rows), np.imag(rows)]))
+    real_basis = flat[:, :d] + 1j * flat[:, d:]
+    return DeltaSpan(real_basis=real_basis, complex_basis=row_span(real_basis),
                      route=route)
 
 

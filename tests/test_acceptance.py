@@ -79,9 +79,10 @@ def test_ac02_hermitian_norm_equality():
     worst = 0.0
     for _ in range(20):
         coeffs = random_hermitian_coeffs(space, rng, rng.uniform(0.05, 1.0))
-        prof = is_u_hermitian(space, None, coeffs)
-        assert prof.passed
-        worst = max(worst, float(np.max(np.abs(prof.scalar_slack))))
+        rep = is_u_hermitian(space, None, coeffs)
+        assert rep.passed
+        worst = max(worst,
+                    float(np.max(np.abs(rep.diagnostics["scalar_slack"]))))
     print(f"AC2 worst equality gap over 20 hermitians x full t grid: "
           f"{worst:.3e} (<= 1e-8)")
     assert worst <= 1e-8
@@ -195,8 +196,9 @@ def test_ac06_scalar_circle_checks():
         assert one.passed and z.passed
         assert one.diagnostics["tol"] == 10.0 / m
         assert one.diagnostics["worst_deficit"] <= 10.0 / m
-        dims[m] = (g_hermitian_solve(fspace).complex_dim,
-                   g_hermitian_solve(fspace, g=[0, 1.0, 0]).complex_dim)
+        dims[m] = tuple(
+            g_hermitian_solve(fspace, g=g).diagnostics["complex_dim"]
+            for g in (None, [0, 1.0, 0]))
     print(f"AC6 unitary checks pass for g=1 and g=z; hermitian span dims "
           f"(g=1, g=z): m=360 {dims[360]}, m=720 {dims[720]} "
           f"(expected (3, 1), stable in m)")

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from opcert.cli import main
-from opcert.funcspace import catalog_space
+from opcert.funcspace import catalog_space, g_hermitian_solve
+from opcert.hermit import is_u_hermitian, is_u_positive
 from opcert.opspace import make_space
-from opcert.serialize import SpaceFile
+from opcert.serialize import SpaceFile, dumps_canonical
 
 NAMES = ["circle-1zzbar", "circle-1z", "two-circles",
          "m2-full", "m2-upper", "m2-sym3"]
@@ -283,6 +284,43 @@ def test_space_file_seed_is_an_unknown_override(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().err == \
         "error: unknown solver overrides: ['root_seed']\n"
+
+
+def test_a_solver_constant_is_an_unknown_override(tmp_path, capsys):
+    # eps_stop is a constant of the solver, not a setting a file can change
+    space = tmp_path / "m2-full.json"
+    space.write_text(SpaceFile.from_space(catalog_space("m2-full"),
+                                          solver={"eps_stop": 1e-6}).dumps())
+    assert main(["check", "unitary", "--space", str(space),
+                 "--level", "1"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: unknown solver overrides: ['eps_stop']")
+
+
+@pytest.mark.parametrize("kind, name, element, check, code", [
+    ("hermitian", "m2-full", [0, 0.5, 0.5, 0], is_u_hermitian, 0),
+    ("hermitian", "m2-full", [1j, 0, 0, -1j], is_u_hermitian, 1),
+    ("positive", "m2-full", [0.5, 0.25, 0.25, 0], is_u_positive, 0),
+    ("function-system", "circle-1zzbar", None, g_hermitian_solve, 0),
+    ("function-system", "circle-1z", None, g_hermitian_solve, 1),
+], ids=["hermitian-pass", "hermitian-fail", "positive", "system-1zzbar",
+        "system-1z"])
+def test_cli_writes_the_library_report(tmp_path, capsys, kind, name, element,
+                                       check, code):
+    space = write_catalog_file(tmp_path, name)
+    out = tmp_path / "report.json"
+    argv = ["check", kind, "--space", space, "--out", str(out)]
+    if element is not None:
+        argv += ["--element", json.dumps([[z.real, z.imag] for z in
+                                          np.asarray(element, complex)])]
+    assert main(argv) == code
+    capsys.readouterr()
+    text = (tmp_path / f"{name}.json").read_text()
+    built = SpaceFile.loads(text).build_space()
+    rep = check(built, None) if element is None else \
+        check(built, None, element)
+    assert json.loads(out.read_text())["checks"][0] == \
+        json.loads(dumps_canonical(rep.to_dict()))
 
 
 def test_recover_product_escape_exits_nonzero(tmp_path, capsys):

@@ -7,6 +7,7 @@ from opcert.funcspace import (CATALOG, _sphere_sup, catalog_closure,
                               catalog_entry, catalog_names, catalog_space,
                               default_tol, g_hermitian_solve,
                               scalar_unitary_check, selfadjoint_unit_check)
+from opcert.hermit import _ambient_hermitians
 from opcert.opspace import space_from_points
 from opcert.report import FAIL, INCONCLUSIVE, PASS
 
@@ -106,26 +107,31 @@ def test_scalar_unitary_rejects_zero_g():
         scalar_unitary_check(catalog_space("circle-1z"), g=[0, 0])
 
 
+def dims(report):
+    """(real, complex) dimension of the hermitians a report counted."""
+    return report.diagnostics["real_dim"], report.diagnostics["complex_dim"]
+
+
 def test_g_hermitian_dimensions_on_circle():
     for m in (360, 720):
         fspace = catalog_space("circle-1zzbar", m)
         one = g_hermitian_solve(fspace)
-        assert (one.real_dim, one.complex_dim) == (3, 3)
-        assert one.is_function_system
+        assert dims(one) == (3, 3)
+        assert one.passed
 
         z = g_hermitian_solve(fspace, g=[0, 1.0, 0])
-        assert (z.real_dim, z.complex_dim) == (1, 1)
-        assert not z.is_function_system
+        assert dims(z) == (1, 1)
+        assert not z.passed
 
 
 def test_g_hermitian_on_remaining_entries():
     two = g_hermitian_solve(catalog_space("two-circles"))
-    assert two.real_dim == 4
-    assert two.is_function_system
+    assert two.diagnostics["real_dim"] == 4
+    assert two.passed
 
     onez = g_hermitian_solve(catalog_space("circle-1z"))
-    assert (onez.real_dim, onez.complex_dim) == (1, 1)
-    assert not onez.is_function_system
+    assert dims(onez) == (1, 1)
+    assert not onez.passed
 
 
 def test_g_hermitian_requires_unimodular():
@@ -135,8 +141,11 @@ def test_g_hermitian_requires_unimodular():
 
 def test_hermitian_rows_solve_the_pointwise_condition():
     fspace = catalog_space("circle-1zzbar")
-    res = g_hermitian_solve(fspace)
-    for row in res.real_basis:
+    # the rows g_hermitian_solve counts, from the ambient solve it shares
+    # with delta_span
+    rows = _ambient_hermitians(fspace, fspace.unit_coeffs())
+    assert rows.shape[0] == 3
+    for row in rows:
         vals = fspace.point_values(row)
         assert np.max(np.abs(np.imag(vals))) <= 1e-9
 

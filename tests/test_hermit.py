@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from opcert.blocks import two_by_two
-from opcert.funcspace import catalog_closure, catalog_entry, catalog_space
+from opcert.funcspace import (catalog_closure, catalog_entry, catalog_space,
+                              g_hermitian_solve)
 from opcert.hermit import delta_span, is_u_hermitian, is_u_positive, operator_system_check
 from opcert.matcore import herm_eigen
 from opcert.opspace import make_space
+from opcert.report import FAIL, PASS
+from opcert.solver import DEFAULT_T_GRID
+from opcert.tro import generate_tro
 
 E11 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 
@@ -27,26 +31,28 @@ def test_hermitian_contractions_pass():
     rng = np.random.default_rng(11)
     for _ in range(8):
         coeffs, _ = random_hermitian_coeffs(rng, scale=rng.uniform(0.1, 1.0))
-        prof = is_u_hermitian(space, None, coeffs)
-        assert prof.passed
-        assert np.max(np.abs(prof.scalar_slack)) <= 1e-8
-        assert prof.matricial_slack.min() >= -1e-8
-        assert not prof.scaled
+        rep = is_u_hermitian(space, None, coeffs)
+        assert rep.passed
+        assert np.max(np.abs(rep.diagnostics["scalar_slack"])) <= 1e-8
+        assert rep.diagnostics["matricial_slack"].min() >= -1e-8
+        assert not rep.diagnostics["scaled"]
 
 
 def test_skew_element_fails():
     space = catalog_space("m2-full")
-    prof = is_u_hermitian(space, None, [1j, 0, 0, -1j])   # i E11
-    assert not prof.passed
-    assert prof.min_slack < -1e-3
+    rep = is_u_hermitian(space, None, [1j, 0, 0, -1j])   # i E11
+    assert not rep.passed
+    diag = rep.diagnostics
+    assert min(diag["scalar_slack"].min(),
+               diag["matricial_slack"].min()) < -1e-3
 
 
 def test_large_element_scaled_for_matricial_branch():
     space = catalog_space("m2-full")
-    prof = is_u_hermitian(space, None, [0, 2.0, 2.0, 0])
-    assert prof.scaled
-    assert prof.element_norm == pytest.approx(2.0, abs=1e-9)
-    assert prof.passed
+    rep = is_u_hermitian(space, None, [0, 2.0, 2.0, 0])
+    assert rep.diagnostics["scaled"]
+    assert rep.diagnostics["element_norm"] == pytest.approx(2.0, abs=1e-9)
+    assert rep.passed
 
 
 def test_positive_matches_eigenvalue_oracle():
@@ -125,24 +131,30 @@ def test_corner_compression_preserves_hermiticity():
 
 def test_stacked_profiles_match_the_per_t_loop():
     rng = np.random.default_rng(41)
+    # the signed grid of the scalar criterion, the positive one of the
+    # matricial criterion
+    signed = sorted({s * t for t in DEFAULT_T_GRID for s in (1.0, -1.0)})
+    positive = sorted(DEFAULT_T_GRID)
     for name in ("m2-full", "circle-1zzbar"):
         space = catalog_entry(name).build(24)
         uc = space.unit_coeffs()
         xc = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         xc = 0.8 * xc / space.norm(xc)
-        prof = is_u_hermitian(space, uc, xc)
+        diag = is_u_hermitian(space, uc, xc).diagnostics
         nx = space.norm(xc)
         want = [(1.0 + nx * nx * t * t) - space.norm(uc + 1j * t * xc) ** 2
-                for t in prof.scalar_t]
-        np.testing.assert_allclose(prof.scalar_slack, want, rtol=0, atol=1e-12)
+                for t in signed]
+        np.testing.assert_allclose(diag["scalar_slack"], want, rtol=0,
+                                   atol=1e-12)
         want = [np.sqrt(t * t + 1.0)
                 - space.grid_norm(two_by_two(space, t * uc, xc, -xc, t * uc))
-                for t in prof.matricial_t]
-        np.testing.assert_allclose(prof.matricial_slack, want, rtol=0, atol=1e-12)
+                for t in positive]
+        np.testing.assert_allclose(diag["matricial_slack"], want, rtol=0,
+                                   atol=1e-12)
         slack = is_u_positive(space, uc, xc).diagnostics["ball_criterion_slack"]
         want = [np.sqrt(t * t + 1.0)
                 - space.grid_norm(two_by_two(space, t * uc, uc - xc, xc - uc, t * uc))
-                for t in prof.matricial_t]
+                for t in positive]
         np.testing.assert_allclose(slack, want, rtol=0, atol=1e-12)
 
 
@@ -153,3 +165,40 @@ def test_screening_finds_a_non_real_unit():
     ds = delta_span(space)
     assert ds.route == "numerical" and ds.complex_dim == 1
     assert operator_system_check(space).passed
+
+
+def random_spans(rng):
+    """span{I, A, A*} (an operator system) and span{I, N} with N strictly
+    upper triangular (not one), for random A and N in M2 and M3."""
+    for n in (2, 3) * 6:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        yield True, make_space([np.eye(n), a, a.conj().T], unit=[1.0, 0, 0])
+        yield False, make_space([np.eye(n), np.triu(a, 1)], unit=[1.0, 0])
+
+
+def test_ambient_and_numerical_hermitian_spans_agree():
+    def real(rows):
+        return np.hstack([rows.real, rows.imag])
+
+    for system, space in random_spans(np.random.default_rng(15)):
+        closure = generate_tro(space, envelope_exact=True)
+        exact = operator_system_check(space, closure=closure)
+        screened = operator_system_check(space)
+        assert exact.diagnostics["route"] == "ambient"
+        assert exact.verdict == (PASS if system else FAIL)
+        # screening can miss hermitians but never finds one that is not
+        assert not (screened.verdict == PASS and exact.verdict == FAIL)
+        ambient = real(delta_span(space, closure=closure).real_basis)
+        numerical = real(delta_span(space).real_basis)
+        # the ambient rows are orthonormal in real coordinates
+        residual = numerical - numerical @ ambient.T @ ambient
+        assert np.max(np.linalg.norm(residual, axis=1), initial=0.0) <= 1e-10
+
+
+def test_function_system_dims_match_the_ambient_span():
+    for name in ("circle-1zzbar", "circle-1z", "two-circles"):
+        space = catalog_space(name)
+        ds = delta_span(space, closure=catalog_closure(name))
+        assert ds.route == "ambient"
+        assert g_hermitian_solve(space).diagnostics["complex_dim"] == \
+            ds.complex_dim
