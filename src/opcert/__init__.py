@@ -3,8 +3,7 @@ isometry defects, hermitian and positive elements, operator-system and
 C*-structure detection, ternary closures, ordered units, and sampled
 function-space criteria."""
 
-from .certify import (DefectProfile, certify_coisometry, certify_isometry,
-                      certify_unitary, column_defect, row_defect)
+from .certify import certify_coisometry, certify_isometry, certify_unitary
 from .cstar import (ProductTable, RecoveredProduct, collect_unitaries,
                     detect_cstar, hermitian_to_unitaries, recover_product,
                     recover_product_left, unitary_span_check)
@@ -34,15 +33,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmplifiedElement", "CatalogEntry", "CertificateReport", "Cone",
-    "ConcreteOpSpace", "DefectProfile", "DeltaSpan", "Element", "FAIL",
+    "ConcreteOpSpace", "DeltaSpan", "Element", "FAIL",
     "INCONCLUSIVE", "InvalidInputError", "PASS", "ParseError",
     "PartnerSearchResult", "PreconditionError", "ProductTable",
     "RecoveredInvolution",
     "RecoveredProduct", "SolveResult", "SolverConfig", "SolverError",
-    "SpaceFile", "TroClosure", "amplify_unit", "catalog_closure",
+    "SpaceFile", "TroClosure", "ambient_system_check",
+    "ambient_unitary_check", "amplify_unit", "catalog_closure",
     "catalog_entry", "catalog_names", "catalog_space",
     "certify_coisometry", "certify_isometry", "certify_unitary",
-    "collect_unitaries", "column_defect", "cone_equals_delta_plus",
+    "collect_unitaries", "cone_equals_delta_plus",
     "cone_membership", "delta_span", "detect_cstar",
     "detect_operator_system", "dumps_canonical", "dumps_report",
     "find_partner", "g_hermitian_solve", "generate_tro",
@@ -50,7 +50,7 @@ __all__ = [
     "is_u_hermitian", "is_u_positive", "make_space", "maximize_over_sphere",
     "minimize_over_ball", "norm_order_unit_check",
     "operator_system_check", "recover_involution", "recover_product",
-    "recover_product_left", "row_defect", "same_involution_check",
+    "recover_product_left", "same_involution_check",
     "scalar_unitary_check", "selfadjoint_unit_check", "space_from_points",
     "t1_insufficiency_probe", "transfer_check",
     "unitary_span_check",

@@ -5,6 +5,10 @@ maximized over the unit sphere of M_n(X); the column defect uses the stacked
 block instead. A designated u of norm one is certified unitary when both
 defects stay at numerical zero across the requested levels, a coisometry
 when only the row defect does, an isometry when only the column defect does.
+Each level's search warm-starts at the level-1 witness repeated down the
+diagonal and at the previous level's witness in the corner, and the
+report's diagnostics hold every level's defect (``row_defect_level_n``,
+``column_defect_level_n``) and whether every search converged.
 The reported worst defect is attained by its witness, so it is a certified
 lower bound for the true supremum: the verdict (`report.verdict_of`) is
 FAIL once it reaches fail_tol, converged or not. Only when every search
@@ -14,8 +18,6 @@ multistart search, not a proof.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,16 +78,6 @@ class _DefectProblem:
         return 1.0 + nx * nx - bn * bn, grad.reshape(c.shape)
 
 
-@dataclass
-class DefectProfile:
-    level: int
-    direction: str
-    worst_defect: float
-    witness: np.ndarray       # (n, n, d) coefficient grid on the unit sphere
-    converged: bool
-    diagnostics: dict
-
-
 def _diag_embed(witness: np.ndarray, n: int) -> np.ndarray:
     """Level-1 witness repeated down the diagonal of a level-n grid."""
     d = witness.shape[2]
@@ -110,66 +102,41 @@ def _resolve_unit(space: ConcreteOpSpace, u) -> np.ndarray:
     return uc
 
 
-def _defect(space, u, level, direction, config, extra_starts) -> DefectProfile:
-    problem = _DefectProblem(space, u, level, direction)
-    extras = [g.reshape(-1) for g in extra_starts]
-    res = maximize_over_sphere(problem, config, extra_starts=extras,
-                               seed_salt=(DEFECT_SALTS[direction], level))
-    worst = max(0.0, res.value)
-    witness = res.coeffs.reshape(level, level, space.dim)
-    diag = {"iterations": res.iterations, "best_start": res.best_start}
-    return DefectProfile(level=level, direction=direction, worst_defect=worst,
-                         witness=witness, converged=res.converged,
-                         diagnostics=diag)
-
-
-def row_defect(space: ConcreteOpSpace, u=None, level: int = 1,
-               config: SolverConfig | None = None,
-               extra_starts=()) -> DefectProfile:
-    uc = _resolve_unit(space, u)
-    return _defect(space, uc, level, "row", config or SolverConfig(),
-                   extra_starts)
-
-
-def column_defect(space: ConcreteOpSpace, u=None, level: int = 1,
-                  config: SolverConfig | None = None,
-                  extra_starts=()) -> DefectProfile:
-    uc = _resolve_unit(space, u)
-    return _defect(space, uc, level, "column", config or SolverConfig(),
-                   extra_starts)
-
-
 def _certify(space, u, directions, max_level, config, name) -> CertificateReport:
     uc = _resolve_unit(space, u)
     config = config or SolverConfig()
     config.validate()
     if max_level < 1:
         raise InvalidInputError("max_level must be at least 1")
-    profiles = []
+    detail = {}
+    converged = []
+    worst, witness = -1.0, None
     for direction in directions:
-        level_witnesses = []
+        witnesses = []       # each level's worst grid, warm-starting the next
         for n in range(1, max_level + 1):
             extras = []
-            if level_witnesses:
-                extras.append(_diag_embed(level_witnesses[0], n))
-                extras.append(_pad_embed(level_witnesses[-1], n))
-            prof = _defect(space, uc, n, direction, config, extras)
-            level_witnesses.append(prof.witness)
-            profiles.append(prof)
-    worst_prof = max(profiles, key=lambda p: p.worst_defect)
-    worst = worst_prof.worst_defect
-    all_converged = all(p.converged for p in profiles)
+            if witnesses:
+                extras = [_diag_embed(witnesses[0], n),
+                          _pad_embed(witnesses[-1], n)]
+            res = maximize_over_sphere(
+                _DefectProblem(space, uc, n, direction), config,
+                extra_starts=[g.reshape(-1) for g in extras],
+                seed_salt=(DEFECT_SALTS[direction], n))
+            defect = max(0.0, res.value)
+            witnesses.append(res.coeffs.reshape(n, n, space.dim))
+            detail[f"{direction}_defect_level_{n}"] = defect
+            converged.append(res.converged)
+            if defect > worst:
+                worst, witness = defect, {"level": n, "direction": direction,
+                                          "coeff_grid": witnesses[-1]}
+    all_converged = all(converged)
     # the worst defect is attained by its witness; it bounds the supremum
     # from above only when every search converged
-    verdict = verdict_of(worst, worst if all_converged else np.inf, config)
-    detail = {f"{p.direction}_defect_level_{p.level}": p.worst_defect
-              for p in profiles}
+    verdict = verdict_of(worst, worst if all_converged else np.inf)
     detail["converged"] = all_converged
     return CertificateReport(
         name=name, verdict=verdict, margin=config.cert_tol - worst,
-        witness={"level": worst_prof.level, "direction": worst_prof.direction,
-                 "coeff_grid": worst_prof.witness},
-        diagnostics=detail)
+        witness=witness, diagnostics=detail)
 
 
 def certify_unitary(space: ConcreteOpSpace, u=None, max_level: int = 2,

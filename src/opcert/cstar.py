@@ -33,7 +33,8 @@ from .opspace import ConcreteOpSpace, Element
 from .report import FAIL, PASS, CertificateReport
 from .solver import SolverConfig, minimize_over_ball
 from .sysdetect import (RECOVERY_T, SLOT_STARTS, detect_operator_system,
-                        find_partner, involution_error_bound)
+                        find_partner, recovery_bound)
+from .tro import ambient_unitary_check
 
 DEDUPE_TOL = 1e-6
 # the t of the product table's searches: its bound 1/t + 1/t^2 is ~1e-5
@@ -46,7 +47,7 @@ class RecoveredProduct:
     escaped: bool
     achieved: float               # block norm at the minimizer
     target: float                 # sqrt(t^2 + |given|^2), attained iff the product stays in X
-    bound: float                  # guaranteed ambient error 1/t + 1/t^2 when not escaped
+    bound: float                  # recovery_bound: ambient error when not escaped
     ambient_truth: np.ndarray | None
     converged: bool
     diagnostics: dict
@@ -80,12 +81,8 @@ def _solve_product(space, uc, vc, given, slot, t, config, warm_start=False):
     return RecoveredProduct(
         element=space.element(-res.coeffs), escaped=bool(escaped),
         achieved=target + res.value, target=target,
-        bound=involution_error_bound(t) + 2 * res.value + 2 * config.eps_stop,
-        ambient_truth=block_diag(truth),
-        converged=res.converged,
-        diagnostics={"iterations": res.iterations,
-                     "reached_target": res.reached_target,
-                     "stops": res.stops, "certified_min": res.certified_min})
+        bound=recovery_bound(t, res.value), ambient_truth=block_diag(truth),
+        converged=res.converged, diagnostics=res.diagnostics)
 
 
 def recover_product(space: ConcreteOpSpace, u, v, y, t: float = RECOVERY_T,
@@ -143,7 +140,6 @@ def hermitian_to_unitaries(space: ConcreteOpSpace, u, x,
     ternary unitaries.
     """
     _require_exact(closure)
-    from .tro import ambient_unitary_check
     uc = space.as_coeffs(u)
     xc = space.as_coeffs(x)
     # psd_sqrt below accepts 1 - a^2 down to -EIG_CLAMP, and |a| = |x|:
@@ -233,7 +229,6 @@ def _assemble_table(space, uc, unitaries, t_table, config):
     iota = np.zeros((d, d), dtype=np.complex128)
     scales = np.zeros(d)
     iota_err = np.zeros(d)
-    per_call = involution_error_bound(t_table) + 2 * config.eps_stop
     for j, e in enumerate(np.eye(d, dtype=np.complex128)):
         s = max(1.0, space.norm(e))
         scales[j] = s
@@ -241,7 +236,7 @@ def _assemble_table(space, uc, unitaries, t_table, config):
         if r.residual >= config.fail_tol:
             raise PreconditionError("involution unavailable for a basis element")
         iota[j] = -r.y_coeffs
-        iota_err[j] = per_call + 2 * r.residual
+        iota_err[j] = recovery_bound(t_table, r.residual)
     prods = np.zeros((k, d, d), dtype=np.complex128)
     call_bound = np.zeros((k, d))
     for ki in range(k):

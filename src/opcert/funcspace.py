@@ -27,6 +27,7 @@ from .hermit import _ambient_hermitians
 from .matcore import row_span
 from .opspace import ConcreteOpSpace, make_space, space_from_points
 from .report import FAIL, PASS, CertificateReport
+from .tro import generate_tro
 
 UNIMODULAR_TOL = 1e-9
 CONJUGATION_TOL = 1e-8
@@ -258,6 +259,5 @@ def catalog_closure(name: str, points: int | None = None):
     Catalog entries are small enough that the generated closure is the
     exact envelope, so downstream ambient checks are licensed.
     """
-    from .tro import generate_tro
     space = catalog_space(name, points)
     return generate_tro(space, envelope_exact=True)

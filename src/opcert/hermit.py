@@ -3,14 +3,15 @@
 An element x is u-hermitian when |u + itx|^2 <= 1 + |x|^2 t^2 for all real
 t; intrinsically, a contraction x is u-hermitian exactly when the level-2
 block [[tu, x], [-x, tu]] has norm at most sqrt(t^2 + 1) for every t > 0.
-Both criteria are evaluated on a fixed t grid, and `is_u_hermitian`
-reports the slack of each. u-positives are the u-hermitians x with
-| |x| u - x | <= |x|.
+Both criteria are evaluated on a fixed t grid, checked by
+`solver.valid_t_grid`, and `is_u_hermitian` reports the slack of each.
+u-positives are the u-hermitians x with | |x| u - x | <= |x|.
 
 The span of the u-hermitians is computed two ways: an exact real-linear
-ambient solve of adjoint(x) u = adjoint(u) x (available when a ternary
-closure certifies u and is flagged envelope-exact; the same solve, read
-point by point, is `funcspace.g_hermitian_solve`), or intrinsic screening
+ambient solve of adjoint(x) u = adjoint(u) x (taken when `tro.licenses`
+grants it: the ternary closure is flagged envelope-exact and certifies u
+as an ambient unitary; the same solve, read point by point, is
+`funcspace.g_hermitian_solve`), or intrinsic screening
 of candidate combinations through the grid criteria. The intrinsic route
 can only under-detect, so its non-spanning verdicts are reported as
 inconclusive rather than failures.
@@ -23,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import t_frames
-from .errors import InvalidInputError
 from .matcore import adjoint, real_kernel, row_span
 from .opspace import ConcreteOpSpace
 from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
-from .solver import DEFAULT_T_GRID
+from .solver import DEFAULT_T_GRID, valid_t_grid
+from .tro import licenses
 
 HERMIT_TOL = 1e-8
 
@@ -40,9 +41,7 @@ def is_u_hermitian(space: ConcreteOpSpace, u, x,
     uc = space.unit_coeffs(u)
     xc = space.as_coeffs(x)
     nx = space.norm(xc)
-    grid = tuple(t_grid if t_grid is not None else DEFAULT_T_GRID)
-    if not all(0 < t < np.inf for t in grid):
-        raise InvalidInputError("t grid must be positive and finite")
+    grid = valid_t_grid(t_grid if t_grid is not None else DEFAULT_T_GRID)
     signed = np.array(sorted({s * t for t in grid for s in (1.0, -1.0)}))
     k = nx * nx
     rows = uc + 1j * signed[:, None] * xc
@@ -119,18 +118,14 @@ def _ambient_hermitians(space: ConcreteOpSpace, uc: np.ndarray) -> np.ndarray:
 def delta_span(space: ConcreteOpSpace, u=None, closure=None) -> DeltaSpan:
     """Real basis of the u-hermitians in the space and of their complex span.
 
-    With an envelope-exact closure certifying u, the hermitians are the
-    exact solution set of a real-linear system; otherwise u and candidate
+    When `tro.licenses(closure, u)`, the hermitians are the exact
+    solution set of a real-linear system; otherwise u and candidate
     combinations of basis elements are screened through the grid criteria
     on the default t grid.
     """
     uc = space.unit_coeffs(u)
     d = space.dim
-    ambient = False
-    if closure is not None and closure.envelope_exact:
-        from .tro import ambient_unitary_check
-        ambient = ambient_unitary_check(closure, uc).passed
-    if ambient:
+    if licenses(closure, uc):
         rows, route = _ambient_hermitians(space, uc), "ambient"
     else:
         keep = [c for c in _candidates(uc)

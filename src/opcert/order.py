@@ -21,6 +21,7 @@ from .hermit import delta_span, is_u_positive
 from .matcore import adjoint, herm_eigen
 from .opspace import ConcreteOpSpace
 from .report import FAIL, PASS, CertificateReport
+from .tro import licenses
 
 CONE_TOL = 1e-6
 PSD_TOL = 1e-8
@@ -105,14 +106,15 @@ def cone_equals_delta_plus(cone: Cone, u=None,
                            closure=None) -> CertificateReport:
     """Two-sided comparison of the cone with the u-positives.
 
-    Forward: every generator must be u-positive (ambient psd oracle when an
-    envelope-exact closure is supplied, intrinsic criteria otherwise).
+    Forward: every generator must be u-positive (the ambient psd oracle
+    when `tro.licenses(closure, u)`, the intrinsic criteria otherwise).
     Reverse: POSITIVE_SAMPLES sampled u-positive directions must have
-    small cone residual.
+    small cone residual; on the ambient route each is shifted by the least
+    multiple of u that makes it ambient psd, on the intrinsic route by u.
     """
     space = cone.space
     uc = space.unit_coeffs(u)
-    ambient = closure is not None and closure.envelope_exact
+    ambient = licenses(closure, uc)
     fwd_worst = 0.0
     fwd_witness = None
     for g in cone.generators:
@@ -135,11 +137,9 @@ def cone_equals_delta_plus(cone: Cone, u=None,
         if n < 1e-12:
             continue
         h = h / n
-        if ambient:
-            a = adjoint(space.blocks(uc)) @ space.blocks(h)
-            lam = max(0.0, -float(np.min(herm_eigen(0.5 * (a + adjoint(a))))))
-        else:
-            lam = 1.0  # |h| = 1, so h + u is u-positive by the shift criterion
+        # ambient: the least shift that makes h psd; intrinsic: |h| = 1,
+        # so h + u is u-positive by the shift criterion
+        lam = _ambient_psd_residual(space, uc, h) if ambient else 1.0
         xc = h + lam * uc
         res, _ = cone_membership(cone, xc)
         rel = res / max(1.0, float(np.linalg.norm(_frob_vec(space, xc))))

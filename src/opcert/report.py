@@ -7,18 +7,21 @@ from typing import Any
 
 import numpy as np
 
+from .solver import SolverConfig
+
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-def verdict_of(lower: float, upper: float, config) -> str:
+def verdict_of(lower: float, upper: float) -> str:
     """The verdict on a quantity that must vanish, from bounds
-    lower <= quantity <= upper: PASS when upper is within config.cert_tol,
-    FAIL when lower reaches config.fail_tol, INCONCLUSIVE otherwise."""
-    if upper <= config.cert_tol:
+    lower <= quantity <= upper: PASS when upper is within
+    SolverConfig.cert_tol, FAIL when lower reaches SolverConfig.fail_tol,
+    INCONCLUSIVE otherwise."""
+    if upper <= SolverConfig.cert_tol:
         return PASS
-    if lower >= config.fail_tol:
+    if lower >= SolverConfig.fail_tol:
         return FAIL
     return INCONCLUSIVE
 

@@ -71,6 +71,17 @@ STOP_REASONS = ("target", "zero_subgradient", "level_collapse", "budget",
                 "pinned_zero")
 
 
+def valid_t_grid(ts) -> tuple:
+    """ts as a tuple, checked: a nonempty grid of real, positive, finite
+    numbers, or InvalidInputError. Every check that takes a t grid runs it
+    through here."""
+    ts = tuple(ts) if np.iterable(ts) else ()
+    if not ts or not all(isinstance(t, Real) and 0 < t < math.inf
+                         for t in ts):
+        raise InvalidInputError("t_grid must be positive and finite")
+    return ts
+
+
 @dataclass
 class SolverConfig:
     """What a caller chooses: the seed, the start count, the iteration
@@ -95,9 +106,7 @@ class SolverConfig:
                    for n in (self.starts, self.max_iters)):
             raise InvalidInputError("starts and max_iters must be positive "
                                     "integers")
-        if not self.t_grid or not all(isinstance(t, Real) and 0 < t < math.inf
-                                      for t in self.t_grid):
-            raise InvalidInputError("t_grid must be positive and finite")
+        valid_t_grid(self.t_grid)
 
 
 @dataclass
@@ -115,6 +124,13 @@ class SolveResult:
     # always 0: no finite differences are taken; perfbench's tracer reads
     # this field to derive its solver.fd_calls and solver.fd_share metrics
     fd_calls: int = 0
+
+    @property
+    def diagnostics(self) -> dict:
+        """How the sweep went, as the searches built on it report it."""
+        return {"iterations": self.iterations, "best_start": self.best_start,
+                "reached_target": self.reached_target, "stops": self.stops,
+                "certified_min": self.certified_min}
 
 
 def _evaluate(problem, c: np.ndarray):

@@ -24,9 +24,10 @@ import numpy as np
 from .blocks import SlotProblem, ambient_product, t_frames
 from .certify import certify_unitary
 from .errors import InvalidInputError, PreconditionError
+from .hermit import operator_system_check
 from .opspace import ConcreteOpSpace, Element
 from .report import FAIL, PASS, CertificateReport, verdict_of
-from .solver import SolverConfig, minimize_over_ball
+from .solver import SolverConfig, minimize_over_ball, valid_t_grid
 
 SLOT_STARTS = 6         # starts of a partner or product search
 RECOVERY_T = 100.0      # t of a single-t recovery, error bound 1/t + 1/t^2
@@ -36,6 +37,13 @@ SYSTEM_SAMPLES = 3      # random elements detect_operator_system searches
 def involution_error_bound(t: float) -> float:
     """Recovery error guaranteed by partner feasibility at parameter t."""
     return 1.0 / t + 1.0 / (t * t)
+
+
+def recovery_bound(t: float, excess: float) -> float:
+    """Guaranteed ambient error of an element recovered at parameter t by a
+    search whose block norm misses its constraint by excess: the
+    feasibility bound, plus twice the miss and twice eps_stop."""
+    return involution_error_bound(t) + 2 * excess + 2 * SolverConfig.eps_stop
 
 
 @dataclass
@@ -72,7 +80,7 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
     xc = space.as_coeffs(x)
     if space.norm(xc) > 1.0 + 1e-9:
         raise InvalidInputError("x must lie in the unit ball")
-    ts = tuple(t_grid if t_grid is not None else config.t_grid)
+    ts = valid_t_grid(t_grid if t_grid is not None else config.t_grid)
     tt = np.asarray(ts, dtype=float)
     problem = SlotProblem(space, t_frames(space, tt, uc, xc, None), (1, 0),
                           np.sqrt(tt ** 2 + 1.0))
@@ -90,9 +98,7 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
     return PartnerSearchResult(
         x_coeffs=xc, y_coeffs=res.coeffs, residual=float(res.value),
         per_t_residual=per_t, t_grid=ts, converged=res.converged,
-        diagnostics={"iterations": res.iterations, "best_start": res.best_start,
-                     "reached_zero": res.reached_target, "stops": res.stops,
-                     "certified_min": res.certified_min})
+        diagnostics=res.diagnostics)
 
 
 def detect_operator_system(space: ConcreteOpSpace, u=None,
@@ -135,11 +141,10 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
     # the attained residual bounds the best partner from above; it bounds
     # it from below only when its search converged
     res = worst.residual
-    verdict = verdict_of(res if worst.converged else -np.inf, res, config)
+    verdict = verdict_of(res if worst.converged else -np.inf, res)
     diag["residuals"] = np.array([r.residual for r in partners])
     diag["worst_residual"] = res
     if closure is not None:
-        from .hermit import operator_system_check
         amb = operator_system_check(space, uc, closure=closure)
         diag["ambient_verdict"] = amb.verdict
         diag["ambient_agrees"] = amb.verdict == verdict
@@ -181,9 +186,8 @@ def recover_involution(space: ConcreteOpSpace, u=None, x=None,
         raise PreconditionError(
             f"no admissible partner at t={t_large:g} "
             f"(residual {r.residual:.3e}); not an operator system for this unit")
-    bound = involution_error_bound(t_large) + 2 * r.residual + 2 * config.eps_stop
     return RecoveredInvolution(space, -r.y_coeffs, residual=r.residual,
-                               bound=bound)
+                               bound=recovery_bound(t_large, r.residual))
 
 
 def t1_insufficiency_probe(space: ConcreteOpSpace, u=None, x=None,

@@ -112,6 +112,15 @@ def ambient_unitary_check(closure: TroClosure, v) -> CertificateReport:
                      "closure_rank": closure.rank, "closure_stable": closure.stable})
 
 
+def licenses(closure: TroClosure | None, u) -> bool:
+    """May a check take the ambient route for u: is the closure
+    envelope-exact, so that its matrices are the ambient model, and is u an
+    ambient unitary over it? Statements such as "adjoint(u) x is psd" mean
+    something only then."""
+    return closure is not None and closure.envelope_exact and \
+        ambient_unitary_check(closure, u).passed
+
+
 def _require_unitary(closure: TroClosure, v) -> None:
     rep = ambient_unitary_check(closure, v)
     if not rep.passed:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from opcert import certify
 from opcert.blocks import column_with_unit, row_with_unit
 from opcert.certify import (certify_coisometry, certify_isometry,
-                            certify_unitary, column_defect, row_defect)
+                            certify_unitary)
 from opcert.errors import InvalidInputError, PreconditionError
 from opcert.funcspace import catalog_names, catalog_space
 from opcert.opspace import make_space
@@ -103,12 +103,8 @@ def test_block_norm_bracket():
 def test_diagonal_embedding_keeps_defect():
     # worst defect at level 2 dominates the level-1 witness embedded diagonally
     space = row_space_12()
-    p1 = column_defect(space, level=1)
-    embedded = np.zeros((2, 2, 2), dtype=np.complex128)
-    embedded[0, 0] = p1.witness[0, 0]
-    embedded[1, 1] = p1.witness[0, 0]
-    p2 = column_defect(space, level=2, extra_starts=[embedded])
-    assert p2.worst_defect >= p1.worst_defect - 1e-8
+    d = certify_isometry(space, max_level=2).diagnostics
+    assert d["column_defect_level_2"] >= d["column_defect_level_1"] - 1e-8
 
 
 @settings(max_examples=8, deadline=None)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opcert.blocks import two_by_two
+from opcert.errors import InvalidInputError
 from opcert.funcspace import (catalog_closure, catalog_entry, catalog_space,
                               g_hermitian_solve)
 from opcert.hermit import delta_span, is_u_hermitian, is_u_positive, operator_system_check
@@ -74,6 +75,12 @@ def test_negative_element_rejected():
     space = catalog_space("m2-full")
     rep = is_u_positive(space, None, [-1.0, 0, 0, 1.0])   # -E11
     assert rep.verdict == "fail"
+
+
+@pytest.mark.parametrize("check", [is_u_hermitian, is_u_positive])
+def test_an_empty_t_grid_is_an_input_error(check):
+    with pytest.raises(InvalidInputError, match="t_grid"):
+        check(catalog_space("m2-full"), None, [0, 0.5, 0.5, 0], t_grid=())
 
 
 def test_delta_span_routes_differ_in_caution():

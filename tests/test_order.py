@@ -3,7 +3,7 @@ import pytest
 
 from opcert.errors import InvalidInputError
 from opcert.funcspace import catalog_closure, catalog_space
-from opcert.hermit import operator_system_check
+from opcert.hermit import delta_span, operator_system_check
 from opcert.opspace import make_space
 from opcert.order import (Cone, cone_equals_delta_plus, cone_membership,
                           norm_order_unit_check)
@@ -105,3 +105,17 @@ def test_diagonal_corner_cone_passes_everything():
     rep = cone_equals_delta_plus(cone, closure=closure)
     assert rep.passed
     assert rep.diagnostics["forward_ok"] and rep.diagnostics["reverse_ok"]
+
+
+def test_the_ambient_route_needs_a_unit_the_closure_certifies():
+    # u = diag(1, 1/2) is not an ambient unitary, so an exact closure must
+    # not switch on the ambient psd test: diag(1, -1/10) is u-positive
+    # by the intrinsic criteria although u* x is not psd
+    space = catalog_space("m2-full")
+    u = [1, 0, 0, -0.5]
+    closure = catalog_closure("m2-full")
+    cone = Cone(space, [[1, 0, 0, -1.1]])
+    rep = cone_equals_delta_plus(cone, u, closure=closure)
+    assert rep.diagnostics["forward_ok"]
+    assert rep.to_dict() == cone_equals_delta_plus(cone, u).to_dict()
+    assert delta_span(space, u, closure=closure).route == "numerical"

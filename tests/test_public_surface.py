@@ -12,7 +12,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # public API or read by perfbench
 UNSET_DEFAULTS = [
     "__init__(iterate)", "ambient_system_check(u)", "catalog_closure(points)",
-    "column_defect(config)", "column_defect(u)", "cone_equals_delta_plus(u)",
     "min_space(points)", "recover_product_left(config)",
     "recover_product_left(t)", "recover_product_left(warm_start)"]
 
@@ -33,10 +32,19 @@ def test_demo_imports_resolve(path):
     assert callable(module.main)
 
 
-def test_no_setting_goes_unset():
-    # a new defaulted parameter that no call sets is a constant in disguise
+def _tool(name):
     spec = importlib.util.spec_from_file_location(
-        "unset_defaults", ROOT / "tools" / "unset_defaults.py")
+        name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert module.unset_defaults(ROOT) == UNSET_DEFAULTS
+    return module
+
+
+def test_no_setting_goes_unset():
+    # a new defaulted parameter that no call sets is a constant in disguise
+    assert _tool("unset_defaults").unset_defaults(ROOT) == UNSET_DEFAULTS
+
+
+def test_no_import_goes_unused():
+    # a deletion leaves no import behind in src/opcert or tests
+    assert _tool("unused_imports").scan(ROOT) == []

@@ -83,6 +83,13 @@ def test_config_validation():
     SolverConfig().validate()
 
 
+@pytest.mark.parametrize("t_grid", [5, (), (1 + 2j,)],
+                         ids=["number", "empty", "complex"])
+def test_a_t_grid_must_be_a_grid_of_positive_reals(t_grid):
+    with pytest.raises(InvalidInputError, match="t_grid"):
+        SolverConfig(t_grid=t_grid).validate()
+
+
 def test_minimize_reaches_interior_minimum():
     a = np.array([0.3 + 0.1j, -0.2j, 0.1])
     res = minimize_over_ball(_Quadratic(a), SolverConfig())
@@ -366,6 +373,29 @@ def test_budget_runs_are_counted_and_not_certified():
     assert not res.converged and not res.certified_min
     # a maximization never certifies its value, whatever stopped it
     assert not maximize_over_sphere(_Linear(), SolverConfig()).certified_min
+
+
+class _FlatZero:
+    """f(c) = 0 with a unit gradient: nothing to climb, and no
+    zero-subgradient stop."""
+
+    dim = 2
+
+    def norm(self, c):
+        return np.linalg.norm(c, axis=-1)
+
+    def value_and_grad(self, c):
+        g = np.zeros(np.shape(c), dtype=np.complex128)
+        g[..., 0] = 1.0
+        return np.zeros(np.shape(c)[:-1]), g
+
+
+def test_a_maximize_run_pinned_at_zero_stops_after_one_stall_window():
+    config = SolverConfig(starts=4)
+    res = maximize_over_sphere(_FlatZero(), config)
+    assert res.stops["pinned_zero"] == 4 == sum(res.stops.values())
+    assert res.iterations == 4 * SolverConfig.stall_window
+    assert res.converged and res.value == 0.0
 
 
 @pytest.mark.parametrize("name, u, level", [

@@ -147,6 +147,13 @@ def test_detect_propagates_unit_failure():
     assert rep.diagnostics["unit_verdict"] == "fail"
 
 
+@pytest.mark.parametrize("t_grid", [(-1.0,), (0.0,), (np.nan,), (np.inf,), ()],
+                         ids=["negative", "zero", "nan", "inf", "empty"])
+def test_partner_t_grid_is_checked(t_grid):
+    with pytest.raises(InvalidInputError, match="t_grid"):
+        find_partner(catalog_space("m2-upper"), x=[0, 1.0], t_grid=t_grid)
+
+
 def test_input_validation():
     space = catalog_space("m2-full")
     with pytest.raises(InvalidInputError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from opcert.errors import PreconditionError
-from opcert.funcspace import catalog_closure, catalog_space
+from opcert.funcspace import catalog_closure
 from opcert.matcore import adjoint
 from opcert.opspace import make_space
 from opcert.tro import (ambient_system_check, ambient_unitary_check,
