@@ -12,17 +12,28 @@ of it even at a kink (a tied top); `smooth` is a diagnostic of the kink.
 
 The partner and product searches share one objective, `SlotProblem`: the
 worst excess max_t (|[[t u, b12], [b21, t v]]| - offset_t)+ over a stack
-of `t_frames`, as a function of the one off-diagonal slot left free.
+of `t_frames`, as a function of the one off-diagonal slot left free. Its
+`lower_bound` certifies how low that excess can go over the ball, from
+the `Pieces` of one point.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .matcore import adjoint, block_norms, top_singular_triple
 from .opspace import ConcreteOpSpace
+from .solver import SolverConfig
 
 GAP_TOL = 1e-8
+# the eps of a lower bound, tried in order: the pieces of a bound are the
+# (t, block) pairs whose excess is within eps of the worst
+EPS_LADDER = (1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1e-1)
+# a point this close to the unit sphere takes the ball's normal cone
+ON_SPHERE = 1e-9
+# weight of the sum-to-one row against the subgradient rows in the NNLS
+SIMPLEX_WEIGHT = 1e3
 
 
 def grid_value_and_grad(space: ConcreteOpSpace, grid: np.ndarray):
@@ -39,7 +50,8 @@ def grid_value_and_grad(space: ConcreteOpSpace, grid: np.ndarray):
     stack = space.grid_blocks(grid.reshape(-1, *grid.shape[-3:]))
     w = stack.shape[1]
     norms = block_norms(stack) if w > 1 else None
-    sigma, grad, gap = stack_value_and_grad(space, stack, norms)
+    sigma, grad, gap = stack_value_and_grad(
+        space, stack, norms.argmax(axis=-1) if w > 1 else None)
     if w > 1:
         gap = np.minimum(gap, sigma - np.partition(norms, w - 2, axis=-1)[:, w - 2])
     smooth = bool((gap > GAP_TOL * np.maximum(sigma, 1.0)).all())
@@ -48,19 +60,19 @@ def grid_value_and_grad(space: ConcreteOpSpace, grid: np.ndarray):
 
 
 def stack_value_and_grad(space: ConcreteOpSpace, stack: np.ndarray,
-                         norms: np.ndarray | None = None):
-    """Norms (S,), gradients (S, n1, n2, d) and top-block gaps (S,) of S
-    grids, from their (S, w, n1 p, n2 q) block stack and, when w > 1, their
-    (S, w) block norms.
+                         top: np.ndarray | None = None):
+    """Block norms (S,), gradients (S, n1, n2, d) and gaps (S,) of S grids,
+    from their (S, w, n1 p, n2 q) block stack and, when w > 1, the (S,)
+    index of the block each row is taken at: its top block for the grid's
+    norm, or any block for that block's own norm.
 
-    Each row's gradient comes from the top singular pair of its top block,
-    one batched SVD over the S chosen blocks; its gap is the block's
+    Each row's gradient comes from the top singular pair of its block, one
+    batched SVD over the S chosen blocks; its gap is the block's
     sigma_1 - sigma_2.
     """
     _, w, p, q = space.basis.shape
     rows = stack.shape[0]
     if w > 1:
-        top = norms.argmax(axis=-1)
         chosen = stack[np.arange(rows), top]
         basis, spec = space.basis[:, top].swapaxes(0, 1), "sip,skpq,sjq->sijk"
     else:
@@ -169,7 +181,8 @@ class SlotProblem:
             pick = (np.arange(rows),
                     (norms.max(axis=-1) - self.offsets).argmax(axis=-1))
             chosen, offset, norms = stacks[pick], self.offsets[pick[1]], norms[pick]
-        sigma, grad, _ = stack_value_and_grad(self.space, chosen, norms)
+        sigma, grad, _ = stack_value_and_grad(
+            self.space, chosen, norms.argmax(axis=-1) if w > 1 else None)
         excess = sigma - offset
         grad = grad[:, self.slot[0], self.slot[1], :]
         if min(excess.tolist()) <= 0.0:
@@ -180,3 +193,129 @@ class SlotProblem:
         if not lead:
             return float(excess[0]), grad[0]
         return excess.reshape(lead), grad.reshape(*lead, self.dim)
+
+    def lower_bound(self, c) -> float:
+        """A lower bound on the minimum of the worst excess over the ball,
+        certified at the point c of the ball by its `Pieces`, or -inf.
+
+        eps runs up EPS_LADDER and stops at the first bound that settles a
+        search, one at fail_tol or within cert_tol of the excess f at c.
+        An eps larger than f minus that level cannot give one, and an eps
+        that adds no piece gives a lower bound than the last: neither is
+        tried. Returns the best bound found."""
+        at = Pieces(self, c)
+        stop = min(SolverConfig.fail_tol, at.f - SolverConfig.cert_tol)
+        best, pieces = -np.inf, 0
+        for eps in EPS_LADDER:
+            if eps > at.f - stop or pieces == at.ranked.size:
+                break
+            m = at.subgradients(eps).shape[1]
+            if m > pieces:
+                pieces = m
+                best = max(best, at.bound(eps, *at.weights(eps)))
+                if best >= stop:
+                    break
+        return best
+
+
+def _real(g: np.ndarray) -> np.ndarray:
+    """Complex gradients (..., d) as real vectors (..., 2d): [Re, Im]."""
+    return np.concatenate([g.real, g.imag], axis=-1)
+
+
+class Pieces:
+    """First-order data of a `SlotProblem` at a point c of the ball, from
+    which `bound` certifies a lower bound on its minimum over the ball.
+
+    A piece is one (t, block) pair: phi_i(y) = (norm of that block of
+    frame t) - offset_t, convex in the slot y. Let f be the worst excess at
+    c. Each piece with phi_i(c) >= f - eps has a subgradient g_i from the
+    top singular pair of its block, taken as a real vector [Re, Im]. When
+    c is on the sphere, the norm subgradient h at c has
+    <h, y - c> <= 1 - norm(c) for every y of the ball. So for lambda >= 0
+    summing to 1 and mu >= 0, with r = sum lambda_i g_i + mu h, every y of
+    the ball has
+
+        worst excess(y) >= f - eps + <r, y - c> - mu (1 - norm(c))
+                        >= f - eps - |r| (R + |c|) - mu (1 - norm(c)),
+
+    where R = space.coeff_radius() bounds |y|. This is the
+    eps-subdifferential optimality test of bundle methods (Lemarechal;
+    Kiwiel, Methods of Descent for Nondifferentiable Optimization, 1985),
+    used as a certificate rather than as a step.
+    """
+
+    def __init__(self, problem: SlotProblem, c):
+        space = problem.space
+        self.problem = problem
+        self.c = np.asarray(c, dtype=np.complex128)
+        self.stacks = space.grid_blocks(problem._grids(self.c))
+        excess = (block_norms(self.stacks) - problem.offsets[:, None]).ravel()
+        # pieces by falling excess: those within eps of f are a prefix
+        self.order = np.argsort(-excess, kind="stable")
+        self.ranked = excess[self.order]
+        self.f = float(self.ranked[0])
+        self.grads = np.empty((2 * space.dim, 0))
+        ball = space.grid_blocks(self.c[None, None, None, :])
+        top = block_norms(ball).argmax(axis=-1) if ball.shape[1] > 1 else None
+        norm, g, _ = stack_value_and_grad(space, ball, top)
+        self.slack = max(0.0, 1.0 - float(norm[0]))
+        self.h = _real(g[0, 0, 0]) if self.slack <= ON_SPHERE else None
+        self.reach = space.coeff_radius() + float(np.linalg.norm(self.c))
+
+    def subgradients(self, eps: float) -> np.ndarray:
+        """(2d, m) real subgradients, as columns, of the m pieces within eps
+        of f, in falling order of excess."""
+        m = int(np.count_nonzero(self.ranked >= self.f - eps))
+        have = self.grads.shape[1]
+        if m > have:
+            w = self.stacks.shape[1]
+            t, k = np.divmod(self.order[have:m], w)
+            _, g, _ = stack_value_and_grad(self.problem.space, self.stacks[t],
+                                           k if w > 1 else None)
+            i, j = self.problem.slot
+            self.grads = np.hstack([self.grads, _real(g[:, i, j, :]).T])
+        return self.grads[:, :m]
+
+    def weights(self, eps: float):
+        """(lambda, mu) making r short for the pieces within eps: one NNLS
+        of the columns [g_i, h] with sum(lambda) = 1 as one heavily weighted
+        extra row. One piece needs none: lambda = 1, and mu >= 0
+        minimizes |g + mu h| in closed form."""
+        g = self.subgradients(eps)
+        m = g.shape[1]
+        h = self.h
+        if m == 1:
+            hh = 0.0 if h is None else float(h @ h)
+            mu = max(0.0, -float(g[:, 0] @ h) / hh) if hh else 0.0
+            return np.ones(1), mu
+        cols = g if h is None else np.column_stack([g, h])
+        weight = SIMPLEX_WEIGHT * max(1.0, float(np.abs(cols).max()))
+        a = np.vstack([cols, np.zeros(cols.shape[1])])
+        a[-1, :m] = weight
+        b = np.zeros(a.shape[0])
+        b[-1] = weight
+        try:
+            x, _ = nnls(a, b)
+        except RuntimeError:
+            # the active-set iteration limit: equal weights are valid too
+            return np.full(m, 1.0 / m), 0.0
+        return x[:m], 0.0 if h is None else float(x[m])
+
+    def bound(self, eps: float, lam, mu: float) -> float:
+        """The lower bound f - eps - |r| (R + |c|) - mu (1 - norm(c)) from
+        any multipliers, trusting only lambda >= 0 and mu >= 0: negative
+        entries count as 0, lambda is scaled to sum 1 (and mu with it), and
+        r is recomputed from them. -inf when no entry of lambda is
+        positive."""
+        g = self.subgradients(eps)
+        lam = np.clip(np.asarray(lam, dtype=float), 0.0, None)
+        total = float(lam.sum())
+        if not total > 0.0:
+            return -np.inf
+        r = g @ (lam / total)
+        mu = max(float(mu), 0.0) / total if self.h is not None else 0.0
+        if mu:
+            r = r + mu * self.h
+        return (self.f - eps - float(np.linalg.norm(r)) * self.reach
+                - mu * self.slack)

@@ -5,10 +5,11 @@ ball element y, the z in Ball(X) minimizing |[[t u, y], [z, t v]]| converges
 to -(v adjoint(y) u) as t grows, with error at most 1/t + 1/t^2. The
 search minimizes the excess of that norm over sqrt(t^2 + |y|^2), the
 `blocks.SlotProblem` of one t frame, toward zero, which it reaches
-exactly when the product stays in the space; an excess of fail_tol or
-more flags the product as escaped. Products of arbitrary elements follow
-by writing the left factor over a spanning set of unitaries (collected
-by averaging hermitians into pairs of unitaries) and extending linearly.
+exactly when the product stays in the space; a certified lower bound of
+fail_tol or more on that excess flags the product as escaped. Products
+of arbitrary elements follow by writing the left factor over a spanning
+set of unitaries (collected by averaging hermitians into pairs of
+unitaries) and extending linearly.
 The detection verdict combines operator-system detection, the unitary
 spanning check, and product closure. Every stage from the unitary span on
 needs an envelope-exact closure: `unitary_span_check` demands one, since
@@ -44,7 +45,7 @@ TABLE_T = 1e5
 @dataclass
 class RecoveredProduct:
     element: Element              # the candidate product (-z, or -y for the left variant)
-    escaped: bool
+    escaped: bool                 # the excess is certified at fail_tol or more
     achieved: float               # block norm at the minimizer
     target: float                 # sqrt(t^2 + |given|^2), attained iff the product stays in X
     bound: float                  # recovery_bound: ambient error when not escaped
@@ -77,7 +78,7 @@ def _solve_product(space, uc, vc, given, slot, t, config, warm_start=False):
     # the excess of the block norm over the target, minimized to 0
     res = minimize_over_ball(problem, config, target=0.0, starts=SLOT_STARTS,
                              extra_starts=extras, seed_salt=(31, slot[0]))
-    escaped = res.value >= config.fail_tol
+    escaped = res.lower >= config.fail_tol
     return RecoveredProduct(
         element=space.element(-res.coeffs), escaped=bool(escaped),
         achieved=target + res.value, target=target,
@@ -94,9 +95,12 @@ def recover_product(space: ConcreteOpSpace, u, v, y, t: float = RECOVERY_T,
     direction). When the true product lies inside X the candidate is within
     ``bound`` = 1/t + 1/t^2 + 2 excess + 2 eps_stop of it in the operator
     norm, where excess is the block norm's miss of its target; when it does
-    not, the minimum stays strictly above the target and the result is
-    flagged escaped. Cold starts by default so the achieved error scales
-    with 1/t instead of echoing the ambient product back.
+    not, the minimum stays strictly above the target, and the result is
+    flagged escaped once the search certifies a lower bound of fail_tol
+    on the excess. A miss of fail_tol or more that the search does not
+    certify is not flagged: whether the product escapes is then open.
+    Cold starts by default so the achieved error scales with 1/t instead
+    of echoing the ambient product back.
     """
     uc, vc, yc = space.as_coeffs(u), space.as_coeffs(v), space.as_coeffs(y)
     return _solve_product(space, uc, vc, yc, (1, 0), t, config,

@@ -68,6 +68,17 @@ class ConcreteOpSpace:
             self._proj["pinv"] = np.linalg.pinv(self._vectors())
         return self._proj["pinv"]
 
+    def coeff_radius(self) -> float:
+        """An upper bound on the euclidean norm of the coefficients of any
+        element of norm at most 1: the coefficients are pinv times the
+        Frobenius coordinates of the w blocks, and a p x q contraction has
+        Frobenius norm at most sqrt(min(p, q))."""
+        if "radius" not in self._proj:
+            _, w, p, q = self.basis.shape
+            self._proj["radius"] = float(np.linalg.norm(self._pinv(), 2)) \
+                * float(np.sqrt(w * min(p, q)))
+        return self._proj["radius"]
+
     # -- elements ----------------------------------------------------------
 
     def as_coeffs(self, x) -> np.ndarray:

@@ -4,10 +4,17 @@ Two entry points: `minimize_over_ball` (constraint: element norm <= 1, the
 reported value is a certified upper bound on the minimum) and
 `maximize_over_sphere` (constraint: element norm = 1 via radial retraction,
 the reported value is a certified lower bound on the supremum).
-The objective of `minimize_over_ball` must be convex. Then a zero
-subgradient certifies a global minimum (Rockafellar, Convex Analysis,
-Thm 27.1): a run that stops on one ends the whole multistart sweep, and
-its value is a lower bound on the minimum as well as an upper bound.
+The objective of `minimize_over_ball` must be convex, and the result's
+`lower` is a lower bound on its minimum. A zero subgradient certifies a
+global minimum (Rockafellar, Convex Analysis, Thm 27.1): a run that stops
+on one ends the whole multistart sweep, and its value is `lower` as well
+as the upper bound. Where the minimum is a kink that no run stops at, the
+problem's `lower_bound` certifies it instead: a run bounds the minimum at
+its incumbent every stall_window iterations while the incumbent exceeds
+the target by fail_tol or more, and once more when it ends unsettled. A
+bound that reaches fail_tol above the target, or comes within cert_tol of
+the incumbent, stops the run (stop reason ``certified``), and the sweep
+ends once its best value is within cert_tol of its best bound.
 
 Problems expose a flat complex variable vector and take a stack of them:
 
@@ -15,6 +22,8 @@ Problems expose a flat complex variable vector and take a stack of them:
     value_and_grad(c) -> (objectives (S,), wirtinger gradients (S, dim))
                     of an (S, dim) stack of variables
     norm(c)         constraint norms (S,) of the stack (operator norms)
+    lower_bound(c)  (minimize only) a lower bound on the minimum over the
+                    ball, certified at the point c of the ball, or -inf
 
 A row's results must not depend on the other rows of its stack: the
 objectives in this package compute every row with its own products and
@@ -66,9 +75,10 @@ from .errors import InvalidInputError, SolverError
 DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 # why a run stopped: within eps_stop of the target, on a zero subgradient,
 # when the adaptive level collapsed, at the end of the iteration budget,
-# or (maximize) pinned at numerical zero with nothing to climb
+# (maximize) pinned at numerical zero with nothing to climb, or (minimize)
+# settled by a certified lower bound
 STOP_REASONS = ("target", "zero_subgradient", "level_collapse", "budget",
-                "pinned_zero")
+                "pinned_zero", "certified")
 
 
 def valid_t_grid(ts) -> tuple:
@@ -118,19 +128,26 @@ class SolveResult:
     iterations: int
     reached_target: bool
     stops: dict                   # runs per stop reason, keys STOP_REASONS
-    # the value is also a lower bound on the minimum, to eps_stop or
-    # stat_tol: the sweep ended at the target or on a zero subgradient
-    certified_min: bool
+    # a lower bound on the minimum: the value itself when the sweep ended
+    # at the target or on a zero subgradient (to eps_stop or stat_tol),
+    # else the best bound of its runs' lower_bound calls; -inf when there
+    # is none, and always for a maximization
+    lower: float
     # always 0: no finite differences are taken; perfbench's tracer reads
     # this field to derive its solver.fd_calls and solver.fd_share metrics
     fd_calls: int = 0
+
+    @property
+    def certified_min(self) -> bool:
+        """The value is the minimum to within cert_tol."""
+        return self.value - self.lower <= SolverConfig.cert_tol
 
     @property
     def diagnostics(self) -> dict:
         """How the sweep went, as the searches built on it report it."""
         return {"iterations": self.iterations, "best_start": self.best_start,
                 "reached_target": self.reached_target, "stops": self.stops,
-                "certified_min": self.certified_min}
+                "lower": self.lower, "certified_min": self.certified_min}
 
 
 def _evaluate(problem, c: np.ndarray):
@@ -201,10 +218,14 @@ class _Run:
     where the true one vanishes. For a convex objective, f(y) >= f(c) -
     |g| |y - c| then makes the value of such a stop the minimum up to |g|
     times the ball's euclidean diameter, far below stat_tol.
+
+    A minimize run is given its problem's lower_bound: see `_certify`.
     """
 
-    def __init__(self, config, c, f, sign, target):
+    def __init__(self, config, c, f, sign, target, bound):
         self.config, self.sign, self.target = config, sign, target
+        self.bound = bound
+        self.lower = -math.inf       # best certified bound on the minimum
         self.c, self.best_c, self.best_f = c, c.copy(), f
         scale = max(abs(f - target), 1.0)
         self.s0 = config.step_scale * scale
@@ -221,6 +242,17 @@ class _Run:
     def _stop(self, why: str) -> None:
         self.why = why
 
+    def _certify(self) -> bool:
+        """Bound the minimum at the incumbent while it is fail_tol or more
+        above the target; True once the best bound settles the run: it is
+        fail_tol above the target, or within cert_tol of the incumbent."""
+        config = self.config
+        if self.bound is None or self.best_f - self.target < config.fail_tol:
+            return False
+        self.lower = max(self.lower, self.bound(self.best_c))
+        return (self.lower - self.target >= config.fail_tol
+                or self.best_f - self.lower <= config.cert_tol)
+
     def step(self, f: float, g: np.ndarray):
         """Take one iteration from the value and gradient at self.c: the
         stepped point before retraction, or None when the run stops."""
@@ -232,6 +264,8 @@ class _Run:
             self.since_improve += 1
         if self.at_target(self.best_f):
             return self._stop("target")
+        if self.iterations % config.stall_window == 0 and self._certify():
+            return self._stop("certified")
         if self.since_improve >= config.stall_window:
             # a maximize run pinned at numerical zero has nothing to climb
             if sign < 0 and self.best_f <= 1e-8:
@@ -239,7 +273,8 @@ class _Run:
             self.delta *= 0.5
             self.since_improve = 0
             if self.delta < self.floor:
-                return self._stop("level_collapse")
+                return self._stop("certified" if self._certify()
+                                  else "level_collapse")
         gnorm = float(np.linalg.norm(g))
         if gnorm < self.flat:
             # an objective flat at its target (a hinge inside its feasible
@@ -268,7 +303,8 @@ class _Run:
         """End at the iteration budget with the value at the last iterate."""
         if self.sign * (f - self.best_f) < 0:
             self.best_f, self.best_c = f, self.c.copy()
-        self.why = "target" if self.at_target(self.best_f) else "budget"
+        self.why = "target" if self.at_target(self.best_f) else \
+            "certified" if self._certify() else "budget"
 
 
 def _run_stack(problem, config, starts, sign, target) -> list:
@@ -282,7 +318,9 @@ def _run_stack(problem, config, starts, sign, target) -> list:
     """
     c = np.array(starts, dtype=np.complex128)
     f, g = _evaluate(problem, c)
-    runs = live = [_Run(config, ck, fk, sign, target) for ck, fk in zip(c, f)]
+    bound = problem.lower_bound if sign > 0 else None
+    runs = live = [_Run(config, ck, fk, sign, target, bound)
+                   for ck, fk in zip(c, f)]
     for it in range(1, config.max_iters + 1):
         stepped, steps = [], []
         for r, fk, gk in zip(live, f, g):
@@ -313,7 +351,7 @@ def _reduce(runs, sign) -> SolveResult:
     best = None
     total_iters = 0
     stops = dict.fromkeys(STOP_REASONS, 0)
-    settled = False
+    lower = -math.inf
     for i, r in enumerate(runs):
         f, why = r.best_f, r.why
         total_iters += r.iterations
@@ -324,14 +362,16 @@ def _reduce(runs, sign) -> SolveResult:
         if best is None or sign * (f - best[0]) < 0 or \
                 (settled and sign * (f - best[0]) <= 0):
             best = (f, r.best_c, i, why)
-        if settled:
+        # every run's bound holds for the one minimum, so the best counts
+        lower = best[0] if settled else max(lower, r.lower)
+        if best[0] - lower <= SolverConfig.cert_tol:
             break
     f, c, i, why = best
     return SolveResult(coeffs=c, value=float(f),
                        converged=stops["budget"] < sum(stops.values()),
                        best_start=i, iterations=total_iters,
                        reached_target=why == "target", stops=stops,
-                       certified_min=settled)
+                       lower=float(lower))
 
 
 def minimize_over_ball(problem, config: SolverConfig | None = None, *,
@@ -340,11 +380,14 @@ def minimize_over_ball(problem, config: SolverConfig | None = None, *,
     """Minimize a convex objective over {c : problem.norm(c) <= 1}.
 
     The returned value is an upper bound on the true minimum (it is attained
-    by the returned feasible point). ``target`` must be a known lower bound
-    on the objective over the ball: a run ends at the first iterate within
-    eps_stop of it, and the Polyak level never drops below it. A run that stops on a zero subgradient has found a global
-    minimum, which needs the objective to be convex: the sweep ends there,
-    and ``certified_min`` marks the value as a lower bound too.
+    by the returned feasible point), and ``lower`` a lower bound.
+    ``target`` must be a known lower bound on the objective over the ball:
+    a run ends at the first iterate within eps_stop of it, and the Polyak
+    level never drops below it. A run that stops on a zero subgradient has
+    found a global minimum, which needs the objective to be convex; a run
+    whose problem.lower_bound settles it stops too (see the module
+    docstring). The sweep ends once its value is within cert_tol of its
+    lower bound, which ``certified_min`` marks.
     """
     config = config or SolverConfig()
     config.validate()

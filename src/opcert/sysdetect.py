@@ -6,10 +6,10 @@ exactly when some partner y in the unit ball keeps the block
 such a partner is a convex minimization of the worst hinge residual over
 the t grid: the `blocks.SlotProblem` of the frames [[t u, x], [., t u]]
 in the lower-left slot, with offsets sqrt(t^2 + 1). The attained residual
-bounds the best partner's from above, and from below once its search has
-converged, so the system verdict (`report.verdict_of`) is PASS when the
-worst attained residual is within cert_tol and FAIL when it reaches
-fail_tol with its search converged. At a single large t the minimizing
+bounds the best partner's from above, and the search's certified `lower`
+bounds it from below, so the system verdict (`report.verdict_of`) is PASS
+when the worst attained residual is within cert_tol and FAIL when some
+element's lower bound reaches fail_tol. At a single large t the minimizing
 partner pins down the involution: iota(x) = -y agrees with the ambient
 u adjoint(x) u up to 1/t + 1/t^2, which is how the involution is
 recovered constructively.
@@ -26,7 +26,7 @@ from .certify import certify_unitary
 from .errors import InvalidInputError, PreconditionError
 from .hermit import operator_system_check
 from .opspace import ConcreteOpSpace, Element
-from .report import FAIL, PASS, CertificateReport, verdict_of
+from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport, verdict_of
 from .solver import SolverConfig, minimize_over_ball, valid_t_grid
 
 SLOT_STARTS = 6         # starts of a partner or product search
@@ -51,6 +51,7 @@ class PartnerSearchResult:
     x_coeffs: np.ndarray
     y_coeffs: np.ndarray          # partner, |y| <= 1
     residual: float               # max over t of (block norm - sqrt(t^2+1))+
+    lower: float                  # certified: no partner's residual is lower
     per_t_residual: np.ndarray
     t_grid: tuple
     converged: bool
@@ -64,10 +65,14 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
     """Best unit-ball partner for x across the t grid.
 
     The objective is convex in y, so a handful of starts suffices; the
-    search stops at the first feasible partner (hinge at numerical zero)
-    or at the first zero subgradient, which certifies the minimum
-    (``certified_min`` in the diagnostics, with the runs per stop reason
-    under ``stops``).
+    search stops at the first feasible partner (hinge at numerical zero),
+    at the first zero subgradient, which certifies the minimum, or once
+    its certified lower bound is within cert_tol of the best residual
+    (``lower``, and ``certified_min`` in the diagnostics, with the runs
+    per stop reason under ``stops``). ``lower`` is the solver's bound:
+    the residual itself on a zero subgradient, else the best bound
+    certified at a stalled incumbent (`blocks.SlotProblem.lower_bound`),
+    -inf when none was.
     warm_start seeds the sweep with -u adjoint(x) u, the exact partner,
     when it lies in the space; the hinge is still evaluated from scratch,
     so the verdict cannot be faked, but recovery callers that want the
@@ -97,8 +102,8 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
     per_t = problem._hinges(problem._grids(res.coeffs))
     return PartnerSearchResult(
         x_coeffs=xc, y_coeffs=res.coeffs, residual=float(res.value),
-        per_t_residual=per_t, t_grid=ts, converged=res.converged,
-        diagnostics=res.diagnostics)
+        lower=res.lower, per_t_residual=per_t, t_grid=ts,
+        converged=res.converged, diagnostics=res.diagnostics)
 
 
 def detect_operator_system(space: ConcreteOpSpace, u=None,
@@ -108,10 +113,11 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
     SYSTEM_SAMPLES random elements, after a level-2 unit certificate.
 
     The elements are searched in order, and the search ends at the first
-    partner certified at a residual of at least fail_tol: that element
-    alone decides a certified FAIL and its margin, so ``residuals`` in the
-    diagnostics lists only the elements searched. Otherwise the worst
-    residual over all elements decides.
+    element whose partner search certifies a lower bound of at least
+    fail_tol: that element alone decides a certified FAIL and its margin,
+    so ``residuals`` in the diagnostics lists only the elements searched.
+    Otherwise the worst residual over all elements decides, with its own
+    lower bound.
     """
     config = config or SolverConfig()
     uc = space.unit_coeffs(u)
@@ -133,15 +139,15 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
     for xc in elements:
         partners.append(find_partner(space, uc, xc, config=config))
         worst = partners[-1]
-        # a certified minimum at or above fail_tol settles a FAIL
-        if worst.diagnostics["certified_min"] and worst.residual >= config.fail_tol:
+        # a lower bound at or above fail_tol settles a FAIL
+        if worst.lower >= config.fail_tol:
             break
     else:
         worst = max(partners, key=lambda r: r.residual)
-    # the attained residual bounds the best partner from above; it bounds
-    # it from below only when its search converged
+    # the attained residual bounds the best partner from above, the
+    # search's certified lower bound from below
     res = worst.residual
-    verdict = verdict_of(res if worst.converged else -np.inf, res)
+    verdict = verdict_of(worst.lower, res)
     diag["residuals"] = np.array([r.residual for r in partners])
     diag["worst_residual"] = res
     if closure is not None:
@@ -195,7 +201,9 @@ def t1_insufficiency_probe(space: ConcreteOpSpace, u=None, x=None,
     """Compare partner feasibility at t = 1 alone against the full grid.
 
     Reports the best partner residual with the t = 1 constraint alone
-    (``t1_residual``, verdict PASS when it is within ``fail_tol``) and with
+    (``t1_residual``, verdict PASS when it is within ``fail_tol``, FAIL
+    when its search certifies a lower bound of at least ``fail_tol``,
+    INCONCLUSIVE otherwise) and with
     the whole t grid (``full_residual``, ``full_pass`` within ``cert_tol``);
     ``diverges`` is True when t = 1 admits a partner but the grid does not.
 
@@ -216,8 +224,10 @@ def t1_insufficiency_probe(space: ConcreteOpSpace, u=None, x=None,
     rf = find_partner(space, uc, xc, config=config)
     t1_ok = r1.residual <= config.fail_tol
     full_ok = rf.residual <= config.cert_tol
+    verdict = PASS if t1_ok else \
+        FAIL if r1.lower >= config.fail_tol else INCONCLUSIVE
     return CertificateReport(
-        name="t1-insufficiency", verdict=PASS if t1_ok else FAIL,
+        name="t1-insufficiency", verdict=verdict,
         margin=config.fail_tol - r1.residual, witness=None,
         diagnostics={"t1_residual": r1.residual,
                      "full_residual": rf.residual,

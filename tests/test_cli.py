@@ -335,6 +335,21 @@ def test_recover_product_escape_exits_nonzero(tmp_path, capsys):
     assert main(["recover", "product", "--space", space, "--v", "[1,0]"]) == 3
 
 
+def test_a_short_product_search_does_not_claim_an_escape(tmp_path, capsys):
+    # v = I and y = 0.8 E12 on m2-full: v y* u = 0.8 E21 lies in the space,
+    # but 5 iterations leave the excess near 0.21, with no certified bound
+    space = tmp_path / "m2-full.json"
+    space.write_text(SpaceFile.from_space(catalog_space("m2-full"),
+                                          solver={"max_iters": 5}).dumps())
+    code = main(["recover", "product", "--space", str(space),
+                 "--v", "[1, 0, 0, 0]", "--y", "[0, 0.8, 0, 0]", "--t", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "recover-product: inconclusive" in captured.out
+    assert "escaped: False" in captured.out
+    assert "escapes" not in captured.err
+
+
 def test_reports_identical_for_same_seed(tmp_path):
     space = write_catalog_file(tmp_path, "m2-full")
     outs = []

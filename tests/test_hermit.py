@@ -9,8 +9,9 @@ from opcert.hermit import delta_span, is_u_hermitian, is_u_positive, operator_sy
 from opcert.matcore import herm_eigen
 from opcert.opspace import make_space
 from opcert.report import FAIL, PASS
-from opcert.solver import DEFAULT_T_GRID
-from opcert.tro import generate_tro
+from opcert.solver import DEFAULT_T_GRID, SolverConfig
+from opcert.sysdetect import find_partner
+from opcert.tro import ambient_system_check, generate_tro
 
 E11 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 
@@ -200,6 +201,24 @@ def test_ambient_and_numerical_hermitian_spans_agree():
         # the ambient rows are orthonormal in real coordinates
         residual = numerical - numerical @ ambient.T @ ambient
         assert np.max(np.linalg.norm(residual, axis=1), initial=0.0) <= 1e-10
+
+
+def test_certified_partner_fails_never_meet_an_ambient_pass():
+    # span{I, A, A*} is an operator system and span{I, N} is not: N has no
+    # partner. Warm and cold (warm_start=False) searches for A or N bracket
+    # the best residual, a certified FAIL never meets an ambient PASS, and
+    # every N is certified.
+    config = SolverConfig(max_iters=100)
+    for system, space in random_spans(np.random.default_rng(15)):
+        ambient = ambient_system_check(generate_tro(space, envelope_exact=True))
+        assert ambient.verdict == (PASS if system else FAIL)
+        x = np.eye(space.dim)[1] / space.norm(np.eye(space.dim)[1])
+        for warm in (True, False):
+            r = find_partner(space, x=x, config=config, warm_start=warm)
+            assert r.lower <= r.residual
+            assert system == (r.lower < SolverConfig.fail_tol)
+            if system and warm:
+                assert r.residual <= SolverConfig.cert_tol
 
 
 def test_function_system_dims_match_the_ambient_span():

@@ -34,6 +34,13 @@ def _product(space, uc, vc, given, slot, t):
                        np.sqrt(t * t + space.norm(given) ** 2))
 
 
+def _tangent_bound(problem, c):
+    """f(c) - |g| (1 + |c|): a convex objective's first-order lower bound
+    over the euclidean unit ball, certified at c."""
+    f, g = problem.value_and_grad(c)
+    return f - np.linalg.norm(g) * (1.0 + np.linalg.norm(c))
+
+
 class _Quadratic:
     """f(y) = |y - a|^2 with the euclidean ball constraint."""
 
@@ -46,6 +53,9 @@ class _Quadratic:
 
     def value_and_grad(self, c):
         return np.linalg.norm(c - self.a, axis=-1) ** 2, 2.0 * (c - self.a)
+
+    def lower_bound(self, c):
+        return _tangent_bound(self, c)
 
 
 class _Linear:
@@ -71,6 +81,9 @@ class _NonFinite:
     def value_and_grad(self, c):
         return (np.full(np.shape(c)[:-1], np.nan),
                 np.zeros(np.shape(c), dtype=np.complex128))
+
+    def lower_bound(self, c):
+        return -np.inf
 
 
 def test_config_validation():
@@ -352,6 +365,9 @@ class _Hinge:
         grad = np.where(inside, 0.0, d / np.where(inside, 1.0, n))
         return np.where(inside[..., 0], 0.0, n[..., 0] - self.r), grad
 
+    def lower_bound(self, c):
+        return _tangent_bound(self, c)
+
 
 def test_landing_inside_a_flat_minimum_is_a_target_hit():
     # the zero gradient met on landing inside the feasible set comes with
@@ -373,6 +389,41 @@ def test_budget_runs_are_counted_and_not_certified():
     assert not res.converged and not res.certified_min
     # a maximization never certifies its value, whatever stopped it
     assert not maximize_over_sphere(_Linear(), SolverConfig()).certified_min
+
+
+class _Kink:
+    """f(c) = 1 + |Re c|, minimum 1 at the zero start: a kink where the
+    gradient is never zero, so no run stops on its own; lower_bound
+    returns a given valid bound."""
+
+    dim = 1
+
+    def __init__(self, lower):
+        self.lower = lower
+
+    def norm(self, c):
+        return np.abs(c[..., 0])
+
+    def value_and_grad(self, c):
+        re = np.real(c[..., 0])
+        return 1.0 + np.abs(re), np.where(re >= 0, 1.0, -1.0)[..., None] + 0j
+
+    def lower_bound(self, c):
+        return self.lower
+
+
+def test_a_certified_bound_stops_runs_and_settles_the_sweep():
+    # a bound fail_tol above the target stops each run at its first
+    # checkpoint, but only a bound within cert_tol of the best value ends
+    # the sweep
+    res = minimize_over_ball(_Kink(0.9), SolverConfig(), starts=4)
+    assert res.stops["certified"] == 4 == sum(res.stops.values())
+    assert res.iterations == 4 * SolverConfig.stall_window
+    assert res.value == 1.0 and res.lower == 0.9
+    assert res.converged and not res.certified_min
+    res = minimize_over_ball(_Kink(1.0 - 1e-6), SolverConfig(), starts=4)
+    assert res.stops["certified"] == 1 == sum(res.stops.values())
+    assert res.value == 1.0 and res.certified_min
 
 
 class _FlatZero:
@@ -460,7 +511,7 @@ def test_each_iterate_is_evaluated_once():
     assert res.stops["budget"] == 2 and res.iterations == 2 * k
     # the minimize starts run one at a time
     assert problem.calls["value_and_grad"] == [1] * (2 * (k + 1))
-    assert set(problem.calls) == {"value_and_grad", "norm"}
+    assert set(problem.calls) == {"value_and_grad", "norm", "lower_bound"}
     problem = _Counted(_Linear())
     res = maximize_over_sphere(problem, SolverConfig(max_iters=k))
     assert res.stops["budget"] == 32
