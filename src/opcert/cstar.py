@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import SlotProblem, ambient_product, t_frames
+from .certify import certify_coisometry, certify_isometry
 from .errors import InvalidInputError, PreconditionError
 from .hermit import delta_span, is_u_hermitian
 from .matcore import EIG_CLAMP, adjoint, block_diag, psd_sqrt, row_span
@@ -79,11 +80,29 @@ def _solve_product(space, uc, vc, given, slot, t, config, warm_start=False):
     res = minimize_over_ball(problem, config, target=0.0, starts=SLOT_STARTS,
                              extra_starts=extras, seed_salt=(31, slot[0]))
     escaped = res.lower >= config.fail_tol
+    if escaped:
+        _require_ternary_unitary(space, vc, slot, config)
     return RecoveredProduct(
         element=space.element(-res.coeffs), escaped=bool(escaped),
         achieved=target + res.value, target=target,
         bound=recovery_bound(t, res.value), ambient_truth=block_diag(truth),
         converged=res.converged, diagnostics=res.diagnostics)
+
+
+def _require_ternary_unitary(space, vc, slot, config):
+    """Raise PreconditionError unless v is certified as the coisometry
+    (slot (1, 0)) or isometry (slot (0, 1)) the recovery needs: for any
+    other v a product inside the space can miss its target too, so an
+    excess says nothing about an escape."""
+    certify, kind = (certify_coisometry, "a coisometry") if slot == (1, 0) \
+        else (certify_isometry, "an isometry")
+    try:
+        passed = certify(space, vc, config=config).passed
+    except PreconditionError:       # v lies outside the unit ball
+        passed = False
+    if not passed:
+        raise PreconditionError(f"v is not certified as {kind}, so the "
+                                "product search cannot tell an escape")
 
 
 def recover_product(space: ConcreteOpSpace, u, v, y, t: float = RECOVERY_T,
@@ -99,6 +118,8 @@ def recover_product(space: ConcreteOpSpace, u, v, y, t: float = RECOVERY_T,
     flagged escaped once the search certifies a lower bound of fail_tol
     on the excess. A miss of fail_tol or more that the search does not
     certify is not flagged: whether the product escapes is then open.
+    Before flagging an escape, v is certified as a coisometry; if it is
+    not, PreconditionError is raised.
     Cold starts by default so the achieved error scales with 1/t instead
     of echoing the ambient product back.
     """
@@ -112,7 +133,8 @@ def recover_product_left(space: ConcreteOpSpace, u, v, z,
                          config: SolverConfig | None = None,
                          warm_start: bool = False) -> RecoveredProduct:
     """Left-variant recovery: the y with z = -(v adjoint(y) u), i.e. a
-    candidate for u adjoint(z) v. Requires v to act as an isometry."""
+    candidate for u adjoint(z) v. Requires v to act as an isometry, which
+    is certified before an escape is flagged (PreconditionError if not)."""
     uc, vc, zc = space.as_coeffs(u), space.as_coeffs(v), space.as_coeffs(z)
     return _solve_product(space, uc, vc, zc, (0, 1), t, config,
                           warm_start=warm_start)

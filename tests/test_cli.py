@@ -335,6 +335,19 @@ def test_recover_product_escape_exits_nonzero(tmp_path, capsys):
     assert main(["recover", "product", "--space", space, "--v", "[1,0]"]) == 3
 
 
+def test_a_product_escape_needs_a_coisometry(tmp_path, capsys):
+    # v = diag(2, 1) on m2-full: v y* u = 0.8 E21 lies in the space, yet
+    # the search certifies an excess near 10; v is not a coisometry, so the
+    # excess is no escape
+    space = write_catalog_file(tmp_path, "m2-full")
+    code = main(["recover", "product", "--space", space,
+                 "--v", "[1, 0, 0, 1]", "--y", "[0, 0.8, 0, 0]", "--t", "10"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "error: v is not certified as a coisometry" in captured.err
+    assert "escapes" not in captured.err
+
+
 def test_a_short_product_search_does_not_claim_an_escape(tmp_path, capsys):
     # v = I and y = 0.8 E12 on m2-full: v y* u = 0.8 E21 lies in the space,
     # but 5 iterations leave the excess near 0.21, with no certified bound

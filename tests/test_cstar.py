@@ -270,6 +270,19 @@ def test_recover_product_reports_stop_reasons():
     assert rec.diagnostics["stops"]["target"] == 1
 
 
+def test_an_escape_is_flagged_only_for_a_ternary_unitary():
+    # v = diag(2, 1) is no unitary: its product excess is certified far
+    # above fail_tol, though v y* u lies in M2, so no escape is flagged
+    space = catalog_space("m2-full")
+    uc, vc, yc = space.unit_coeffs(), [1, 0, 0, 1], [0, 0.8, 0, 0]
+    with pytest.raises(PreconditionError,
+                       match="v is not certified as a coisometry"):
+        recover_product(space, uc, vc, yc)
+    with pytest.raises(PreconditionError,
+                       match="v is not certified as an isometry"):
+        recover_product_left(space, uc, vc, yc)
+
+
 def test_detect_cstar_needs_an_exact_closure_past_the_system_stage():
     # span{I} with u = e^{i pi/4} I is an operator system; the unitary span
     # and product stages need the ambient model

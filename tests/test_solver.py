@@ -4,11 +4,14 @@ import pytest
 
 from opcert.blocks import SlotProblem, grid_value_and_grad, t_frames
 from opcert.certify import _DefectProblem
+from opcert.cstar import recover_product
 from opcert.errors import InvalidInputError, SolverError
 from opcert.funcspace import catalog_entry, catalog_space
 from opcert.opspace import make_space
-from opcert.solver import (SolverConfig, _run_stack, _sphere_starts,
-                           maximize_over_sphere, minimize_over_ball)
+from opcert.solver import (SolverConfig, _ball_starts, _reduce, _run_stack,
+                           _sphere_starts, maximize_over_sphere,
+                           minimize_over_ball)
+from opcert.sysdetect import SLOT_STARTS
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 E21 = np.array([[0, 0], [1, 0]], dtype=np.complex128)
@@ -473,6 +476,121 @@ def test_a_stack_of_starts_runs_each_start_as_alone(name, u, level,
         assert (alone.iterations, alone.why) == (run.iterations, run.why)
 
 
+# a cold m2-full product at t = 10, v a rotation and y = 0.8 E12: every
+# start of its search runs to the budget
+ROT_V = np.array([np.cos(0.3), -np.sin(0.3), np.sin(0.3), 0],
+                 dtype=np.complex128)
+Y08 = np.array([0, 0.8, 0, 0], dtype=np.complex128)
+
+
+def _cold_m2_product():
+    space = m2_full()
+    return _product(space, space.unit_coeffs(), ROT_V, Y08, (1, 0), 10.0)
+
+
+def _circle_1z_partner():
+    """The partner hinge of z on circle-1z over (0.25, 32): the minimum is
+    a kink, and every start stops certified at a lower-bound checkpoint."""
+    space = catalog_space("circle-1z")
+    return _partner(space, space.unit_coeffs(), np.array([0, 1 + 0j]),
+                    (0.25, 32.0))
+
+
+@pytest.mark.parametrize("make, why", [(_cold_m2_product, "budget"),
+                                       (_circle_1z_partner, "certified")],
+                         ids=["m2-full-product", "circle-1z-partner"])
+def test_a_stack_of_minimize_starts_runs_each_start_as_alone(make, why):
+    problem = make()
+    config = SolverConfig()
+    starts = _ball_starts(problem, SLOT_STARTS, (), [7, 1])
+    stacked = _run_stack(problem, config, starts, +1, 0.0)
+    assert {r.why for r in stacked} == {why}
+    for c0, run in zip(starts, stacked):
+        (alone,) = _run_stack(problem, config, [c0], +1, 0.0)
+        assert (alone.best_f, alone.lower) == (run.best_f, run.lower)
+        npt.assert_array_equal(alone.best_c, run.best_c)
+        assert (alone.iterations, alone.why) == (run.iterations, run.why)
+
+
+def _sequential_sweep(problem, config, n, extra=()):
+    """minimize_over_ball's answer with each start run alone, read in
+    start order, and those runs."""
+    starts = _ball_starts(problem, n, extra, [config.root_seed, 1])
+    runs = [r for c in starts
+            for r in _run_stack(problem, config, [c], +1, 0.0)]
+    return _reduce(runs, +1), runs
+
+
+def _assert_same_result(a, b):
+    npt.assert_array_equal(a.coeffs, b.coeffs)
+    fields = ("value", "lower", "iterations", "stops", "best_start",
+              "converged", "reached_target")
+    assert [getattr(a, k) for k in fields] == [getattr(b, k) for k in fields]
+
+
+def test_a_sweep_settled_by_its_first_start_runs_no_other():
+    # a warm start at -(v y* u) settles the sweep on its own
+    problem = _cold_m2_product()
+    space, config = problem.space, SolverConfig()
+    warm = -space.membership(space.embed(ROT_V) @ (0.8 * E21))[0]
+    counted = _Counted(problem)
+    res = minimize_over_ball(counted, config, starts=SLOT_STARTS,
+                             extra_starts=[warm])
+    ref, _ = _sequential_sweep(problem, config, SLOT_STARTS, [warm])
+    _assert_same_result(res, ref)
+    assert res.best_start == 0 and sum(res.stops.values()) == 1
+    assert set(counted.calls["value_and_grad"]) == {1}
+
+
+def test_a_cold_sweep_steps_its_later_starts_as_one_stack():
+    problem = _cold_m2_product()
+    config = SolverConfig()
+    counted = _Counted(problem)
+    res = minimize_over_ball(counted, config, starts=SLOT_STARTS)
+    ref, _ = _sequential_sweep(problem, config, SLOT_STARTS)
+    _assert_same_result(res, ref)
+    assert res.stops["budget"] == SLOT_STARTS
+    k = config.max_iters
+    assert counted.calls["value_and_grad"] == \
+        [1] * (k + 1) + [SLOT_STARTS - 1] * (k + 1)
+
+
+def test_a_stack_of_later_starts_stops_where_the_sweep_settles():
+    # start 0 ends at its budget, start 1 hits the target at iteration k1
+    # and settles the sweep, which starts 2 and 3 would reach only later:
+    # the stack stops stepping at k1
+    problem = _Quadratic([0.5, 0])
+    config = SolverConfig(max_iters=20)
+    extra = [[-0.9, 0], [0.45, 0]]
+    ref, runs = _sequential_sweep(problem, config, 4, extra)
+    assert [r.why for r in runs[:2]] == ["budget", "target"]
+    k1 = runs[1].iterations
+    assert k1 < min(r.iterations for r in runs[2:])
+    counted = _Counted(problem)
+    res = minimize_over_ball(counted, config, starts=4, extra_starts=extra)
+    _assert_same_result(res, ref)
+    assert res.best_start == 1 and res.iterations == config.max_iters + k1
+    assert counted.calls["value_and_grad"] == \
+        [1] * (config.max_iters + 1) + [3] * k1
+
+
+def test_a_cold_product_makes_two_calls_per_iteration(monkeypatch):
+    # the first start alone, then the other five as one stack
+    calls = []
+    value_and_grad = SlotProblem.value_and_grad
+
+    def counted(self, c):
+        calls.append(len(c))
+        return value_and_grad(self, c)
+
+    monkeypatch.setattr(SlotProblem, "value_and_grad", counted)
+    space, config = m2_full(), SolverConfig()
+    rec = recover_product(space, space.unit_coeffs(), ROT_V, Y08, t=10.0,
+                          config=config)
+    assert rec.diagnostics["stops"]["budget"] == SLOT_STARTS
+    assert len(calls) <= 2 * (config.max_iters + 1)
+
+
 class _Counted:
     """A problem that counts its calls and the rows they carry."""
 
@@ -507,10 +625,10 @@ def test_each_iterate_is_evaluated_once():
     k = 3
     a = np.array([0.3 + 0.1j, -0.2j, 0.1])
     problem = _Counted(_Quadratic(a))
-    res = minimize_over_ball(problem, SolverConfig(max_iters=k), starts=2)
-    assert res.stops["budget"] == 2 and res.iterations == 2 * k
-    # the minimize starts run one at a time
-    assert problem.calls["value_and_grad"] == [1] * (2 * (k + 1))
+    res = minimize_over_ball(problem, SolverConfig(max_iters=k), starts=3)
+    assert res.stops["budget"] == 3 and res.iterations == 3 * k
+    # the first minimize start runs alone, the other two as one stack
+    assert problem.calls["value_and_grad"] == [1] * (k + 1) + [2] * (k + 1)
     assert set(problem.calls) == {"value_and_grad", "norm", "lower_bound"}
     problem = _Counted(_Linear())
     res = maximize_over_sphere(problem, SolverConfig(max_iters=k))
