@@ -16,9 +16,16 @@ from opcert.opspace import make_space
 
 
 def show(label, report):
-    worst = max((v for k, v in report.diagnostics.items()
-                 if k.endswith(("level_1", "level_2"))), default=0.0)
-    print(f"  {label:<34} {report.verdict:<13} worst defect {worst:.3e}")
+    # a direction settled by the concrete bound reports the bound, a
+    # searched one its defect per level
+    d = report.diagnostics
+    if d["upper_route"] == "concrete":
+        bound = max(v for k, v in d.items() if k.endswith("_defect_bound"))
+        what = f"defect bound {bound:.3e} (every level)"
+    else:
+        worst = max(v for k, v in d.items() if "_defect_level_" in k)
+        what = f"worst defect {worst:.3e}"
+    print(f"  {label:<34} {report.verdict:<13} {what}")
     return report
 
 

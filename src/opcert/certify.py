@@ -3,18 +3,32 @@
 The row defect of x at matrix level n is (|u_n|^2 + |x|^2) - |[u_n  x]|^2,
 maximized over the unit sphere of M_n(X); the column defect uses the stacked
 block instead. A designated u of norm one is certified unitary when both
-defects stay at numerical zero across the requested levels, a coisometry
-when only the row defect does, an isometry when only the column defect does.
-Each level's search warm-starts at the level-1 witness repeated down the
-diagonal and at the previous level's witness in the corner, and the
-report's diagnostics hold every level's defect (``row_defect_level_n``,
-``column_defect_level_n``) and whether every search converged.
-The reported worst defect is attained by its witness, so it is a certified
-lower bound for the true supremum: the verdict (`report.verdict_of`) is
-FAIL once it reaches fail_tol, converged or not. Only when every search
-converged is it also taken as the upper bound, so a PASS needs a worst
-defect within cert_tol from converged searches; it is evidence from a
-multistart search, not a proof.
+defects stay at numerical zero, a coisometry when only the row defect does,
+an isometry when only the column defect does.
+
+Each direction is first bounded from the concrete blocks of u: since
+|[u_n  x]|^2 = |u_n u_n* + x x*| >= lambda_min(u u*) + |x|^2 (Weyl), the
+row defect at every level is at most 1 - lambda_min(u u*), which is
+1 - sigma_min(u)^2 when u's blocks are p x q with p <= q and useless
+(1) otherwise; the column defect is bounded by lambda_min(u* u) the same
+way. A direction whose bound is within cert_tol runs no search: its PASS
+is a proof at every level, not only up to max_level. Its report keeps the
+bound (``row_defect_bound``, ``column_defect_bound``) and, as witness, the
+level-1 point u/|u|, whose defect 1 - |u|^2 is attained.
+
+Any other direction is searched level by level. Each level's search
+warm-starts at the level-1 witness repeated down the diagonal and at the
+previous level's witness in the corner, and the diagnostics hold every
+level's defect (``row_defect_level_n``, ``column_defect_level_n``) and
+whether every search converged. The worst defect found is attained by its
+witness, so it is a certified lower bound for the true supremum: the
+verdict (`report.verdict_of`) is FAIL once it reaches fail_tol, converged
+or not. Only when every search of a direction converged is its worst
+defect also taken as that direction's upper bound (capped by the concrete
+bound), so a PASS through the search needs a worst defect within cert_tol
+from converged searches; it is evidence from a multistart search, not a
+proof. ``upper_route`` names what the upper side rests on: ``concrete``
+when the bound settled every direction, ``search`` otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +44,8 @@ from .solver import SolverConfig, maximize_over_sphere
 UNIT_NORM_TOL = 1e-6
 # seed salt of each defect direction's sweeps
 DEFECT_SALTS = {"row": 11, "column": 12}
+# rounding allowance of the concrete bound, per unit of max(p, q)
+BOUND_ROUNDING = 8 * float(np.finfo(float).eps)
 
 
 class _DefectProblem:
@@ -102,41 +118,87 @@ def _resolve_unit(space: ConcreteOpSpace, u) -> np.ndarray:
     return uc
 
 
+def _concrete_bounds(space: ConcreteOpSpace, uc: np.ndarray) -> dict:
+    """Upper bound on the row and column defect of u at every level, from
+    one batched SVD of u's (w, p, q) blocks: 1 - min_k sigma_min(u_k)^2 on
+    the side where the blocks have no more rows (row) or columns (column)
+    than the other, 1 on the other side; clipped at 0, plus a rounding
+    allowance."""
+    blocks = space.blocks(uc)
+    _, p, q = blocks.shape
+    smin = float(np.linalg.svd(blocks, compute_uv=False)[:, -1].min())
+    gap = 1.0 - smin * smin
+    slack = BOUND_ROUNDING * max(p, q)
+    return {"row": max(0.0, gap if p <= q else 1.0) + slack,
+            "column": max(0.0, gap if q <= p else 1.0) + slack}
+
+
+def _search(space, uc, direction, max_level, config, detail):
+    """(worst defect, its witness, whether every level converged) of one
+    direction's level-by-level search; each level's defect goes into
+    detail."""
+    witnesses = []       # each level's worst grid, warm-starting the next
+    worst, witness, converged = -1.0, None, True
+    for n in range(1, max_level + 1):
+        extras = []
+        if witnesses:
+            extras = [_diag_embed(witnesses[0], n),
+                      _pad_embed(witnesses[-1], n)]
+        res = maximize_over_sphere(
+            _DefectProblem(space, uc, n, direction), config,
+            extra_starts=[g.reshape(-1) for g in extras],
+            seed_salt=(DEFECT_SALTS[direction], n))
+        defect = max(0.0, res.value)
+        witnesses.append(res.coeffs.reshape(n, n, space.dim))
+        detail[f"{direction}_defect_level_{n}"] = defect
+        converged = converged and res.converged
+        if defect > worst:
+            worst, witness = defect, {"level": n, "direction": direction,
+                                      "coeff_grid": witnesses[-1]}
+    return worst, witness, converged
+
+
 def _certify(space, u, directions, max_level, config, name) -> CertificateReport:
     uc = _resolve_unit(space, u)
     config = config or SolverConfig()
     config.validate()
     if max_level < 1:
         raise InvalidInputError("max_level must be at least 1")
+    bounds = _concrete_bounds(space, uc)
     detail = {}
-    converged = []
-    worst, witness = -1.0, None
+    searched = []        # whether each searched direction converged
+    # over the directions: the worst attained defect, the worst upper
+    # bound, and the worst of what the margin reports
+    lower = upper = worst = -1.0
+    witness = None
     for direction in directions:
-        witnesses = []       # each level's worst grid, warm-starting the next
-        for n in range(1, max_level + 1):
-            extras = []
-            if witnesses:
-                extras = [_diag_embed(witnesses[0], n),
-                          _pad_embed(witnesses[-1], n)]
-            res = maximize_over_sphere(
-                _DefectProblem(space, uc, n, direction), config,
-                extra_starts=[g.reshape(-1) for g in extras],
-                seed_salt=(DEFECT_SALTS[direction], n))
-            defect = max(0.0, res.value)
-            witnesses.append(res.coeffs.reshape(n, n, space.dim))
-            detail[f"{direction}_defect_level_{n}"] = defect
-            converged.append(res.converged)
-            if defect > worst:
-                worst, witness = defect, {"level": n, "direction": direction,
-                                          "coeff_grid": witnesses[-1]}
-    all_converged = all(converged)
-    # the worst defect is attained by its witness; it bounds the supremum
-    # from above only when every search converged
-    verdict = verdict_of(worst, worst if all_converged else np.inf)
-    detail["converged"] = all_converged
+        bound = bounds[direction]
+        if bound <= config.cert_tol:
+            # the bound settles every level; u/|u| attains the defect
+            # 1 - |u|^2 at level 1, a lower bound
+            problem = _DefectProblem(space, uc, 1, direction)
+            x = (uc / problem.u_norm)[None]
+            attained = max(0.0, float(problem.value_and_grad(x)[0][0]))
+            cap = reported = bound
+            where = {"level": 1, "direction": direction,
+                     "coeff_grid": x.reshape(1, 1, space.dim)}
+            detail[f"{direction}_defect_bound"] = bound
+        else:
+            attained, where, converged = _search(space, uc, direction,
+                                                 max_level, config, detail)
+            searched.append(converged)
+            # the worst defect found is an upper bound only once converged
+            cap = min(bound, attained if converged else np.inf)
+            reported = attained
+        lower, upper = max(lower, attained), max(upper, cap)
+        if reported > worst:
+            worst, witness = reported, where
+    if searched:
+        detail["converged"] = all(searched)
+    detail["upper_route"] = "search" if searched else "concrete"
     return CertificateReport(
-        name=name, verdict=verdict, margin=config.cert_tol - worst,
-        witness=witness, diagnostics=detail)
+        name=name, verdict=verdict_of(lower, upper),
+        margin=config.cert_tol - worst, witness=witness, diagnostics=detail)
 
 
 def certify_unitary(space: ConcreteOpSpace, u=None, max_level: int = 2,

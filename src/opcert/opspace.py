@@ -82,7 +82,8 @@ class ConcreteOpSpace:
     # -- elements ----------------------------------------------------------
 
     def as_coeffs(self, x) -> np.ndarray:
-        """Coerce an Element or a raw sequence to a (d,) complex vector."""
+        """Coerce an Element or a raw sequence to a finite (d,) complex
+        vector."""
         if isinstance(x, Element):
             if x.space is not self:
                 raise InvalidInputError("element belongs to a different space")
@@ -91,6 +92,10 @@ class ConcreteOpSpace:
         if c.shape != (self.dim,):
             raise InvalidInputError(
                 f"expected {self.dim} coefficients, got shape {c.shape}")
+        # count_nonzero costs half of .all() on a short vector, and some
+        # checks pass hundreds of vectors through here
+        if np.count_nonzero(np.isfinite(c)) != c.size:
+            raise InvalidInputError("coefficients must be finite")
         return c
 
     def element(self, coeffs) -> "Element":

@@ -2,8 +2,11 @@
 
 perfbench/run.py prints its result with every per-layer metric that
 BENCHMARK.json names; a metric whose source left the package (a traced
-function, a result field) drops out of that line. This test traces a small
-run and checks the names against the contract.
+function, a result field) or that a workload no longer reaches (a traced
+function none of its operations call) drops out of that line. These tests
+trace a small run, and one pass of each catalog workload's operation list,
+and check the names against the contract. They read perfbench's modules
+and change none of them.
 """
 
 import importlib.util
@@ -11,6 +14,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from opcert.certify import certify_unitary
 from opcert.funcspace import catalog_space
@@ -44,4 +48,38 @@ def test_traced_run_reports_every_contract_metric():
     assert set(metrics) | {"trace.overhead_s"} == want
     assert metrics["solver.fd_calls"][0] == 0
     assert metrics["solver.fd_share"][0] == 0.0
+    json.dumps({k: v for k, (v, _) in metrics.items()}, allow_nan=False)
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["sampled-catalog", "dense-catalog"])
+def test_a_traced_catalog_pass_reports_every_contract_metric(workload,
+                                                             tmp_path):
+    # the operation list perfbench/run.py times, built and traced the way
+    # its --trace 1 pass does, in this process
+    _, ctx = _perfbench_module("prepare").setup(str(tmp_path), workload)
+    ctx["workdir"] = str(tmp_path)
+    workloads = _perfbench_module("workloads")
+    ops = workloads.WORKLOADS[workload](ctx, 3)
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        results = [op.call() for op in ops]
+    finally:
+        tracer.uninstall()
+    for op, result in zip(ops, results):
+        out = workloads.Outcome()
+        op.check(result, out)
+        assert out.failure is None and not out.problems, op.label
+    metrics = tracer.layer_metrics()
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(metrics) | {"trace.overhead_s"} == \
+        {m["name"] for m in contract["per_layer"]}
     json.dumps({k: v for k, (v, _) in metrics.items()}, allow_nan=False)
