@@ -13,11 +13,14 @@ of it even at a kink (a tied top); `smooth` is a diagnostic of the kink.
 The partner and product searches share one objective, `SlotProblem`: the
 worst excess max_t (|[[t u, b12], [b21, t v]]| - offset_t)+ over a stack
 of `t_frames`, as a function of the one off-diagonal slot left free. Its
-`lower_bound` certifies how low that excess can go over the ball, from
-the `Pieces` of one point.
+`lower_bound` certifies how low that excess can go over the ball, and its
+`descent_steps` give an eps-descent step, both from the `Pieces` of one
+point.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.optimize import nnls
@@ -32,6 +35,10 @@ GAP_TOL = 1e-8
 EPS_LADDER = (1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 1e-1)
 # a point this close to the unit sphere takes the ball's normal cone
 ON_SPHERE = 1e-9
+# an eps-descent step: its eps as fractions of the worst excess f, and
+# its line search, in units of f / |r|
+DESCENT_EPS = (2.0, 0.5)
+STEP_LADDER = 4.0 ** -np.arange(-1, 7)
 # weight of the sum-to-one row against the subgradient rows in the NNLS
 SIMPLEX_WEIGHT = 1e3
 
@@ -217,6 +224,26 @@ class SlotProblem:
                     break
         return best
 
+    def descent_steps(self, c) -> np.ndarray:
+        """The (m, d) trial points of an eps-descent step from the point c
+        of the ball: c + s d, pulled back into the ball, for each distinct
+        direction d of `Pieces.descent` at eps = f * DESCENT_EPS and each s
+        of STEP_LADDER times f / |r|, the step that would reach 0 at slope
+        |r|. (0, d) when no eps gives a direction."""
+        at = Pieces(self, c)
+        rows, dirs = [], []
+        for frac in DESCENT_EPS:
+            d, size = at.descent(frac * at.f)
+            # an eps that adds or drops no piece repeats a direction
+            if d is not None and not any(np.array_equal(d, e) for e in dirs):
+                dirs.append(d)
+                rows.append(at.c + (at.f / size) * STEP_LADDER[:, None] * d)
+        if not rows:
+            return np.empty((0, self.dim), dtype=np.complex128)
+        rows = np.concatenate(rows)
+        # pulled back into the ball; c / 1.0 is c, bit for bit
+        return rows / np.maximum(self.norm(rows), 1.0)[:, None]
+
 
 def _real(g: np.ndarray) -> np.ndarray:
     """Complex gradients (..., d) as real vectors (..., 2d): [Re, Im]."""
@@ -241,8 +268,9 @@ class Pieces:
 
     where R = space.coeff_radius() bounds |y|. This is the
     eps-subdifferential optimality test of bundle methods (Lemarechal;
-    Kiwiel, Methods of Descent for Nondifferentiable Optimization, 1985),
-    used as a certificate rather than as a step.
+    Kiwiel, Methods of Descent for Nondifferentiable Optimization, 1985).
+    `bound` uses it as a certificate; `descent` takes the shortest r of the
+    richer `z_subgradients` as a step.
     """
 
     def __init__(self, problem: SlotProblem, c):
@@ -256,6 +284,7 @@ class Pieces:
         self.ranked = excess[self.order]
         self.f = float(self.ranked[0])
         self.grads = np.empty((2 * space.dim, 0))
+        self.svds = None        # (u, s, vh) of the blocks of a prefix of pieces
         ball = space.grid_blocks(self.c[None, None, None, :])
         top = block_norms(ball).argmax(axis=-1) if ball.shape[1] > 1 else None
         norm, g, _ = stack_value_and_grad(space, ball, top)
@@ -278,29 +307,68 @@ class Pieces:
         return self.grads[:, :m]
 
     def weights(self, eps: float):
-        """(lambda, mu) making r short for the pieces within eps: one NNLS
-        of the columns [g_i, h] with sum(lambda) = 1 as one heavily weighted
-        extra row. One piece needs none: lambda = 1, and mu >= 0
-        minimizes |g + mu h| in closed form."""
-        g = self.subgradients(eps)
-        m = g.shape[1]
-        h = self.h
-        if m == 1:
-            hh = 0.0 if h is None else float(h @ h)
-            mu = max(0.0, -float(g[:, 0] @ h) / hh) if hh else 0.0
-            return np.ones(1), mu
-        cols = g if h is None else np.column_stack([g, h])
-        weight = SIMPLEX_WEIGHT * max(1.0, float(np.abs(cols).max()))
-        a = np.vstack([cols, np.zeros(cols.shape[1])])
-        a[-1, :m] = weight
-        b = np.zeros(a.shape[0])
-        b[-1] = weight
-        try:
-            x, _ = nnls(a, b)
-        except RuntimeError:
-            # the active-set iteration limit: equal weights are valid too
-            return np.full(m, 1.0 / m), 0.0
-        return x[:m], 0.0 if h is None else float(x[m])
+        """(lambda, mu) making r short for the pieces within eps (see
+        `_shortest`)."""
+        return _shortest(self.subgradients(eps), self.h)
+
+    def z_subgradients(self, eps: float) -> np.ndarray:
+        """(2d, n) real eps-subgradients, as columns, from the near-top
+        singular subspaces of the pieces within eps of f, piece by piece in
+        falling order of excess.
+
+        In the block B of such a piece (t, k), take the singular pairs with
+        sigma_j - offset_t >= f - eps as the columns of U and V. For a unit
+        z, Re <U z, B' V z> <= |B'| for every B', with equality less
+        sum |z_j|^2 (sigma_1 - sigma_j) at B' = B; so the slot gradient g_z
+        of (U z)(V z)* has worst excess(y) >= f - eps + <g_z, y - c>. z runs
+        over e_a and (e_a + w e_b)/sqrt(2), w in {1, -1, i, -i}, a < b: a
+        polyhedral inner approximation of the spectral eps-subdifferential.
+        g_z is read as `stack_value_and_grad` reads a top pair's gradient,
+        conj(<U z, B_slot V z>) over the basis, from the cross terms
+        M_ab = <u_a, B_slot v_b>; z = e_0 gives the top pair's own.
+        """
+        space, problem = self.problem.space, self.problem
+        m = int(np.count_nonzero(self.ranked >= self.f - eps))
+        _, w, p, q = space.basis.shape
+        t, k = np.divmod(self.order[:m], w)
+        if self.svds is None or len(self.svds[1]) < m:
+            self.svds = np.linalg.svd(self.stacks[t, k])
+        u, s, vh = (a[:m] for a in self.svds)
+        # singular values fall, so the near-top pairs are a prefix; the top
+        # one is within eps by the choice of pieces, whatever the rounding
+        near = np.maximum(
+            np.count_nonzero(s - problem.offsets[t][:, None] >= self.f - eps,
+                             axis=1), 1)
+        n = int(near.max())
+        i, j = problem.slot
+        left = u[:, :, :n].reshape(m, -1, p, n)[:, i]
+        right = np.conj(vh[:, :n]).swapaxes(1, 2).reshape(m, -1, q, n)[:, j]
+        if w > 1:
+            cross = np.einsum("mpa,kmpq,mqb->mabk", np.conj(left),
+                              space.basis[:, k], right)
+        else:
+            cross = np.einsum("mpa,kpq,mqb->mabk", np.conj(left),
+                              space.basis[:, 0], right)
+        z, support = _unit_mixes(n)
+        g = np.einsum("az,mabk,bz->mzk", np.conj(z), cross, z)
+        g = np.conj(g[support[None, :] < near[:, None]])
+        return _real(g).T
+
+    def descent(self, eps: float):
+        """(-r/|r|, |r|) for the shortest r = sum lambda_z g_z + mu h over the
+        z-pieces within eps (`z_subgradients`): the eps-steepest descent
+        direction as a complex (d,) vector, or None when r vanishes, which
+        makes c eps-optimal up to that inner approximation."""
+        g = self.z_subgradients(eps)
+        lam, mu = _shortest(g, self.h)
+        r = g @ lam
+        if mu:
+            r = r + mu * self.h
+        size = float(np.linalg.norm(r))
+        if not size > 0.0:
+            return None, 0.0
+        d = self.problem.dim
+        return -(r[:d] + 1j * r[d:]) / size, size
 
     def bound(self, eps: float, lam, mu: float) -> float:
         """The lower bound f - eps - |r| (R + |c|) - mu (1 - norm(c)) from
@@ -319,3 +387,47 @@ class Pieces:
             r = r + mu * self.h
         return (self.f - eps - float(np.linalg.norm(r)) * self.reach
                 - mu * self.slack)
+
+
+def _shortest(g: np.ndarray, h):
+    """(lambda, mu) making r = g lambda + mu h short over lambda >= 0 with
+    sum(lambda) = 1 and mu >= 0, for the (2d, m) columns g and the normal h
+    (None off the sphere): one NNLS of the columns [g_i, h] with the sum as
+    one heavily weighted extra row. One column needs none: lambda = 1, and
+    mu >= 0 minimizes |g + mu h| in closed form."""
+    m = g.shape[1]
+    if m == 1:
+        hh = 0.0 if h is None else float(h @ h)
+        mu = max(0.0, -float(g[:, 0] @ h) / hh) if hh else 0.0
+        return np.ones(1), mu
+    cols = g if h is None else np.column_stack([g, h])
+    weight = SIMPLEX_WEIGHT * max(1.0, float(np.abs(cols).max()))
+    a = np.vstack([cols, np.zeros(cols.shape[1])])
+    a[-1, :m] = weight
+    b = np.zeros(a.shape[0])
+    b[-1] = weight
+    try:
+        x, _ = nnls(a, b)
+    except RuntimeError:
+        # the active-set iteration limit: equal weights are valid too
+        return np.full(m, 1.0 / m), 0.0
+    return x[:m], 0.0 if h is None else float(x[m])
+
+
+@functools.cache
+def _unit_mixes(n: int):
+    """(n, n + 2 n (n - 1)) unit vectors z as columns, e_a and then
+    (e_a + w e_b)/sqrt(2) for a < b and w in {1, -1, i, -i}, and for each
+    the last index it uses: a z serves a piece with more near-top pairs
+    than that index."""
+    cols, last = [np.eye(n, dtype=np.complex128)], list(range(n))
+    for b in range(1, n):
+        for a in range(b):
+            z = np.zeros((n, 4), dtype=np.complex128)
+            z[a] = 1.0
+            z[b] = (1.0, -1.0, 1j, -1j)
+            cols.append(z / np.sqrt(2.0))
+            last += [b] * 4
+    z, last = np.hstack(cols), np.array(last)
+    z.flags.writeable = last.flags.writeable = False    # shared by callers
+    return z, last

@@ -42,6 +42,10 @@ class Cone:
             if np.linalg.norm(g) < 1e-12:
                 raise InvalidInputError(f"generator {i} is zero")
         self.generators = gens
+        # the real Frobenius coordinates of the generators, as the columns
+        # of every membership NNLS
+        self.frobenius = np.stack([_frob_vec(self.space, g) for g in gens],
+                                  axis=1) if gens.shape[0] else None
 
 
 def _frob_vec(space: ConcreteOpSpace, coeffs: np.ndarray) -> np.ndarray:
@@ -55,8 +59,7 @@ def cone_membership(cone: Cone, x) -> tuple[float, np.ndarray]:
     b = _frob_vec(cone.space, xc)
     if cone.generators.shape[0] == 0:
         return float(np.linalg.norm(b)), np.zeros(0)
-    a = np.stack([_frob_vec(cone.space, g) for g in cone.generators], axis=1)
-    weights, resid = nnls(a, b)
+    weights, resid = nnls(cone.frobenius, b)
     return float(resid), weights
 
 

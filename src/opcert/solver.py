@@ -24,6 +24,8 @@ Problems expose a flat complex variable vector and take a stack of them:
     norm(c)         constraint norms (S,) of the stack (operator norms)
     lower_bound(c)  (minimize only) a lower bound on the minimum over the
                     ball, certified at the point c of the ball, or -inf
+    descent_steps(c) (minimize only) the (m, dim) trial points, in the
+                    ball, of an eps-descent step from the point c
 
 A row's results must not depend on the other rows of its stack: the
 objectives in this package compute every row with its own products and
@@ -39,19 +41,24 @@ every start whatever happens, so it hands all of them over as one stack;
 for a catalog unitary every start stops at iteration 1 on a zero
 subgradient, and the whole sweep is one stacked call. A minimize sweep
 ends at its first settled run. Its first start, which settles almost
-every sweep (warm starts, catalog partner searches), runs alone; if it
-leaves the sweep open, the other starts run as one stack, which stops
-stepping once the runs ended before the first one still going settle the
-sweep. The answer is bitwise that of running the starts one at a time.
-An iteration of the 5-row stack of a cold m2-full product costs about
-twice one row's, so when all six starts run to the budget the sweep takes
-about half the time it took one start at a time; a sweep whose second
-start settles at iteration k pays k iterations of the whole stack.
+every sweep (warm starts, catalog partner searches, cold products), runs
+alone; if it leaves the sweep open, the other starts run as one stack,
+which stops stepping once the runs ended before the first one still going
+settle the sweep. The answer is bitwise that of running the starts one at
+a time; a sweep whose second start settles at iteration k pays k
+iterations of the whole stack.
 
 Each iteration of a run steps along its gradient, at kinks too: there the
 top singular pair of the active (t, block) gives a subgradient of the
 convex partner and product objectives (Danskin 1967; Overton, SIAM J.
-Optim. 1992).
+Optim. 1992). Where the minimum itself is such a kink (a cold m2-full
+product has its two top singular values tied there) those steps zigzag,
+so past its DESCENT_FROM-th stall checkpoint a minimize run takes
+eps-descent steps instead (Kiwiel, Methods of Descent for
+Nondifferentiable Optimization, 1985): the problem's descent_steps gives
+line-search points along eps-steepest descent directions at its
+incumbent, they join the iteration's stacked value_and_grad call, and
+the run moves to the best of them.
 
 The step rule combines the guaranteed-safe decay schedule s0/sqrt(k) with a
 Polyak-style step toward an adaptively tightened level; the effective step
@@ -77,6 +84,10 @@ import numpy as np
 
 from .errors import InvalidInputError, SolverError
 
+# a minimize run takes eps-descent steps after this many stall windows:
+# catalog searches settle within the first, and recoveries whose plain
+# runs end within the second keep them
+DESCENT_FROM = 2
 DEFAULT_T_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 # why a run stopped: within eps_stop of the target, on a zero subgradient,
 # when the adaptive level collapsed, at the end of the iteration budget,
@@ -133,6 +144,7 @@ class SolveResult:
     # the iterations of the runs the sweep reads, up to the one that
     # settles it; the runs of a stack that were cut off then are not counted
     iterations: int
+    descent_steps: int            # the eps-descent steps of those runs
     reached_target: bool
     stops: dict                   # runs read per stop reason, keys STOP_REASONS
     # a lower bound on the minimum: the value itself when the sweep ended
@@ -152,7 +164,9 @@ class SolveResult:
     @property
     def diagnostics(self) -> dict:
         """How the sweep went, as the searches built on it report it."""
-        return {"iterations": self.iterations, "best_start": self.best_start,
+        return {"iterations": self.iterations,
+                "descent_steps": self.descent_steps,
+                "best_start": self.best_start,
                 "reached_target": self.reached_target, "stops": self.stops,
                 "lower": self.lower, "certified_min": self.certified_min}
 
@@ -226,12 +240,16 @@ class _Run:
     |g| |y - c| then makes the value of such a stop the minimum up to |g|
     times the ball's euclidean diameter, far below stat_tol.
 
-    A minimize run is given its problem's lower_bound: see `_certify`.
+    A minimize run is given its problem, whose lower_bound `_certify`
+    reads and whose descent_steps `_descend` reads.
     """
 
-    def __init__(self, config, c, f, sign, target, bound):
+    def __init__(self, config, c, f, sign, target, problem):
         self.config, self.sign, self.target = config, sign, target
-        self.bound = bound
+        self.problem = problem       # minimize: lower_bound, descent_steps
+        self.descents = 0            # eps-descent steps taken
+        self.descend_after = DESCENT_FROM * config.stall_window \
+            if sign > 0 else math.inf
         self.lower = -math.inf       # best certified bound on the minimum
         self.c, self.best_c, self.best_f = c, c.copy(), f
         scale = max(abs(f - target), 1.0)
@@ -254,9 +272,9 @@ class _Run:
         above the target; True once the best bound settles the run: it is
         fail_tol above the target, or within cert_tol of the incumbent."""
         config = self.config
-        if self.bound is None or self.best_f - self.target < config.fail_tol:
+        if self.problem is None or self.best_f - self.target < config.fail_tol:
             return False
-        self.lower = max(self.lower, self.bound(self.best_c))
+        self.lower = max(self.lower, self.problem.lower_bound(self.best_c))
         return (self.lower - self.target >= config.fail_tol
                 or self.best_f - self.lower <= config.cert_tol)
 
@@ -273,6 +291,8 @@ class _Run:
             return self._stop("target")
         if self.iterations % config.stall_window == 0 and self._certify():
             return self._stop("certified")
+        if self.iterations > self.descend_after:
+            return self._descend(f, g)
         if self.since_improve >= config.stall_window:
             # a maximize run pinned at numerical zero has nothing to climb
             if sign < 0 and self.best_f <= 1e-8:
@@ -298,6 +318,23 @@ class _Run:
             step = len_decay
         return self.c - sign * step * (g / gnorm)
 
+    def _descend(self, f: float, g: np.ndarray):
+        """An eps-descent step from the incumbent: the problem's trial
+        points, or None when the run stops. A run stops as one whose level
+        collapsed when no direction descends, or when its last eps-step
+        found no point below its incumbent, since its next step would be
+        the same."""
+        if float(np.linalg.norm(g)) < self.flat:
+            return self._stop("target" if self.at_target(f) else
+                              "zero_subgradient")
+        rows = () if self.descents and self.since_improve else \
+            self.problem.descent_steps(self.best_c)
+        if not len(rows):
+            return self._stop("certified" if self._certify()
+                              else "level_collapse")
+        self.descents += 1
+        return rows
+
     def retract(self, c: np.ndarray, n: float) -> None:
         """Move to the stepped point c of norm n, pulled back into the ball
         (minimize) or onto the sphere (maximize)."""
@@ -319,34 +356,37 @@ def _run_stack(problem, config, starts, sign, target, sweep=None) -> list:
 
     Every iteration steps the runs still going from one
     problem.value_and_grad call, then makes one problem.norm call on the
-    runs that stepped and one value_and_grad call on their new iterates;
-    each run follows the rules of `_Run` on its own, so a start ends
-    bitwise the same alone and in any stack. Returns one `_Run` per start.
+    runs that stepped and one value_and_grad call on their new iterates,
+    with the trial rows of any eps-descent step (see `_land`); each run
+    follows the rules of `_Run` on its own, so a start ends bitwise the
+    same alone and in any stack. Returns one `_Run` per start.
     Given a `_Sweep`, the runs join it, and the stack stops stepping once
     the sweep is settled: the runs it has not read then never are.
     """
     c = np.array(starts, dtype=np.complex128)
     f, g = _evaluate(problem, c)
-    bound = problem.lower_bound if sign > 0 else None
-    runs = live = [_Run(config, ck, fk, sign, target, bound)
+    runs = live = [_Run(config, ck, fk, sign, target,
+                        problem if sign > 0 else None)
                    for ck, fk in zip(c, f)]
     if sweep is not None:
         sweep.runs += runs
     for it in range(1, config.max_iters + 1):
-        stepped, steps = [], []
+        stepped, steps, descending = [], [], False
         for r, fk, gk in zip(live, f, g):
             r.iterations = it
             ck = r.step(fk, gk)
             if ck is not None:
                 stepped.append(r)
                 steps.append(ck)
+                descending |= ck.ndim > 1
         if not stepped or (sweep is not None and sweep.settled()):
             return runs
-        live, c = stepped, _stack(steps)
-        for r, ck, n in zip(live, c, problem.norm(c).tolist()):
-            r.retract(ck, n)
-        c = _stack([r.c for r in live])
-        f, g = _evaluate(problem, c)
+        live = stepped
+        if descending:
+            f, g = _land(problem, live, steps)
+        else:
+            _retract(problem, live, steps)
+            f, g = _evaluate(problem, _stack([r.c for r in live]))
     for r, fk in zip(live, f):
         r.finish(fk)
     return runs
@@ -355,6 +395,34 @@ def _run_stack(problem, config, starts, sign, target, sweep=None) -> list:
 def _stack(rows: list) -> np.ndarray:
     # a single row needs a view, not the copy np.array makes
     return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+
+def _retract(problem, runs, steps) -> None:
+    """Move runs to their stepped points, pulled back by one norm call."""
+    c = _stack(steps)
+    for r, ck, n in zip(runs, c, problem.norm(c).tolist()):
+        r.retract(ck, n)
+
+
+def _land(problem, live, steps):
+    """Values and gradients of the runs' next iterates when some took an
+    eps-descent step, from one stacked evaluation of every run's rows: a
+    plain step's retracted point, or an eps-descent step's trial rows
+    (already in the ball), of which the run moves to the best (the first
+    of equals)."""
+    plain = [(r, ck) for r, ck in zip(live, steps) if ck.ndim == 1]
+    if plain:
+        _retract(problem, *zip(*plain))
+    rows = [r.c[None] if ck.ndim == 1 else ck for r, ck in zip(live, steps)]
+    f, g = _evaluate(problem, np.concatenate(rows))
+    fs, gs, at = [], [], 0
+    for r, ck in zip(live, rows):
+        k = min(range(at, at + len(ck)), key=f.__getitem__)
+        r.c = ck[k - at]
+        fs.append(f[k])
+        gs.append(g[k])
+        at += len(ck)
+    return fs, gs
 
 
 class _Sweep:
@@ -373,6 +441,7 @@ class _Sweep:
         self.best = None         # (value, coeffs, start index, stop reason)
         self.lower = -math.inf
         self.iterations = 0
+        self.descent_steps = 0
         self.stops = dict.fromkeys(STOP_REASONS, 0)
         self.done = False
 
@@ -385,6 +454,7 @@ class _Sweep:
             r = self.runs[self.read]
             f, why = r.best_f, r.why
             self.iterations += r.iterations
+            self.descent_steps += r.descents
             self.stops[why] += 1
             # a target hit, or a zero subgradient of a convex minimization,
             # settles the minimum: the remaining starts cannot go lower
@@ -406,6 +476,7 @@ class _Sweep:
         return SolveResult(coeffs=c, value=float(f),
                            converged=stops["budget"] < sum(stops.values()),
                            best_start=i, iterations=self.iterations,
+                           descent_steps=self.descent_steps,
                            reached_target=why == "target", stops=stops,
                            lower=float(self.lower))
 
@@ -429,8 +500,9 @@ def minimize_over_ball(problem, config: SolverConfig | None = None, *,
     level never drops below it. A run that stops on a zero subgradient has
     found a global minimum, which needs the objective to be convex; a run
     whose problem.lower_bound settles it stops too (see the module
-    docstring). The sweep ends once its value is within cert_tol of its
-    lower bound, which ``certified_min`` marks.
+    docstring), and a run past its DESCENT_FROM-th stall checkpoint steps
+    by problem.descent_steps. The sweep ends once its value is within
+    cert_tol of its lower bound, which ``certified_min`` marks.
     """
     config = config or SolverConfig()
     config.validate()

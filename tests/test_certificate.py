@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opcert import blocks
 from opcert.blocks import EPS_LADDER, Pieces, SlotProblem, t_frames
 from opcert.cstar import recover_product
 from opcert.funcspace import catalog_entry, catalog_space
 from opcert.report import FAIL, INCONCLUSIVE
-from opcert.solver import DEFAULT_T_GRID, SolverConfig
+from opcert.solver import DEFAULT_T_GRID, SolverConfig, minimize_over_ball
 from opcert.sysdetect import (SYSTEM_SAMPLES, detect_operator_system,
                               find_partner, t1_insufficiency_probe)
 
@@ -156,3 +157,106 @@ def test_a_short_product_search_is_not_an_escape(max_iters):
     assert rec.achieved - rec.target >= SolverConfig.fail_tol
     assert not rec.escaped
 
+
+
+def _z_problems():
+    """(objective, its minimizer) for objectives whose pieces have several
+    near-top singular pairs at a kink: the cold m2-full product of
+    test_solver (one 4 x 4 frame) and the partner hinges of sampled
+    elements over the default t grid, on circle-1zzbar at 12 points so
+    that the pieces stay few."""
+    space = catalog_space("m2-full")
+    rot = np.array([np.cos(0.3), -np.sin(0.3), np.sin(0.3), 0])
+    y = np.array([0, 0.8, 0, 0])
+    problems = [SlotProblem(space, t_frames(space, (10.0,), space.unit_coeffs(),
+                                            y, None, rot), (1, 0),
+                            np.sqrt(100.0 + space.norm(y) ** 2))]
+    for space in (catalog_space("m2-sym3"), catalog_space("m2-upper"),
+                  catalog_entry("circle-1zzbar").build(12)):
+        problems.append(_partner_problem(space, _sampled_elements(space)[0],
+                                         DEFAULT_T_GRID))
+    return [(p, minimize_over_ball(p, SolverConfig(), starts=2).coeffs)
+            for p in problems]
+
+
+Z_PROBLEMS = _z_problems()
+
+
+def _worst_excess(problem, ys):
+    """The worst excess, without the hinge, of each row of a stack."""
+    norms = problem.space.grid_norm(problem._grids(ys))
+    return (norms - problem.offsets).max(axis=-1)
+
+
+def _z_slack(problem, at, g, eps, ys):
+    """min over the columns g_z and the rows y of
+    f(y) - (f(c) - eps + <g_z, y - c>), which an eps-subgradient keeps
+    at or above zero; the rows y are ys and the points c + s g_z/|g_z|
+    of the ball, where a wrong g_z overstates the rise most."""
+    d = problem.dim
+    up = (g[:d] + 1j * g[d:]).T / np.linalg.norm(g, axis=0)[:, None]
+    steps = (at.c + np.multiply.outer([1e-3, 1e-2, 1e-1], up)).reshape(-1, d)
+    steps /= np.maximum(problem.norm(steps), 1.0)[:, None]
+    ys = np.concatenate([ys, steps])
+    d = ys - at.c
+    lin = np.concatenate([d.real, d.imag], axis=1) @ g
+    return float((_worst_excess(problem, ys)[:, None]
+                  - (at.f - eps + lin)).min())
+
+
+def _z_columns(at, eps, conj_left=True):
+    """The z-piece gradients of `Pieces.z_subgradients` built one z at a
+    time from the singular pairs, the way `stack_value_and_grad` reads a
+    top pair: the slot entry of conj(<U z, B V z>) over the basis. With
+    conj_left=False the left vector is U conj(z), a phase conjugated on
+    one side only."""
+    problem = at.problem
+    space = problem.space
+    _, w, p, q = space.basis.shape
+    cols = []
+    for piece in at.order[:int(np.count_nonzero(at.ranked >= at.f - eps))]:
+        t, k = divmod(int(piece), w)
+        u, s, vh = np.linalg.svd(at.stacks[t, k])
+        n = max(1, int(np.count_nonzero(s - problem.offsets[t] >= at.f - eps)))
+        for z in blocks._unit_mixes(n)[0].T:
+            left = u[:, :n] @ (z if conj_left else np.conj(z))
+            right = np.conj(vh[:n]).T @ z
+            i, j = problem.slot
+            g = np.einsum("p,dpq,q->d", np.conj(left.reshape(-1, p)[i]),
+                          space.basis[:, k], right.reshape(-1, q)[j])
+            cols.append(np.concatenate([np.conj(g).real, np.conj(g).imag]))
+    return np.array(cols).T
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, len(Z_PROBLEMS) - 1), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-3, 1e-2, 1e-1, 1.0]), st.floats(0.0, 1.0))
+def test_every_z_piece_is_an_eps_subgradient(which, seed, eps, away):
+    # f(y) >= f(c) - eps + <g_z, y - c> for every z-piece of the pieces
+    # within eps and 60 points y of the ball, at points c of the ball from
+    # the objective's minimizer (away = 0: a kink) to a random point
+    problem, kink = Z_PROBLEMS[which]
+    rng = np.random.default_rng(seed)
+    c = (1.0 - away) * kink + away * _ball_points(problem.space, rng, 1)[0]
+    at = Pieces(problem, c)
+    g = at.z_subgradients(eps)
+    np.testing.assert_allclose(g, _z_columns(at, eps), atol=1e-12)
+    ys = _ball_points(problem.space, rng, 60)
+    assert _z_slack(problem, at, g, eps, ys) >= -1e-12
+
+
+def test_a_z_piece_with_a_one_sided_phase_fails_the_bound():
+    # the mutant (U conj(z))(V z)* breaks the eps-subgradient inequality
+    # the property test checks, where the true z-pieces keep it
+    rng = np.random.default_rng(5)
+    worst = []
+    for problem, kink in Z_PROBLEMS:
+        at = Pieces(problem, kink)
+        ys = _ball_points(problem.space, rng, 60)
+        for eps in (1e-3, 1e-2):
+            assert _z_slack(problem, at, at.z_subgradients(eps), eps,
+                            ys) >= -1e-12
+            worst.append(_z_slack(problem, at,
+                                  _z_columns(at, eps, conj_left=False),
+                                  eps, ys))
+    assert min(worst) < -1e-2

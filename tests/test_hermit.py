@@ -207,17 +207,19 @@ def test_certified_partner_fails_never_meet_an_ambient_pass():
     # span{I, A, A*} is an operator system and span{I, N} is not: N has no
     # partner. Warm and cold (warm_start=False) searches for A or N bracket
     # the best residual, a certified FAIL never meets an ambient PASS, and
-    # every N is certified.
-    config = SolverConfig(max_iters=100)
+    # every N is certified. At the default budget the cold searches take
+    # eps-descent steps, and every one for A ends within cert_tol.
+    short = SolverConfig(max_iters=100)
     for system, space in random_spans(np.random.default_rng(15)):
         ambient = ambient_system_check(generate_tro(space, envelope_exact=True))
         assert ambient.verdict == (PASS if system else FAIL)
         x = np.eye(space.dim)[1] / space.norm(np.eye(space.dim)[1])
-        for warm in (True, False):
+        for warm, config in ((True, short), (False, short),
+                             (False, SolverConfig())):
             r = find_partner(space, x=x, config=config, warm_start=warm)
             assert r.lower <= r.residual
             assert system == (r.lower < SolverConfig.fail_tol)
-            if system and warm:
+            if system and (warm or config.max_iters > short.max_iters):
                 assert r.residual <= SolverConfig.cert_tol
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from opcert import order
 from opcert.errors import InvalidInputError
-from opcert.funcspace import catalog_closure, catalog_space
+from opcert.funcspace import catalog_closure, catalog_entry, catalog_space
 from opcert.hermit import delta_span, operator_system_check
 from opcert.opspace import make_space
 from opcert.order import (Cone, cone_equals_delta_plus, cone_membership,
@@ -119,3 +120,22 @@ def test_the_ambient_route_needs_a_unit_the_closure_certifies():
     assert rep.diagnostics["forward_ok"]
     assert rep.to_dict() == cone_equals_delta_plus(cone, u).to_dict()
     assert delta_span(space, u, closure=closure).route == "numerical"
+
+
+def test_a_cone_flattens_its_generators_once(monkeypatch):
+    # the NNLS columns are built with the cone, as the stack of each
+    # generator's Frobenius vector; a membership call flattens its point
+    # alone, and its verdict and margin are those of the per-call stack
+    space = catalog_entry("m2-sym3").build()
+    cone = Cone(space, [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0]])
+    stacked = np.stack([order._frob_vec(space, g) for g in cone.generators],
+                       axis=1)
+    np.testing.assert_array_equal(cone.frobenius, stacked)
+    flattened = []
+    frob_vec = order._frob_vec
+    monkeypatch.setattr(order, "_frob_vec", lambda space, c:
+                        flattened.append(c) or frob_vec(space, c))
+    rep = norm_order_unit_check(cone)
+    # the unit and each sample: one membership and one scale each
+    assert len(flattened) == 2 * (1 + rep.diagnostics["samples"])
+    assert (rep.verdict, rep.margin) == ("pass", 9.999999993994883e-07)

@@ -476,8 +476,11 @@ def test_a_stack_of_starts_runs_each_start_as_alone(name, u, level,
         assert (alone.iterations, alone.why) == (run.iterations, run.why)
 
 
-# a cold m2-full product at t = 10, v a rotation and y = 0.8 E12: every
-# start of its search runs to the budget
+# a cold m2-full product at t = 10, v a rotation and y = 0.8 E12: its
+# minimum is a kink where two singular values tie, so subgradient steps
+# zigzag; every start runs to a budget of SHORT_ITERS, and at the default
+# budget each reaches the target through eps-descent steps
+SHORT_ITERS = 60
 ROT_V = np.array([np.cos(0.3), -np.sin(0.3), np.sin(0.3), 0],
                  dtype=np.complex128)
 Y08 = np.array([0, 0.8, 0, 0], dtype=np.complex128)
@@ -496,20 +499,27 @@ def _circle_1z_partner():
                     (0.25, 32.0))
 
 
-@pytest.mark.parametrize("make, why", [(_cold_m2_product, "budget"),
-                                       (_circle_1z_partner, "certified")],
-                         ids=["m2-full-product", "circle-1z-partner"])
-def test_a_stack_of_minimize_starts_runs_each_start_as_alone(make, why):
+@pytest.mark.parametrize("make, max_iters, why", [
+    (_cold_m2_product, SHORT_ITERS, "budget"),
+    (_circle_1z_partner, SolverConfig().max_iters, "certified"),
+    (_cold_m2_product, SolverConfig().max_iters, "target"),
+], ids=["m2-full-product", "circle-1z-partner", "m2-full-product-descent"])
+def test_a_stack_of_minimize_starts_runs_each_start_as_alone(make, max_iters,
+                                                             why):
+    # the descent case: every start takes eps-descent steps, whose trial
+    # rows share the stacked calls with the other starts' rows
     problem = make()
-    config = SolverConfig()
+    config = SolverConfig(max_iters=max_iters)
     starts = _ball_starts(problem, SLOT_STARTS, (), [7, 1])
     stacked = _run_stack(problem, config, starts, +1, 0.0)
     assert {r.why for r in stacked} == {why}
+    assert all((r.descents > 0) == (why == "target") for r in stacked)
     for c0, run in zip(starts, stacked):
         (alone,) = _run_stack(problem, config, [c0], +1, 0.0)
         assert (alone.best_f, alone.lower) == (run.best_f, run.lower)
         npt.assert_array_equal(alone.best_c, run.best_c)
-        assert (alone.iterations, alone.why) == (run.iterations, run.why)
+        assert (alone.iterations, alone.why, alone.descents) == \
+            (run.iterations, run.why, run.descents)
 
 
 def _sequential_sweep(problem, config, n, extra=()):
@@ -544,7 +554,7 @@ def test_a_sweep_settled_by_its_first_start_runs_no_other():
 
 def test_a_cold_sweep_steps_its_later_starts_as_one_stack():
     problem = _cold_m2_product()
-    config = SolverConfig()
+    config = SolverConfig(max_iters=SHORT_ITERS)
     counted = _Counted(problem)
     res = minimize_over_ball(counted, config, starts=SLOT_STARTS)
     ref, _ = _sequential_sweep(problem, config, SLOT_STARTS)
@@ -575,7 +585,10 @@ def test_a_stack_of_later_starts_stops_where_the_sweep_settles():
 
 
 def test_a_cold_product_makes_two_calls_per_iteration(monkeypatch):
-    # the first start alone, then the other five as one stack
+    # at a short budget: the first start alone, then the other five as one
+    # stack; at the default budget the first start reaches the target
+    # within three stall windows of calls, two of plain steps and at most
+    # one of eps-descent steps
     calls = []
     value_and_grad = SlotProblem.value_and_grad
 
@@ -584,11 +597,20 @@ def test_a_cold_product_makes_two_calls_per_iteration(monkeypatch):
         return value_and_grad(self, c)
 
     monkeypatch.setattr(SlotProblem, "value_and_grad", counted)
-    space, config = m2_full(), SolverConfig()
+    space = m2_full()
+    config = SolverConfig(max_iters=SHORT_ITERS)
     rec = recover_product(space, space.unit_coeffs(), ROT_V, Y08, t=10.0,
                           config=config)
     assert rec.diagnostics["stops"]["budget"] == SLOT_STARTS
     assert len(calls) <= 2 * (config.max_iters + 1)
+    calls.clear()
+    rec = recover_product(space, space.unit_coeffs(), ROT_V, Y08, t=10.0,
+                          config=SolverConfig())
+    assert rec.diagnostics["reached_target"]
+    assert sum(rec.diagnostics["stops"].values()) == 1
+    assert rec.diagnostics["descent_steps"] > 0
+    assert len(calls) <= 3 * SolverConfig.stall_window
+    assert rec.achieved - rec.target <= SolverConfig.eps_stop
 
 
 class _Counted:
