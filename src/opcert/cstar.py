@@ -34,8 +34,8 @@ from .matcore import EIG_CLAMP, adjoint, block_diag, psd_sqrt, row_span
 from .opspace import ConcreteOpSpace, Element
 from .report import FAIL, PASS, CertificateReport
 from .solver import SolverConfig, minimize_over_ball
-from .sysdetect import (RECOVERY_T, SLOT_STARTS, detect_operator_system,
-                        find_partner, recovery_bound)
+from .sysdetect import (RECOVERY_T, detect_operator_system, find_partner,
+                        recovery_bound)
 from .tro import ambient_unitary_check
 
 DEDUPE_TOL = 1e-6
@@ -71,14 +71,11 @@ def _solve_product(space, uc, vc, given, slot, t, config, warm_start=False):
     truth = ambient_product(space, *((vc, given, uc) if slot == (1, 0)
                                      else (uc, given, vc)))
     proj, _, member = space.relative_membership(truth)
-    extras = []
-    if warm_start and member:
-        # warm start at the projected ambient product; the block norm is
-        # still evaluated from scratch, so this cannot fake feasibility
-        extras.append(-proj)
-    # the excess of the block norm over the target, minimized to 0
-    res = minimize_over_ball(problem, config, target=0.0, starts=SLOT_STARTS,
-                             extra_starts=extras, seed_salt=(31, slot[0]))
+    # the excess of the block norm over the target, minimized to 0; a warm
+    # start is the projected ambient product, and the block norm is still
+    # evaluated from scratch, so it cannot fake feasibility
+    res = minimize_over_ball(problem, config, target=0.0,
+                             start=-proj if warm_start and member else None)
     escaped = res.lower >= config.fail_tol
     if escaped:
         _require_ternary_unitary(space, vc, slot, config)

@@ -1,20 +1,23 @@
-"""Deterministic multistart projected subgradient solver.
+"""Deterministic projected subgradient solver.
 
 Two entry points: `minimize_over_ball` (constraint: element norm <= 1, the
 reported value is a certified upper bound on the minimum) and
 `maximize_over_sphere` (constraint: element norm = 1 via radial retraction,
 the reported value is a certified lower bound on the supremum).
 The objective of `minimize_over_ball` must be convex, and the result's
-`lower` is a lower bound on its minimum. A zero subgradient certifies a
-global minimum (Rockafellar, Convex Analysis, Thm 27.1): a run that stops
-on one ends the whole multistart sweep, and its value is `lower` as well
-as the upper bound. Where the minimum is a kink that no run stops at, the
-problem's `lower_bound` certifies it instead: a run bounds the minimum at
-its incumbent every stall_window iterations while the incumbent exceeds
-the target by fail_tol or more, and once more when it ends unsettled. A
-bound that reaches fail_tol above the target, or comes within cert_tol of
-the incumbent, stops the run (stop reason ``certified``), and the sweep
-ends once its best value is within cert_tol of its best bound.
+`lower` is a lower bound on its minimum. A minimization makes one run,
+from the caller's start or from 0: convexity leaves no local minimum to
+escape, and a stall is detected by the bound below and stepped past by
+the eps-descent steps.
+A zero subgradient certifies a global minimum (Rockafellar, Convex
+Analysis, Thm 27.1), so a run that stops on one has its value as `lower`
+as well as the upper bound. Where the minimum is a kink that the run does
+not stop at, the problem's `lower_bound` certifies it instead: the run
+bounds the minimum at its incumbent every stall_window iterations while
+the incumbent exceeds the target by fail_tol or more, and once more when
+it ends unsettled. A bound that reaches fail_tol above the target, or
+comes within cert_tol of the incumbent, stops the run (stop reason
+``certified``).
 
 Problems expose a flat complex variable vector and take a stack of them:
 
@@ -39,14 +42,8 @@ step, and a run that ends at its budget ends on the value of its last
 iterate, so K iterations cost K + 1 evaluations. A maximize sweep runs
 every start whatever happens, so it hands all of them over as one stack;
 for a catalog unitary every start stops at iteration 1 on a zero
-subgradient, and the whole sweep is one stacked call. A minimize sweep
-ends at its first settled run. Its first start, which settles almost
-every sweep (warm starts, catalog partner searches, cold products), runs
-alone; if it leaves the sweep open, the other starts run as one stack,
-which stops stepping once the runs ended before the first one still going
-settle the sweep. The answer is bitwise that of running the starts one at
-a time; a sweep whose second start settles at iteration k pays k
-iterations of the whole stack.
+subgradient, and the whole sweep is one stacked call. A minimization is
+a stack of one run.
 
 Each iteration of a run steps along its gradient, at kinks too: there the
 top singular pair of the active (t, block) gives a subgradient of the
@@ -68,9 +65,10 @@ A minimization with a target never puts its level below the target, which
 callers pass as a known lower bound on the objective: this is Polyak's step
 with known optimal value (Polyak, USSR Comput. Math. Math. Phys. 9, 1969),
 and it keeps steps from overshooting a small feasible set near the optimum.
-Determinism: the random starts of a sweep come from one generator seeded
-by (root_seed, salt..., sweep kind), and ties across starts resolve to the
-lowest start index, so results are bitwise reproducible.
+Determinism: a minimization draws nothing at random; the random starts of
+a maximize sweep come from one generator seeded by (root_seed, salt...,
+sweep kind), and ties across starts resolve to the lowest start index, so
+results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -110,9 +108,11 @@ def valid_t_grid(ts) -> tuple:
 
 @dataclass
 class SolverConfig:
-    """What a caller chooses: the seed, the start count, the iteration
-    budget and the t grid. The rest are constants of the solver and of the
-    verdicts (class attributes, not settings)."""
+    """What a caller chooses: the seed and the start count of a sphere
+    maximization (a minimization makes one run and draws nothing; the
+    seed also draws detect_operator_system's sampled elements), the
+    iteration budget and the t grid. The rest are constants of the solver
+    and of the verdicts (class attributes, not settings)."""
 
     root_seed: int = 7
     starts: int = 32
@@ -140,17 +140,15 @@ class SolveResult:
     coeffs: np.ndarray
     value: float
     converged: bool
-    best_start: int
-    # the iterations of the runs the sweep reads, up to the one that
-    # settles it; the runs of a stack that were cut off then are not counted
-    iterations: int
+    best_start: int               # always 0 for a minimization
+    iterations: int               # the iterations of all runs
     descent_steps: int            # the eps-descent steps of those runs
     reached_target: bool
-    stops: dict                   # runs read per stop reason, keys STOP_REASONS
-    # a lower bound on the minimum: the value itself when the sweep ended
+    stops: dict                   # runs per stop reason, keys STOP_REASONS
+    # a lower bound on the minimum: the value itself when the run ended
     # at the target or on a zero subgradient (to eps_stop or stat_tol),
-    # else the best bound of its runs' lower_bound calls; -inf when there
-    # is none, and always for a maximization
+    # else the best bound of its lower_bound calls; -inf when there is
+    # none, and always for a maximization
     lower: float
     # always 0: no finite differences are taken; perfbench's tracer reads
     # this field to derive its solver.fd_calls and solver.fd_share metrics
@@ -163,7 +161,7 @@ class SolveResult:
 
     @property
     def diagnostics(self) -> dict:
-        """How the sweep went, as the searches built on it report it."""
+        """How the search went, as the checks built on it report it."""
         return {"iterations": self.iterations,
                 "descent_steps": self.descent_steps,
                 "best_start": self.best_start,
@@ -180,20 +178,6 @@ def _evaluate(problem, c: np.ndarray):
         if not math.isfinite(v):
             raise SolverError("objective is not finite", iterate=c[k])
     return f, g
-
-
-def _ball_starts(problem, n_starts: int, extra, rng_key) -> list:
-    # caller-provided warm starts go first so a target hit ends the sweep early
-    dim = problem.dim
-    extra = np.asarray(extra, dtype=np.complex128).reshape(-1, dim)
-    eye = np.eye(dim, dtype=np.complex128)
-    norms = problem.norm(np.concatenate([extra, eye]))
-    starts = [c if n <= 1.0 else c / n for c, n in zip(extra, norms)]
-    starts.append(np.zeros(dim, dtype=np.complex128))
-    starts += [e / max(1.0, n) for e, n in zip(eye, norms[len(extra):])]
-    draws = _draws(problem, n_starts - len(starts), rng_key)
-    starts += [g * (r / n) for g, n, r in draws]
-    return starts[:max(n_starts, len(extra) + 1)]
 
 
 def _sphere_starts(problem, n_starts: int, extra, rng_key) -> list:
@@ -351,7 +335,7 @@ class _Run:
             "certified" if self._certify() else "budget"
 
 
-def _run_stack(problem, config, starts, sign, target, sweep=None) -> list:
+def _run_stack(problem, config, starts, sign, target) -> list:
     """Projected subgradient runs from a stack of starts, in lockstep.
 
     Every iteration steps the runs still going from one
@@ -360,16 +344,12 @@ def _run_stack(problem, config, starts, sign, target, sweep=None) -> list:
     with the trial rows of any eps-descent step (see `_land`); each run
     follows the rules of `_Run` on its own, so a start ends bitwise the
     same alone and in any stack. Returns one `_Run` per start.
-    Given a `_Sweep`, the runs join it, and the stack stops stepping once
-    the sweep is settled: the runs it has not read then never are.
     """
     c = np.array(starts, dtype=np.complex128)
     f, g = _evaluate(problem, c)
     runs = live = [_Run(config, ck, fk, sign, target,
                         problem if sign > 0 else None)
                    for ck, fk in zip(c, f)]
-    if sweep is not None:
-        sweep.runs += runs
     for it in range(1, config.max_iters + 1):
         stepped, steps, descending = [], [], False
         for r, fk, gk in zip(live, f, g):
@@ -379,7 +359,7 @@ def _run_stack(problem, config, starts, sign, target, sweep=None) -> list:
                 stepped.append(r)
                 steps.append(ck)
                 descending |= ck.ndim > 1
-        if not stepped or (sweep is not None and sweep.settled()):
+        if not stepped:
             return runs
         live = stepped
         if descending:
@@ -425,97 +405,50 @@ def _land(problem, live, steps):
     return fs, gs
 
 
-class _Sweep:
-    """The answer of a sweep, read from its runs in start order.
-
-    A run is read once it has ended and every run before it has been read.
-    The sweep is settled once the runs read bound its minimum: their best
-    value is within cert_tol of their best bound. No run after that one is
-    read, since none could change the answer.
-    """
-
-    def __init__(self, sign):
-        self.sign = sign
-        self.runs = []           # every run of the sweep, in start order
-        self.read = 0            # how many of them are read
-        self.best = None         # (value, coeffs, start index, stop reason)
-        self.lower = -math.inf
-        self.iterations = 0
-        self.descent_steps = 0
-        self.stops = dict.fromkeys(STOP_REASONS, 0)
-        self.done = False
-
-    def settled(self) -> bool:
-        """Read the runs that have ended, up to the first one still going
-        or until the sweep is settled; True once it is."""
-        sign = self.sign
-        while not self.done and self.read < len(self.runs) \
-                and self.runs[self.read].why is not None:
-            r = self.runs[self.read]
-            f, why = r.best_f, r.why
-            self.iterations += r.iterations
-            self.descent_steps += r.descents
-            self.stops[why] += 1
-            # a target hit, or a zero subgradient of a convex minimization,
-            # settles the minimum: the remaining starts cannot go lower
-            exact = why == "target" or (sign > 0 and why == "zero_subgradient")
-            best = self.best
-            if best is None or sign * (f - best[0]) < 0 or \
-                    (exact and sign * (f - best[0]) <= 0):
-                self.best = best = (f, r.best_c, self.read, why)
-            # every run's bound holds for the one minimum, so the best counts
-            self.lower = best[0] if exact else max(self.lower, r.lower)
-            self.done = best[0] - self.lower <= SolverConfig.cert_tol
-            self.read += 1
-        return self.done
-
-    def result(self) -> SolveResult:
-        self.settled()
-        f, c, i, why = self.best
-        stops = self.stops
-        return SolveResult(coeffs=c, value=float(f),
-                           converged=stops["budget"] < sum(stops.values()),
-                           best_start=i, iterations=self.iterations,
-                           descent_steps=self.descent_steps,
-                           reached_target=why == "target", stops=stops,
-                           lower=float(self.lower))
-
-
 def _reduce(runs, sign) -> SolveResult:
-    """One SolveResult from the ended runs of a sweep, read in start order."""
-    sweep = _Sweep(sign)
-    sweep.runs += runs
-    return sweep.result()
+    """One SolveResult from the ended runs of a sweep: the best value, at
+    the first run that attains it, and the bound that the runs certify."""
+    k = min(range(len(runs)), key=lambda i: sign * runs[i].best_f)
+    best = runs[k]
+    stops = dict.fromkeys(STOP_REASONS, 0)
+    for r in runs:
+        stops[r.why] += 1
+    # a target hit, or a zero subgradient of a convex minimization, is the
+    # minimum; otherwise every run's bound holds for the one minimum
+    exact = best.why == "target" or \
+        (sign > 0 and best.why == "zero_subgradient")
+    lower = best.best_f if exact else max(r.lower for r in runs)
+    return SolveResult(coeffs=best.best_c, value=float(best.best_f),
+                       converged=stops["budget"] < len(runs), best_start=k,
+                       iterations=sum(r.iterations for r in runs),
+                       descent_steps=sum(r.descents for r in runs),
+                       reached_target=best.why == "target", stops=stops,
+                       lower=float(lower))
 
 
 def minimize_over_ball(problem, config: SolverConfig | None = None, *,
-                       target: float = 0.0, starts: int | None = None,
-                       extra_starts=(), seed_salt=()) -> SolveResult:
-    """Minimize a convex objective over {c : problem.norm(c) <= 1}.
+                       target: float = 0.0, start=None) -> SolveResult:
+    """Minimize a convex objective over {c : problem.norm(c) <= 1} in one
+    run, from ``start`` pulled back into the ball, or from 0.
 
     The returned value is an upper bound on the true minimum (it is attained
     by the returned feasible point), and ``lower`` a lower bound.
     ``target`` must be a known lower bound on the objective over the ball:
-    a run ends at the first iterate within eps_stop of it, and the Polyak
+    the run ends at the first iterate within eps_stop of it, and the Polyak
     level never drops below it. A run that stops on a zero subgradient has
     found a global minimum, which needs the objective to be convex; a run
     whose problem.lower_bound settles it stops too (see the module
     docstring), and a run past its DESCENT_FROM-th stall checkpoint steps
-    by problem.descent_steps. The sweep ends once its value is within
-    cert_tol of its lower bound, which ``certified_min`` marks.
+    by problem.descent_steps. ``certified_min`` marks a value within
+    cert_tol of its lower bound.
     """
     config = config or SolverConfig()
     config.validate()
-    n = starts if starts is not None else config.starts
-    key = [config.root_seed, *seed_salt, 1]
-    cands = _ball_starts(problem, n, extra_starts, key)
-    # the first start alone, since it settles most sweeps; the rest, if
-    # the sweep is still open, as one stack
-    sweep = _Sweep(+1)
-    for stack in (cands[:1], cands[1:]):
-        if stack and not sweep.settled():
-            _run_stack(problem, config, stack, +1, target, sweep)
-    return sweep.result()
+    c = np.zeros((1, problem.dim), dtype=np.complex128) if start is None \
+        else np.asarray(start, dtype=np.complex128).reshape(1, problem.dim)
+    n = problem.norm(c)[0]
+    return _reduce(_run_stack(problem, config, c if n <= 1.0 else c / n, +1,
+                              target), +1)
 
 
 def maximize_over_sphere(problem, config: SolverConfig | None = None, *,

@@ -80,7 +80,8 @@ def _sampled_elements(space):
 def _upper_incumbents():
     """(problem, point on the sphere, minimum over 4,000 seeded ball points)
     for m2-upper's sampled elements: the incumbent of a 50-iteration search
-    and 40 seeded sphere points each."""
+    from -conj(x), which ends on the sphere, and 40 seeded sphere points
+    each."""
     space = catalog_space("m2-upper")
     rng = np.random.default_rng(19)
     ball = _ball_points(space, rng, 4000)
@@ -88,8 +89,8 @@ def _upper_incumbents():
     for x in _sampled_elements(space):
         problem = _partner_problem(space, x, DEFAULT_T_GRID)
         floor = problem.value_and_grad(ball)[0].min()
-        y = find_partner(space, x=x, starts=1,
-                         config=SolverConfig(max_iters=50)).y_coeffs
+        y = minimize_over_ball(problem, SolverConfig(max_iters=50),
+                               start=-np.conj(x)).coeffs
         for c in [y, *_ball_points(space, rng, 40, sphere=True)]:
             out.append((problem, c, floor))
     return out
@@ -175,7 +176,7 @@ def _z_problems():
                   catalog_entry("circle-1zzbar").build(12)):
         problems.append(_partner_problem(space, _sampled_elements(space)[0],
                                          DEFAULT_T_GRID))
-    return [(p, minimize_over_ball(p, SolverConfig(), starts=2).coeffs)
+    return [(p, minimize_over_ball(p, SolverConfig()).coeffs)
             for p in problems]
 
 

@@ -223,6 +223,19 @@ def test_certified_partner_fails_never_meet_an_ambient_pass():
                 assert r.residual <= SolverConfig.cert_tol
 
 
+def test_a_partner_search_ends_at_its_first_certified_fail():
+    # N has no partner in span{I, N}: warm or cold, the one run certifies
+    # that at its first checkpoint and stops there
+    for system, space in random_spans(np.random.default_rng(15)):
+        if system:
+            continue
+        x = np.eye(space.dim)[1] / space.norm(np.eye(space.dim)[1])
+        for warm in (True, False):
+            r = find_partner(space, x=x, warm_start=warm)
+            assert r.lower >= SolverConfig.fail_tol
+            assert r.diagnostics["iterations"] <= SolverConfig.stall_window
+
+
 def test_function_system_dims_match_the_ambient_span():
     for name in ("circle-1zzbar", "circle-1z", "two-circles"):
         space = catalog_space(name)

@@ -8,10 +8,8 @@ from opcert.cstar import recover_product
 from opcert.errors import InvalidInputError, SolverError
 from opcert.funcspace import catalog_entry, catalog_space
 from opcert.opspace import make_space
-from opcert.solver import (SolverConfig, _ball_starts, _reduce, _run_stack,
-                           _sphere_starts, maximize_over_sphere,
-                           minimize_over_ball)
-from opcert.sysdetect import SLOT_STARTS
+from opcert.solver import (SolverConfig, _draws, _run_stack, _sphere_starts,
+                           maximize_over_sphere, minimize_over_ball)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 E21 = np.array([[0, 0], [1, 0]], dtype=np.complex128)
@@ -161,12 +159,12 @@ def test_determinism_bitwise():
 
 
 def test_extra_starts_bound_the_result():
-    # an extra start at the optimum short-circuits: the result can only improve on it
+    # a start at the optimum short-circuits: the result can only improve on it
     a = np.array([0.5, 0.0 + 0j])
     prob = _Quadratic(a)
-    res = minimize_over_ball(prob, SolverConfig(), extra_starts=[a])
+    res = minimize_over_ball(prob, SolverConfig(), start=a)
     assert res.value <= prob.value_and_grad(a)[0] + 1e-12
-    assert res.best_start == 0
+    assert res.best_start == 0 and res.iterations == 1
 
 
 def test_gradient_matches_central_differences_dense():
@@ -374,8 +372,8 @@ class _Hinge:
 
 def test_landing_inside_a_flat_minimum_is_a_target_hit():
     # the zero gradient met on landing inside the feasible set comes with
-    # a fresh value at the target: one run settles the sweep
-    res = minimize_over_ball(_Hinge(), SolverConfig(), starts=6)
+    # a fresh value at the target
+    res = minimize_over_ball(_Hinge(), SolverConfig())
     assert res.value == 0.0
     assert res.reached_target and res.certified_min
     assert res.best_start == 0
@@ -386,9 +384,9 @@ def test_landing_inside_a_flat_minimum_is_a_target_hit():
 
 def test_budget_runs_are_counted_and_not_certified():
     a = np.array([0.3 + 0.1j, -0.2j, 0.1])
-    res = minimize_over_ball(_Quadratic(a), SolverConfig(max_iters=3),
-                             starts=4)
-    assert res.stops["budget"] == 4 == sum(res.stops.values())
+    res = minimize_over_ball(_Quadratic(a), SolverConfig(max_iters=3))
+    assert res.stops["budget"] == 1 == sum(res.stops.values())
+    assert res.iterations == 3
     assert not res.converged and not res.certified_min
     # a maximization never certifies its value, whatever stopped it
     assert not maximize_over_sphere(_Linear(), SolverConfig()).certified_min
@@ -416,17 +414,15 @@ class _Kink:
 
 
 def test_a_certified_bound_stops_runs_and_settles_the_sweep():
-    # a bound fail_tol above the target stops each run at its first
-    # checkpoint, but only a bound within cert_tol of the best value ends
-    # the sweep
-    res = minimize_over_ball(_Kink(0.9), SolverConfig(), starts=4)
-    assert res.stops["certified"] == 4 == sum(res.stops.values())
-    assert res.iterations == 4 * SolverConfig.stall_window
-    assert res.value == 1.0 and res.lower == 0.9
-    assert res.converged and not res.certified_min
-    res = minimize_over_ball(_Kink(1.0 - 1e-6), SolverConfig(), starts=4)
-    assert res.stops["certified"] == 1 == sum(res.stops.values())
-    assert res.value == 1.0 and res.certified_min
+    # a bound fail_tol above the target stops the run at its first
+    # checkpoint with the gap to its value still open; a bound within
+    # cert_tol of the value stops it there too, and certifies the minimum
+    for bound, certified_min in ((0.9, False), (1.0 - 1e-6, True)):
+        res = minimize_over_ball(_Kink(bound), SolverConfig())
+        assert res.stops["certified"] == 1 == sum(res.stops.values())
+        assert res.iterations == SolverConfig.stall_window
+        assert res.value == 1.0 and res.lower == bound
+        assert res.converged and res.certified_min == certified_min
 
 
 class _FlatZero:
@@ -478,8 +474,9 @@ def test_a_stack_of_starts_runs_each_start_as_alone(name, u, level,
 
 # a cold m2-full product at t = 10, v a rotation and y = 0.8 E12: its
 # minimum is a kink where two singular values tie, so subgradient steps
-# zigzag; every start runs to a budget of SHORT_ITERS, and at the default
-# budget each reaches the target through eps-descent steps
+# zigzag; every start of `_ball_starts` runs to a budget of SHORT_ITERS,
+# and at the default budget each reaches the target through eps-descent
+# steps
 SHORT_ITERS = 60
 ROT_V = np.array([np.cos(0.3), -np.sin(0.3), np.sin(0.3), 0],
                  dtype=np.complex128)
@@ -489,6 +486,17 @@ Y08 = np.array([0, 0.8, 0, 0], dtype=np.complex128)
 def _cold_m2_product():
     space = m2_full()
     return _product(space, space.unit_coeffs(), ROT_V, Y08, (1, 0), 10.0)
+
+
+def _ball_starts(problem, count):
+    """count seeded starts in the ball: 0, the basis pulled back into it,
+    then random points."""
+    eye = np.eye(problem.dim, dtype=np.complex128)
+    starts = [np.zeros(problem.dim, dtype=np.complex128)]
+    starts += [e / max(1.0, n) for e, n in zip(eye, problem.norm(eye))]
+    draws = _draws(problem, count - len(starts), [7, 1])
+    starts += [g * (r / n) for g, n, r in draws]
+    return starts[:count]
 
 
 def _circle_1z_partner():
@@ -510,7 +518,7 @@ def test_a_stack_of_minimize_starts_runs_each_start_as_alone(make, max_iters,
     # rows share the stacked calls with the other starts' rows
     problem = make()
     config = SolverConfig(max_iters=max_iters)
-    starts = _ball_starts(problem, SLOT_STARTS, (), [7, 1])
+    starts = _ball_starts(problem, 6)
     stacked = _run_stack(problem, config, starts, +1, 0.0)
     assert {r.why for r in stacked} == {why}
     assert all((r.descents > 0) == (why == "target") for r in stacked)
@@ -522,73 +530,11 @@ def test_a_stack_of_minimize_starts_runs_each_start_as_alone(make, max_iters,
             (run.iterations, run.why, run.descents)
 
 
-def _sequential_sweep(problem, config, n, extra=()):
-    """minimize_over_ball's answer with each start run alone, read in
-    start order, and those runs."""
-    starts = _ball_starts(problem, n, extra, [config.root_seed, 1])
-    runs = [r for c in starts
-            for r in _run_stack(problem, config, [c], +1, 0.0)]
-    return _reduce(runs, +1), runs
-
-
-def _assert_same_result(a, b):
-    npt.assert_array_equal(a.coeffs, b.coeffs)
-    fields = ("value", "lower", "iterations", "stops", "best_start",
-              "converged", "reached_target")
-    assert [getattr(a, k) for k in fields] == [getattr(b, k) for k in fields]
-
-
-def test_a_sweep_settled_by_its_first_start_runs_no_other():
-    # a warm start at -(v y* u) settles the sweep on its own
-    problem = _cold_m2_product()
-    space, config = problem.space, SolverConfig()
-    warm = -space.membership(space.embed(ROT_V) @ (0.8 * E21))[0]
-    counted = _Counted(problem)
-    res = minimize_over_ball(counted, config, starts=SLOT_STARTS,
-                             extra_starts=[warm])
-    ref, _ = _sequential_sweep(problem, config, SLOT_STARTS, [warm])
-    _assert_same_result(res, ref)
-    assert res.best_start == 0 and sum(res.stops.values()) == 1
-    assert set(counted.calls["value_and_grad"]) == {1}
-
-
-def test_a_cold_sweep_steps_its_later_starts_as_one_stack():
-    problem = _cold_m2_product()
-    config = SolverConfig(max_iters=SHORT_ITERS)
-    counted = _Counted(problem)
-    res = minimize_over_ball(counted, config, starts=SLOT_STARTS)
-    ref, _ = _sequential_sweep(problem, config, SLOT_STARTS)
-    _assert_same_result(res, ref)
-    assert res.stops["budget"] == SLOT_STARTS
-    k = config.max_iters
-    assert counted.calls["value_and_grad"] == \
-        [1] * (k + 1) + [SLOT_STARTS - 1] * (k + 1)
-
-
-def test_a_stack_of_later_starts_stops_where_the_sweep_settles():
-    # start 0 ends at its budget, start 1 hits the target at iteration k1
-    # and settles the sweep, which starts 2 and 3 would reach only later:
-    # the stack stops stepping at k1
-    problem = _Quadratic([0.5, 0])
-    config = SolverConfig(max_iters=20)
-    extra = [[-0.9, 0], [0.45, 0]]
-    ref, runs = _sequential_sweep(problem, config, 4, extra)
-    assert [r.why for r in runs[:2]] == ["budget", "target"]
-    k1 = runs[1].iterations
-    assert k1 < min(r.iterations for r in runs[2:])
-    counted = _Counted(problem)
-    res = minimize_over_ball(counted, config, starts=4, extra_starts=extra)
-    _assert_same_result(res, ref)
-    assert res.best_start == 1 and res.iterations == config.max_iters + k1
-    assert counted.calls["value_and_grad"] == \
-        [1] * (config.max_iters + 1) + [3] * k1
-
-
 def test_a_cold_product_makes_two_calls_per_iteration(monkeypatch):
-    # at a short budget: the first start alone, then the other five as one
-    # stack; at the default budget the first start reaches the target
-    # within three stall windows of calls, two of plain steps and at most
-    # one of eps-descent steps
+    # at a short budget the one run from 0 ends at its budget after one
+    # one-row call per iteration; at the default budget it reaches the
+    # target within three stall windows of calls, two of plain steps and
+    # at most one of eps-descent steps
     calls = []
     value_and_grad = SlotProblem.value_and_grad
 
@@ -601,8 +547,9 @@ def test_a_cold_product_makes_two_calls_per_iteration(monkeypatch):
     config = SolverConfig(max_iters=SHORT_ITERS)
     rec = recover_product(space, space.unit_coeffs(), ROT_V, Y08, t=10.0,
                           config=config)
-    assert rec.diagnostics["stops"]["budget"] == SLOT_STARTS
-    assert len(calls) <= 2 * (config.max_iters + 1)
+    assert rec.diagnostics["stops"]["budget"] == 1
+    assert rec.diagnostics["iterations"] == config.max_iters
+    assert calls == [1] * (config.max_iters + 1)
     calls.clear()
     rec = recover_product(space, space.unit_coeffs(), ROT_V, Y08, t=10.0,
                           config=SolverConfig())
@@ -647,10 +594,10 @@ def test_each_iterate_is_evaluated_once():
     k = 3
     a = np.array([0.3 + 0.1j, -0.2j, 0.1])
     problem = _Counted(_Quadratic(a))
-    res = minimize_over_ball(problem, SolverConfig(max_iters=k), starts=3)
-    assert res.stops["budget"] == 3 and res.iterations == 3 * k
-    # the first minimize start runs alone, the other two as one stack
-    assert problem.calls["value_and_grad"] == [1] * (k + 1) + [2] * (k + 1)
+    res = minimize_over_ball(problem, SolverConfig(max_iters=k))
+    assert res.stops["budget"] == 1 and res.iterations == k
+    # a minimization is one run
+    assert problem.calls["value_and_grad"] == [1] * (k + 1)
     assert set(problem.calls) == {"value_and_grad", "norm", "lower_bound"}
     problem = _Counted(_Linear())
     res = maximize_over_sphere(problem, SolverConfig(max_iters=k))

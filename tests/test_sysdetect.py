@@ -168,9 +168,8 @@ def test_input_validation():
 
 
 def test_zero_subgradient_ends_the_partner_sweep():
-    # on m2-upper no partner of E12 is feasible; the first start already
-    # has a zero subgradient, so the hinge's minimum is settled there and
-    # no further start runs
+    # on m2-upper no partner of E12 is feasible; the run from 0 meets a
+    # zero subgradient at once, so the hinge's minimum is settled there
     space = catalog_space("m2-upper")          # basis I, E12
     r = find_partner(space, x=np.array([0, 1.0]))
     assert r.residual == 0.48828482444627497
