@@ -208,18 +208,18 @@ class SlotProblem:
         eps runs up EPS_LADDER and stops at the first bound that settles a
         search, one at fail_tol or within cert_tol of the excess f at c.
         An eps larger than f minus that level cannot give one, and an eps
-        that adds no piece gives a lower bound than the last: neither is
-        tried. Returns the best bound found."""
+        that adds no z-piece would give a smaller bound than the last:
+        neither is tried. Returns the best bound found."""
         at = Pieces(self, c)
         stop = min(SolverConfig.fail_tol, at.f - SolverConfig.cert_tol)
-        best, pieces = -np.inf, 0
+        best, columns = -np.inf, 0
         for eps in EPS_LADDER:
-            if eps > at.f - stop or pieces == at.ranked.size:
+            if eps > at.f - stop:
                 break
-            m = at.subgradients(eps).shape[1]
-            if m > pieces:
-                pieces = m
-                best = max(best, at.bound(eps, *at.weights(eps)))
+            g = at.z_subgradients(eps)
+            if g.shape[1] > columns:
+                columns = g.shape[1]
+                best = max(best, at.bound(eps, *_shortest(g, at.h)))
                 if best >= stop:
                     break
         return best
@@ -256,12 +256,13 @@ class Pieces:
 
     A piece is one (t, block) pair: phi_i(y) = (norm of that block of
     frame t) - offset_t, convex in the slot y. Let f be the worst excess at
-    c. Each piece with phi_i(c) >= f - eps has a subgradient g_i from the
-    top singular pair of its block, taken as a real vector [Re, Im]. When
-    c is on the sphere, the norm subgradient h at c has
-    <h, y - c> <= 1 - norm(c) for every y of the ball. So for lambda >= 0
-    summing to 1 and mu >= 0, with r = sum lambda_i g_i + mu h, every y of
-    the ball has
+    c. Each piece with phi_i(c) >= f - eps gives z-pieces, eps-subgradients
+    g_z from the near-top singular pairs of its block (`z_subgradients`),
+    taken as real vectors [Re, Im], each with
+    worst excess(y) >= f - eps + <g_z, y - c> on the ball. When c is on the
+    sphere, the norm subgradient h at c has <h, y - c> <= 1 - norm(c) for
+    every y of the ball. So for lambda >= 0 summing to 1 and mu >= 0, with
+    r = sum lambda_z g_z + mu h, every y of the ball has
 
         worst excess(y) >= f - eps + <r, y - c> - mu (1 - norm(c))
                         >= f - eps - |r| (R + |c|) - mu (1 - norm(c)),
@@ -269,8 +270,8 @@ class Pieces:
     where R = space.coeff_radius() bounds |y|. This is the
     eps-subdifferential optimality test of bundle methods (Lemarechal;
     Kiwiel, Methods of Descent for Nondifferentiable Optimization, 1985).
-    `bound` uses it as a certificate; `descent` takes the shortest r of the
-    richer `z_subgradients` as a step.
+    `bound` uses it as a certificate; `descent` takes the shortest r as a
+    step.
     """
 
     def __init__(self, problem: SlotProblem, c):
@@ -283,7 +284,6 @@ class Pieces:
         self.order = np.argsort(-excess, kind="stable")
         self.ranked = excess[self.order]
         self.f = float(self.ranked[0])
-        self.grads = np.empty((2 * space.dim, 0))
         self.svds = None        # (u, s, vh) of the blocks of a prefix of pieces
         ball = space.grid_blocks(self.c[None, None, None, :])
         top = block_norms(ball).argmax(axis=-1) if ball.shape[1] > 1 else None
@@ -291,25 +291,6 @@ class Pieces:
         self.slack = max(0.0, 1.0 - float(norm[0]))
         self.h = _real(g[0, 0, 0]) if self.slack <= ON_SPHERE else None
         self.reach = space.coeff_radius() + float(np.linalg.norm(self.c))
-
-    def subgradients(self, eps: float) -> np.ndarray:
-        """(2d, m) real subgradients, as columns, of the m pieces within eps
-        of f, in falling order of excess."""
-        m = int(np.count_nonzero(self.ranked >= self.f - eps))
-        have = self.grads.shape[1]
-        if m > have:
-            w = self.stacks.shape[1]
-            t, k = np.divmod(self.order[have:m], w)
-            _, g, _ = stack_value_and_grad(self.problem.space, self.stacks[t],
-                                           k if w > 1 else None)
-            i, j = self.problem.slot
-            self.grads = np.hstack([self.grads, _real(g[:, i, j, :]).T])
-        return self.grads[:, :m]
-
-    def weights(self, eps: float):
-        """(lambda, mu) making r short for the pieces within eps (see
-        `_shortest`)."""
-        return _shortest(self.subgradients(eps), self.h)
 
     def z_subgradients(self, eps: float) -> np.ndarray:
         """(2d, n) real eps-subgradients, as columns, from the near-top
@@ -374,9 +355,9 @@ class Pieces:
         """The lower bound f - eps - |r| (R + |c|) - mu (1 - norm(c)) from
         any multipliers, trusting only lambda >= 0 and mu >= 0: negative
         entries count as 0, lambda is scaled to sum 1 (and mu with it), and
-        r is recomputed from them. -inf when no entry of lambda is
-        positive."""
-        g = self.subgradients(eps)
+        r is recomputed from them over the z-pieces within eps
+        (`z_subgradients`). -inf when no entry of lambda is positive."""
+        g = self.z_subgradients(eps)
         lam = np.clip(np.asarray(lam, dtype=float), 0.0, None)
         total = float(lam.sum())
         if not total > 0.0:

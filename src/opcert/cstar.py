@@ -70,12 +70,14 @@ def _solve_product(space, uc, vc, given, slot, t, config, warm_start=False):
     # u adjoint(given) v for slot (0, 1)
     truth = ambient_product(space, *((vc, given, uc) if slot == (1, 0)
                                      else (uc, given, vc)))
-    proj, _, member = space.relative_membership(truth)
     # the excess of the block norm over the target, minimized to 0; a warm
     # start is the projected ambient product, and the block norm is still
     # evaluated from scratch, so it cannot fake feasibility
-    res = minimize_over_ball(problem, config, target=0.0,
-                             start=-proj if warm_start and member else None)
+    start = None
+    if warm_start:
+        proj, _, member = space.relative_membership(truth)
+        start = -proj if member else None
+    res = minimize_over_ball(problem, config, target=0.0, start=start)
     escaped = res.lower >= config.fail_tol
     if escaped:
         _require_ternary_unitary(space, vc, slot, config)
@@ -103,8 +105,7 @@ def _require_ternary_unitary(space, vc, slot, config):
 
 
 def recover_product(space: ConcreteOpSpace, u, v, y, t: float = RECOVERY_T,
-                    config: SolverConfig | None = None,
-                    warm_start: bool = False) -> RecoveredProduct:
+                    config: SolverConfig | None = None) -> RecoveredProduct:
     """Candidate for v adjoint(y) u recovered from the block norm alone.
 
     v must act as a ternary unitary (a coisometry suffices for this
@@ -117,24 +118,21 @@ def recover_product(space: ConcreteOpSpace, u, v, y, t: float = RECOVERY_T,
     certify is not flagged: whether the product escapes is then open.
     Before flagging an escape, v is certified as a coisometry; if it is
     not, PreconditionError is raised.
-    Cold starts by default so the achieved error scales with 1/t instead
-    of echoing the ambient product back.
+    The search starts cold, from 0, so the achieved error scales with 1/t
+    instead of echoing the ambient product back.
     """
     uc, vc, yc = space.as_coeffs(u), space.as_coeffs(v), space.as_coeffs(y)
-    return _solve_product(space, uc, vc, yc, (1, 0), t, config,
-                          warm_start=warm_start)
+    return _solve_product(space, uc, vc, yc, (1, 0), t, config)
 
 
 def recover_product_left(space: ConcreteOpSpace, u, v, z,
                          t: float = RECOVERY_T,
-                         config: SolverConfig | None = None,
-                         warm_start: bool = False) -> RecoveredProduct:
+                         config: SolverConfig | None = None) -> RecoveredProduct:
     """Left-variant recovery: the y with z = -(v adjoint(y) u), i.e. a
     candidate for u adjoint(z) v. Requires v to act as an isometry, which
     is certified before an escape is flagged (PreconditionError if not)."""
     uc, vc, zc = space.as_coeffs(u), space.as_coeffs(v), space.as_coeffs(z)
-    return _solve_product(space, uc, vc, zc, (0, 1), t, config,
-                          warm_start=warm_start)
+    return _solve_product(space, uc, vc, zc, (0, 1), t, config)
 
 
 @dataclass

@@ -181,27 +181,20 @@ def _evaluate(problem, c: np.ndarray):
 
 
 def _sphere_starts(problem, n_starts: int, extra, rng_key) -> list:
+    """The basis, the extra starts, then gaussian draws of one generator
+    seeded by rng_key, made as one block; each normed onto the sphere."""
     dim = problem.dim
     fixed = np.concatenate([np.eye(dim, dtype=np.complex128),
                             np.asarray(extra, dtype=np.complex128).reshape(-1, dim)])
     starts = [c / n for c, n in zip(fixed, problem.norm(fixed)) if n > 1e-12]
-    draws = _draws(problem, n_starts - len(starts), rng_key)
-    starts += [g / n for g, n, _ in draws]
+    want = n_starts - len(starts)
+    if want > 0:
+        rng = np.random.default_rng(rng_key)
+        shape = (want, dim)
+        gs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        starts += [g / n for g, n in zip(gs, problem.norm(gs)) if n > 1e-12]
     # never truncated: the basis and every warm start run even past n_starts
     return starts
-
-
-def _draws(problem, want: int, rng_key) -> list:
-    """(g, norm of g, radius in [0, 1)) for the gaussian draws g of nonzero
-    norm among `want` drawn as one block and normed in one problem.norm
-    call. One generator, seeded by rng_key, makes every draw of a sweep."""
-    if want <= 0:
-        return []
-    rng = np.random.default_rng(rng_key)
-    shape = (want, problem.dim)
-    gs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    radii = rng.uniform(0.0, 1.0, want)
-    return [d for d in zip(gs, problem.norm(gs), radii) if d[1] > 1e-12]
 
 
 class _Run:

@@ -115,11 +115,11 @@ def test_tampered_multipliers_still_bound_the_minimum():
     for problem, c, floor in _upper_incumbents():
         at = Pieces(problem, c)
         for eps in EPS_LADDER:
-            lam, mu = at.weights(eps)
+            g = at.z_subgradients(eps)
+            lam, mu = blocks._shortest(g, at.h)
             assert at.bound(eps, lam, mu) <= floor
             assert at.bound(eps, lam, -mu) <= floor
             assert at.bound(eps, -lam, mu) == -np.inf
-            g = at.subgradients(eps)
             affine = np.linalg.lstsq(np.vstack([g, 1e3 * np.ones(lam.size)]),
                                      np.r_[np.zeros(g.shape[0]), 1e3],
                                      rcond=None)[0]
@@ -158,6 +158,27 @@ def test_a_short_product_search_is_not_an_escape(max_iters):
     assert rec.achieved - rec.target >= SolverConfig.fail_tol
     assert not rec.escaped
 
+
+@pytest.mark.parametrize("seed", [3, 61, 1, 40, 12, 13])
+def test_a_stopped_cold_product_bound_reads_its_z_pieces(seed):
+    # a cold m2-full product stopped after 50 iterations sits near the kink
+    # where its two top singular values tie; its z-pieces span both pairs,
+    # and the top pair alone sees one side of the tie (a bound below -1.2)
+    space = catalog_space("m2-full")
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr((rng.standard_normal(4)
+                         + 1j * rng.standard_normal(4)).reshape(2, 2))
+    v, _ = space.membership(q)
+    y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    y *= 0.8 / space.norm(y)
+    for t in (10.0, 1000.0):
+        problem = SlotProblem(space, t_frames(space, (t,), space.unit_coeffs(),
+                                              y, None, v), (1, 0),
+                              np.sqrt(t * t + space.norm(y) ** 2))
+        res = minimize_over_ball(problem, SolverConfig(max_iters=50))
+        assert res.diagnostics["stops"]["budget"] == 1
+        # v y* u lies in M2, so the minimum is 0
+        assert -1.0 < problem.lower_bound(res.coeffs) <= 0.0
 
 
 def _z_problems():

@@ -263,8 +263,7 @@ def test_recover_product_reports_stop_reasons():
     space = catalog_space("m2-full")
     vc = rotation_coeffs(space, 0.4)
     yc = np.array([0.3, -0.2j, 0.1, 0.2], dtype=np.complex128)
-    rec = recover_product(space, space.unit_coeffs(), vc, yc, t=100.0,
-                          warm_start=True)
+    rec = recover_product(space, space.unit_coeffs(), vc, yc, t=100.0)
     assert not rec.escaped
     assert rec.diagnostics["certified_min"]
     assert rec.diagnostics["stops"]["target"] == 1

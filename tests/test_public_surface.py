@@ -13,7 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 UNSET_DEFAULTS = [
     "__init__(iterate)", "ambient_system_check(u)", "catalog_closure(points)",
     "min_space(points)", "recover_product_left(config)",
-    "recover_product_left(t)", "recover_product_left(warm_start)"]
+    "recover_product_left(t)"]
 
 
 def test_every_public_name_resolves_once():

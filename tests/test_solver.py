@@ -8,7 +8,7 @@ from opcert.cstar import recover_product
 from opcert.errors import InvalidInputError, SolverError
 from opcert.funcspace import catalog_entry, catalog_space
 from opcert.opspace import make_space
-from opcert.solver import (SolverConfig, _draws, _run_stack, _sphere_starts,
+from opcert.solver import (SolverConfig, _run_stack, _sphere_starts,
                            maximize_over_sphere, minimize_over_ball)
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -494,8 +494,11 @@ def _ball_starts(problem, count):
     eye = np.eye(problem.dim, dtype=np.complex128)
     starts = [np.zeros(problem.dim, dtype=np.complex128)]
     starts += [e / max(1.0, n) for e, n in zip(eye, problem.norm(eye))]
-    draws = _draws(problem, count - len(starts), [7, 1])
-    starts += [g * (r / n) for g, n, r in draws]
+    rng = np.random.default_rng([7, 1])
+    shape = (count - len(starts), problem.dim)
+    gs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    radii = rng.uniform(0.0, 1.0, shape[0])
+    starts += [g * (r / n) for g, n, r in zip(gs, problem.norm(gs), radii)]
     return starts[:count]
 
 

@@ -1,4 +1,5 @@
-"""List the module-level imports of src/opcert and tests that nothing uses.
+"""List the module-level imports of src/opcert, tests, demos and tools that
+nothing uses.
 
 A name bound by a top-level ``import`` or ``from ... import`` statement is
 used when the module reads it anywhere (a name, or the root of an
@@ -13,7 +14,7 @@ import ast
 import pathlib
 import sys
 
-DIRS = ("src/opcert", "tests")
+DIRS = ("src/opcert", "tests", "demos", "tools")
 
 
 def unused_imports(path: pathlib.Path) -> list:
