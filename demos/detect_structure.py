@@ -13,7 +13,7 @@ unitaries.
 
 from opcert.certify import certify_unitary
 from opcert.cstar import detect_cstar
-from opcert.funcspace import catalog_entry, catalog_names, scalar_unitary_check
+from opcert.funcspace import catalog_names, catalog_space
 from opcert.sysdetect import detect_operator_system
 from opcert.tro import generate_tro
 
@@ -21,17 +21,11 @@ from opcert.tro import generate_tro
 def main():
     print(f"{'space':<16} {'unitary':<9} {'system':<9} {'cstar':<9} detail")
     for name in catalog_names():
-        entry = catalog_entry(name)
-        space = entry.build()
+        space = catalog_space(name)
         # catalog spaces are small enough that the generated ternary
         # closure is the exact envelope
         closure = generate_tro(space, envelope_exact=True)
-
-        if entry.kind == "function":
-            uni = scalar_unitary_check(space).verdict
-        else:
-            uni = certify_unitary(space, max_level=1).verdict
-
+        uni = certify_unitary(space, max_level=1).verdict
         system = detect_operator_system(space, closure=closure)
         cstar, table = detect_cstar(space, closure=closure)
 

@@ -13,8 +13,8 @@ from .funcspace import (CatalogEntry, catalog_closure, catalog_entry,
                         scalar_unitary_check, selfadjoint_unit_check)
 from .hermit import (DeltaSpan, delta_span, is_u_hermitian, is_u_positive,
                      operator_system_check)
-from .opspace import (AmplifiedElement, ConcreteOpSpace, Element,
-                      amplify_unit, make_space, space_from_points)
+from .opspace import (ConcreteOpSpace, Element, make_space,
+                      space_from_points)
 from .order import Cone, cone_equals_delta_plus, cone_membership, \
     norm_order_unit_check
 from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport
@@ -32,14 +32,14 @@ from .tro import (TroClosure, ambient_system_check, ambient_unitary_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplifiedElement", "CatalogEntry", "CertificateReport", "Cone",
+    "CatalogEntry", "CertificateReport", "Cone",
     "ConcreteOpSpace", "DeltaSpan", "Element", "FAIL",
     "INCONCLUSIVE", "InvalidInputError", "PASS", "ParseError",
     "PartnerSearchResult", "PreconditionError", "ProductTable",
     "RecoveredInvolution",
     "RecoveredProduct", "SolveResult", "SolverConfig", "SolverError",
     "SpaceFile", "TroClosure", "ambient_system_check",
-    "ambient_unitary_check", "amplify_unit", "catalog_closure",
+    "ambient_unitary_check", "catalog_closure",
     "catalog_entry", "catalog_names", "catalog_space",
     "certify_coisometry", "certify_isometry", "certify_unitary",
     "collect_unitaries", "cone_equals_delta_plus",

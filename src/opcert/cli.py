@@ -2,7 +2,8 @@
 
 Subcommands: `check` (certificate checks on a space file), `recover`
 (involution and product reconstruction), `catalog` (named example spaces).
-Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 input or precondition error.
+Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 usage, input or
+precondition error.
 Reports are deterministic for a fixed seed; the default seed comes from
 the OPSPACE_SEED environment variable when set.
 """
@@ -101,8 +102,7 @@ def cmd_check(args) -> int:
         gc = space.unit_coeffs() if args.element is None else \
             loads_coeffs(args.element, "--element")
         if kind == "function-unitary":
-            rep = scalar_unitary_check(space, gc, seed=args.seed,
-                                       tol=args.tol)
+            rep = scalar_unitary_check(space, gc, config=config)
         else:
             rep = g_hermitian_solve(space, gc)
         _emit(args, [rep], _echo(args))
@@ -209,15 +209,21 @@ def cmd_catalog(args) -> int:
 def _echo(args) -> str:
     parts = [args.command]
     for key in ("kind", "action", "name", "space", "element", "x", "v", "y",
-                "level", "t", "t_grid", "tol", "points", "seed"):
+                "level", "t", "t_grid", "points", "seed"):
         val = getattr(args, key, None)
         if val is not None:
             parts.append(f"{key}={val}")
     return " ".join(parts)
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the INCONCLUSIVE code
+    def error(self, message):
+        raise InvalidInputError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="opcert",
         description="certificates for unital operator spaces")
     parser.add_argument("--version", action="version", version=__version__)
@@ -230,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON coefficient array, entries x or [re, im]")
     check.add_argument("--level", type=int, default=2)
     check.add_argument("--t-grid", dest="t_grid", default=None)
-    check.add_argument("--tol", type=float, default=None)
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--out", default=None)
     check.set_defaults(func=cmd_check)
@@ -256,9 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
         if args.command == "catalog" and args.action == "emit" \

@@ -3,16 +3,12 @@
 A sampled function space is a point-backed `ConcreteOpSpace`: d basis
 functions known by their values at m domain points, acting by
 multiplication, so the basis is (d, m, 1, 1) and the norm is the max of
-pointwise absolute values. Scalar criteria here are cheaper than the
-matrix-level ones and, for the checks below, equivalent at level one: a
-norm-one g acts like a unitary iff sup over the unit sphere of |s f + t g|
-equals sqrt(2) for every norm-one f in the space, and g-hermitian elements
-solve a pointwise real-linear system instead of a matrix feasibility
-problem (the ambient solve of `hermit`). Every check returns a
-CertificateReport and rejects any space that is not point-backed.
-
-Sampling error scales like 1/m for Lipschitz data, so verdict tolerances
-default to 10/m.
+pointwise absolute values. A norm-one g acts like a unitary iff
+|[f g]| = max_w sqrt(|f(w)|^2 + |g(w)|^2) equals sqrt(2) for every
+norm-one f in the space, which is the level-one row defect of `certify`;
+g-hermitian elements solve a pointwise real-linear system instead of a
+matrix feasibility problem (the ambient solve of `hermit`). Every check
+returns a CertificateReport and rejects any space that is not point-backed.
 """
 
 from __future__ import annotations
@@ -22,11 +18,13 @@ from typing import Callable
 
 import numpy as np
 
+from .certify import _certify
 from .errors import InvalidInputError, PreconditionError
 from .hermit import _ambient_hermitians
 from .matcore import row_span
 from .opspace import ConcreteOpSpace, make_space, space_from_points
 from .report import FAIL, PASS, CertificateReport
+from .solver import SolverConfig
 from .tro import generate_tro
 
 UNIMODULAR_TOL = 1e-9
@@ -41,61 +39,26 @@ def _point_backed(space) -> ConcreteOpSpace:
     return space
 
 
-def default_tol(space: ConcreteOpSpace) -> float:
-    return 10.0 / _point_backed(space).basis.shape[1]
-
-
-def _sphere_sup(fv: np.ndarray, gv: np.ndarray) -> float:
-    """sup over s^2 + |t|^2 = 1 (real s, complex t) of max_w |s f(w) + t g(w)|.
-
-    By Cauchy-Schwarz at each point, |s f + t g| <= sqrt(|f|^2 + |g|^2),
-    with equality at (s, t) proportional to (|f|, conj(g) f / |f|), so the
-    sup is max_w sqrt(|f(w)|^2 + |g(w)|^2).
-    """
-    return float(np.max(np.sqrt(np.abs(fv) ** 2 + np.abs(gv) ** 2)))
-
-
 def scalar_unitary_check(space: ConcreteOpSpace, g=None,
-                         samples: int = 5, seed: int = 7,
-                         tol: float | None = None) -> CertificateReport:
-    """Does g pair with every norm-one f at the extreme two-term norm?
+                         config: SolverConfig | None = None
+                         ) -> CertificateReport:
+    """Does g/|g| pair with every norm-one f at |[f g]| = sqrt(2)?
 
-    The sup never exceeds sqrt(2) for norm-one f and g, so the deficit
-    sqrt(2) - sup is the per-sample score; the check passes when the worst
-    deficit stays within tol (default 10/m).
+    The rule of `certify` on the level-one row defect of g/|g|. At each
+    point the row and column blocks are scalars times the identity, so
+    they share their norm at every level and one direction decides; a
+    function space carries the minimal structure, so level one is the
+    criterion, and a PASS from the concrete bound 1 - min_w |g(w)|^2/|g|^2
+    holds at every level anyway.
     """
     _point_backed(space)
-    if tol is None:
-        tol = default_tol(space)
-    if not 0 < tol < np.inf:
-        raise InvalidInputError("tol must be positive and finite")
     gc = space.unit_coeffs(g)
     gn = space.norm(gc)
     if gn < 1e-12:
         raise InvalidInputError("g must be nonzero")
-    gv = space.point_values(gc) / gn
-    sample_coeffs = list(np.eye(space.dim, dtype=np.complex128))
-    rng = np.random.default_rng([seed, 51])
-    for _ in range(samples):
-        c = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        sample_coeffs.append(c)
-    worst, witness, sups = -1.0, None, []
-    for c in sample_coeffs:
-        n = space.norm(c)
-        if n < 1e-12:
-            continue
-        fv = space.point_values(c) / n
-        sup = _sphere_sup(fv, gv)
-        deficit = np.sqrt(2.0) - sup
-        sups.append(sup)
-        if deficit > worst:
-            worst, witness = deficit, c / n
-    ok = worst <= tol
-    return CertificateReport(
-        name="function-unitary", verdict=PASS if ok else FAIL,
-        margin=tol - worst, witness={"f_coeffs": witness},
-        diagnostics={"worst_deficit": worst, "sups": np.asarray(sups),
-                     "tol": tol, "g_norm": gn})
+    rep = _certify(space, gc / gn, ("row",), 1, config, "function-unitary")
+    rep.diagnostics["g_norm"] = gn
+    return rep
 
 
 def g_hermitian_solve(space: ConcreteOpSpace, g=None) -> CertificateReport:

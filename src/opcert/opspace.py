@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError
 from .matcore import adjoint, block_diag, block_norms
 
 GRAM_MIN_EIG = 1e-10
@@ -206,29 +206,6 @@ class Element:
         return self.space.norm(self.coeffs)
 
 
-@dataclass(frozen=True)
-class AmplifiedElement:
-    """An element of M_n(X): an n x n grid of coefficient vectors."""
-
-    space: ConcreteOpSpace
-    level: int
-    coeff_grid: np.ndarray  # (n, n, d)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The n x n grid of the elements' ambient matrices."""
-        n = self.level
-        w, p, q = self.space.basis.shape[1:]
-        vals = np.einsum("ijk,kwpq->ijwpq", self.coeff_grid, self.space.basis)
-        out = np.zeros((n, w, p, n, w, q), dtype=np.complex128)
-        idx = np.arange(w)
-        out[:, idx, :, :, idx, :] = vals.transpose(2, 0, 3, 1, 4)
-        return out.reshape(n * w * p, n * w * q)
-
-    def norm(self) -> float:
-        return self.space.grid_norm(self.coeff_grid)
-
-
 def make_space(basis, unit=None) -> ConcreteOpSpace:
     """Validated space from a sequence of same-shape complex matrices.
 
@@ -277,15 +254,3 @@ def _validated(space: ConcreteOpSpace, unit) -> ConcreteOpSpace:
     if unit is not None:
         space.unit = space.as_coeffs(unit)
     return space
-
-
-def amplify_unit(space: ConcreteOpSpace, n: int) -> AmplifiedElement:
-    """The diagonal amplification of the unit to matrix level n."""
-    if space.unit is None:
-        raise PreconditionError("space has no designated unit")
-    if n < 1:
-        raise InvalidInputError("level must be positive")
-    grid = np.zeros((n, n, space.dim), dtype=np.complex128)
-    grid[np.arange(n), np.arange(n), :] = space.unit
-    return AmplifiedElement(space, n, grid)
-

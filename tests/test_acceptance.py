@@ -194,12 +194,16 @@ def test_ac06_scalar_circle_checks():
         one = scalar_unitary_check(fspace)
         z = scalar_unitary_check(fspace, g=[0, 1.0, 0])
         assert one.passed and z.passed
-        assert one.diagnostics["tol"] == 10.0 / m
-        assert one.diagnostics["worst_deficit"] <= 10.0 / m
+        # |g| = 1 at every point: the concrete bound settles both, at
+        # every level and without a search
+        for rep in (one, z):
+            assert rep.diagnostics["upper_route"] == "concrete"
+            assert rep.diagnostics["row_defect_bound"] <= 1e-12
         dims[m] = tuple(
             g_hermitian_solve(fspace, g=g).diagnostics["complex_dim"]
             for g in (None, [0, 1.0, 0]))
-    print(f"AC6 unitary checks pass for g=1 and g=z; hermitian span dims "
+    print(f"AC6 unitary checks pass for g=1 and g=z on the concrete bound; "
+          f"hermitian span dims "
           f"(g=1, g=z): m=360 {dims[360]}, m=720 {dims[720]} "
           f"(expected (3, 1), stable in m)")
     assert dims[360] == (3, 1)
@@ -255,11 +259,14 @@ def test_ac08_two_circles_selfadjoint_unit():
     one = np.zeros(4)
     one[0] = 1.0
     same = same_involution_check(closure, one, fspace.unit_coeffs())
-    print(f"AC8 g unitary: {unitary.verdict}; max |Im g| = {im_g:.1e}; "
+    print(f"AC8 g unitary: {unitary.verdict} (defect bound "
+          f"{unitary.diagnostics['row_defect_bound']:.1e}, "
+          f"{unitary.diagnostics['upper_route']}); max |Im g| = {im_g:.1e}; "
           f"selfadjoint-unit: {sa.verdict}; same involution as conjugation: "
           f"{same.verdict} (commute residual "
           f"{same.diagnostics['commute_residual']:.1e})")
     assert unitary.passed
+    assert unitary.diagnostics["upper_route"] == "concrete"
     assert im_g == 0.0
     assert sa.passed
     assert same.passed

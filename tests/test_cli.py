@@ -243,6 +243,8 @@ def test_non_finite_coefficients_exit_cleanly(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# check function-unitary has no --tol: a script that passes one gets a
+# usage error, exit 3, not the inconclusive exit 2
 @pytest.mark.parametrize("argv", [
     ["check", "function-unitary", "--space", None, "--tol", "nan"],
     ["check", "function-unitary", "--space", None, "--tol", "0"],
@@ -394,6 +396,30 @@ def test_version_flag_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "unitary", "--bogus", "1"],
+    ["check", "no-such-check"],
+    ["check", "unitary", "--level", "two"],
+    ["recover", "involution"],
+], ids=["unknown-flag", "unknown-kind", "bad-int", "missing-space"])
+def test_usage_errors_are_input_errors(tmp_path, capsys, argv):
+    # argparse's own exit code 2 would read as inconclusive
+    space = write_catalog_file(tmp_path, "m2-full")
+    argv = argv + (["--space", space] if argv[0] == "check" else [])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "usage: opcert" in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--tol" not in capsys.readouterr().out
 
 
 def test_entry_point_runs_in_subprocess():

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opcert.certify import certify_unitary
+from opcert.blocks import row_with_unit
+from opcert.certify import _DefectProblem, certify_unitary
 from opcert.errors import InvalidInputError, PreconditionError
-from opcert.funcspace import (CATALOG, _sphere_sup, catalog_closure,
-                              catalog_entry, catalog_names, catalog_space,
-                              default_tol, g_hermitian_solve,
+from opcert.funcspace import (CATALOG, catalog_closure, catalog_entry,
+                              catalog_names, catalog_space, g_hermitian_solve,
                               scalar_unitary_check, selfadjoint_unit_check)
 from opcert.hermit import _ambient_hermitians
 from opcert.opspace import space_from_points
 from opcert.report import FAIL, INCONCLUSIVE, PASS
+from opcert.solver import SolverConfig
 
 
 def test_sampled_space_validation():
@@ -40,44 +43,76 @@ def test_min_opspace_preserves_norms():
     assert np.allclose(coeffs, [0.5, 2.0, -1j], atol=1e-9)
 
 
-def test_default_tolerance_scales_with_points():
-    assert default_tol(catalog_space("circle-1z")) == pytest.approx(10 / 360)
-    assert default_tol(catalog_space("circle-1z", 720)) == pytest.approx(10 / 720)
-
-
 def test_scalar_unitary_passes_on_catalog_units():
-    for name in ("circle-1zzbar", "circle-1z", "two-circles"):
-        fspace = catalog_space(name)
-        rep = scalar_unitary_check(fspace)
-        assert rep.passed, name
-        assert rep.diagnostics["worst_deficit"] <= rep.diagnostics["tol"]
+    # |g| = 1 at every point, so the concrete bound 1 - min_w |g(w)|^2
+    # settles every level and no search runs
+    for name, g in (("circle-1zzbar", None), ("circle-1z", None),
+                    ("two-circles", None), ("circle-1zzbar", [0, 1.0, 0])):
+        for m in (360, 720):
+            rep = scalar_unitary_check(catalog_space(name, m), g=g)
+            bound = rep.diagnostics["row_defect_bound"]
+            assert rep.passed, name
+            assert rep.diagnostics["upper_route"] == "concrete"
+            assert bound <= 1e-12
+            assert rep.margin == pytest.approx(SolverConfig.cert_tol - bound,
+                                               abs=1e-15)
 
-    zcheck = scalar_unitary_check(catalog_space("circle-1zzbar"), g=[0, 1.0, 0])
-    assert zcheck.passed
+
+@pytest.mark.parametrize("name", ["circle-1z", "circle-1zzbar"])
+def test_a_near_unit_fails_through_both_checks(name):
+    # g = a + b z has |g| = a + b = 1 and min |g| = a - b: the level-1 row
+    # defect 1 - (a - b)^2 (0.0396 for g = 0.99 + 0.01 z, within 10/m of
+    # passing at m = 360) is attained, past fail_tol
+    fspace = catalog_space(name)
+    for a, b, defect in ((0.99, 0.01, 0.0396), (0.9, 0.1, 0.36),
+                         (0.5, 0.5, 1.0)):
+        gc = np.zeros(fspace.dim)
+        gc[:2] = a, b
+        scalar = scalar_unitary_check(fspace, g=gc)
+        matrix = certify_unitary(fspace, gc / fspace.norm(gc), max_level=1)
+        assert scalar.verdict == matrix.verdict == FAIL, (a, b)
+        found = scalar.diagnostics["row_defect_level_1"]
+        assert found >= SolverConfig.fail_tol
+        assert found == pytest.approx(defect, abs=3e-3)
+        assert scalar.margin == SolverConfig.cert_tol - found
+        if b == 0.01:
+            assert scalar.margin == pytest.approx(-0.0395, abs=1e-4)
+            assert matrix.margin == pytest.approx(-0.0395, abs=1e-4)
 
 
 def test_two_term_sup_matches_closed_form():
-    # phase alignment gives sup = max_w sqrt(|f|^2 + |g|^2) exactly
+    # the witness defect is 2 - max_w (|f(w)|^2 + |g(w)|^2) for the
+    # norm-one witness f: the block [g f] has norm max_w sqrt(|f|^2 + |g|^2)
     fspace = catalog_space("circle-1zzbar")
-    gc = np.array([0, 1.0, 0])
-    rep = scalar_unitary_check(fspace, g=gc, samples=0)
-    gv = fspace.point_values(gc)
-    for j, sup in enumerate(rep.diagnostics["sups"]):
-        e = np.zeros(3)
-        e[j] = 1.0
-        fv = fspace.point_values(e) / fspace.norm(e)
-        closed = float(np.max(np.sqrt(np.abs(fv) ** 2 + np.abs(gv) ** 2)))
-        assert sup == pytest.approx(closed, abs=2e-3)
+    gc = np.array([0.9, 0.1, 0.05])
+    rep = scalar_unitary_check(fspace, g=gc)
+    assert rep.verdict == FAIL
+    assert rep.witness["level"] == 1 and rep.witness["direction"] == "row"
+    fc = rep.witness["coeff_grid"][0, 0]
+    assert fspace.norm(fc) == pytest.approx(1.0, abs=1e-12)
+    fv = fspace.point_values(fc)
+    gv = fspace.point_values(gc) / rep.diagnostics["g_norm"]
+    closed = 2.0 - float(np.max(np.abs(fv) ** 2 + np.abs(gv) ** 2))
+    assert rep.diagnostics["row_defect_level_1"] == pytest.approx(closed,
+                                                                  abs=1e-12)
 
 
 def test_sphere_sup_is_attained_and_never_exceeded():
-    # Cauchy-Schwarz at each point: the sup is max_w sqrt(|f|^2 + |g|^2),
-    # attained at (s, t) proportional to (|f|, conj(g) f / |f|)
+    # Cauchy-Schwarz at each point: the norm of the row block [g f] of a
+    # point-backed space, max_w sqrt(|f|^2 + |g|^2), is the sup of
+    # |s f + t g| over s^2 + |t|^2 = 1, attained at (s, t) proportional to
+    # (|f|, conj(g) f / |f|)
     rng = np.random.default_rng(53)
+    space = space_from_points(rng.standard_normal((2, 9))
+                              + 1j * rng.standard_normal((2, 9)))
     for _ in range(20):
-        fv = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        gv = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        sup = _sphere_sup(fv, gv)
+        fc = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        gc = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        fv, gv = space.point_values(fc), space.point_values(gc)
+        sup = space.grid_norm(row_with_unit(space, gc, fc[None, None]))
+        assert sup == pytest.approx(
+            float(np.max(np.sqrt(np.abs(fv) ** 2 + np.abs(gv) ** 2))),
+            rel=1e-12)
         k = int(np.argmax(np.abs(fv) ** 2 + np.abs(gv) ** 2))
         s, t = abs(fv[k]), np.conj(gv[k]) * fv[k] / abs(fv[k])
         n = np.hypot(s, abs(t))
@@ -89,10 +124,30 @@ def test_sphere_sup_is_attained_and_never_exceeded():
             assert np.max(np.abs(s * fv + t * gv)) / n <= sup * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), 0.0, -0.1, float("inf")])
-def test_scalar_unitary_rejects_bad_tolerance(tol):
-    with pytest.raises(InvalidInputError):
-        scalar_unitary_check(catalog_space("circle-1z", 12), tol=tol)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(3, 24),
+       d=st.integers(1, 3), mix=st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+def test_scalar_check_is_the_level_one_certificate(seed, m, d, mix):
+    # a random span of point values whose first element is unimodular, and
+    # g that element plus mix times a random element of the span
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
+    values[0] = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+    space = space_from_points(values)
+    gc = np.eye(d)[0] + mix * (rng.standard_normal(d)
+                               + 1j * rng.standard_normal(d))
+    gn = space.norm(gc)
+    scalar = scalar_unitary_check(space, g=gc)
+    matrix = certify_unitary(space, gc / gn, max_level=1)
+    assert scalar.verdict == matrix.verdict
+    # the row and column blocks of a point-backed space are scalars at each
+    # point, so one direction decides: the two defects agree at every level
+    for n in (1, 2):
+        x = rng.standard_normal(n * n * d) + 1j * rng.standard_normal(n * n * d)
+        x = x / space.grid_norm(x.reshape(n, n, d))
+        row, column = (_DefectProblem(space, gc / gn, n, direction)
+                       .value_and_grad(x)[0] for direction in ("row", "column"))
+        assert row == pytest.approx(column, abs=1e-12)
 
 
 def test_catalog_build_rejects_non_positive_points():
@@ -188,14 +243,16 @@ def test_scalar_check_agrees_with_matrix_certificate():
         fspace = catalog_space(name)
         scalar = scalar_unitary_check(fspace)
         matrix = certify_unitary(fspace, max_level=1)
-        assert scalar.passed == matrix.passed
-        assert matrix.passed
+        assert scalar.verdict == matrix.verdict == PASS
+        assert scalar.diagnostics["row_defect_bound"] == \
+            matrix.diagnostics["row_defect_bound"]
+        assert scalar.margin == matrix.margin
 
 
 def test_function_checks_need_a_point_backed_space():
     dense = catalog_space("m2-full")
     for check in (scalar_unitary_check, g_hermitian_solve,
-                  selfadjoint_unit_check, default_tol):
+                  selfadjoint_unit_check):
         with pytest.raises(InvalidInputError, match="point-backed"):
             check(dense)
     with pytest.raises(InvalidInputError, match="point-backed"):

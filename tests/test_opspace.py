@@ -3,11 +3,10 @@ import numpy.testing as npt
 import pytest
 
 from opcert.certify import certify_unitary
-from opcert.errors import InvalidInputError, PreconditionError
+from opcert.errors import InvalidInputError
 from opcert.hermit import delta_span
 from opcert.matcore import adjoint
-from opcert.opspace import (AmplifiedElement, amplify_unit, make_space,
-                            space_from_points)
+from opcert.opspace import make_space, space_from_points
 from opcert.serialize import SpaceFile
 from opcert.solver import SolverConfig
 from opcert.tro import generate_tro
@@ -117,7 +116,7 @@ def test_direct_sum_norm_is_max():
     grid = np.zeros((2, 2, 4), dtype=np.complex128)
     grid[0, 0] = x
     grid[1, 1] = y
-    got = AmplifiedElement(space, 2, grid).norm()
+    got = space.grid_norm(grid)
     assert got == pytest.approx(max(space.norm(x), space.norm(y)), abs=1e-9)
 
 
@@ -137,15 +136,12 @@ def test_scalar_row_column_contraction():
 
 
 def test_amplify_unit_norm():
+    # the unit repeated down the diagonal of a level-n grid has norm one
     space = m2_full()
     for n in (1, 2, 3):
-        amp = amplify_unit(space, n)
-        assert amp.norm() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(InvalidInputError):
-        amplify_unit(space, 0)
-    unitless = make_space([np.eye(2)])
-    with pytest.raises(PreconditionError):
-        amplify_unit(unitless, 2)
+        grid = np.zeros((n, n, space.dim), dtype=np.complex128)
+        grid[np.arange(n), np.arange(n)] = space.unit_coeffs()
+        assert space.grid_norm(grid) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_diagonal_layout_detected():
@@ -223,12 +219,16 @@ def test_amplified_matrix_agrees_between_layouts():
     diag_space, dense_space, _ = _rotated_pair(pb, unit=[1.0, 0], seed=11)
     grid = np.array([[[1.0, 2.0], [0, 1j]], [[0.5, 0], [1.0, -1.0]]],
                     dtype=np.complex128)
-    a = AmplifiedElement(diag_space, 2, grid).matrix
-    b = AmplifiedElement(dense_space, 2, grid).matrix
+    # the level-2 matrix [[x_ij]] of the grid, from each element's
+    # ambient matrix
+    a, b = (np.block([[space.embed(c) for c in row] for row in grid])
+            for space in (diag_space, dense_space))
     # the same operator up to a unitary change of basis: compare singular
     # values instead of entries
     npt.assert_allclose(np.linalg.svd(a, compute_uv=False),
                         np.linalg.svd(b, compute_uv=False), atol=1e-10)
+    assert np.linalg.norm(a, 2) == pytest.approx(diag_space.grid_norm(grid),
+                                                 abs=1e-10)
 
 
 @pytest.mark.parametrize("m", [4, 7])
