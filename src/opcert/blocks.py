@@ -3,7 +3,9 @@
 A grid of shape (n1, n2, d) stands for the concrete matrix whose (i, j)
 block is the embedding of the coefficient vector grid[i, j]; up to a
 permutation it is the direct sum of one n1 x n2 grid per block of the
-space.
+space. Every objective reads its value and gradient from the top
+(frame, block) piece of a stack of grids, `top_value_and_grad`, whether
+the space is dense or point-backed.
 The gradient returned is the Wirtinger ascent direction G for the real
 objective sigma_max: writing a coefficient as a + ib, G = df/da + i df/db,
 so C + s*G increases the norm and C - s*G decreases it. sigma_max is
@@ -43,52 +45,50 @@ STEP_LADDER = 4.0 ** -np.arange(-1, 7)
 SIMPLEX_WEIGHT = 1e3
 
 
+def top_value_and_grad(space: ConcreteOpSpace, stacks: np.ndarray,
+                       offsets=None):
+    """The worst excess of each row of an (S, F, w, n1 p, n2 q) stack of F
+    frames (`grid_blocks` of (n1, n2, d) grids) over its (frame, block)
+    pieces, block norm less frame offset (0 without offsets); its
+    (S, n1, n2, d) gradient from the top block's top singular pair, one
+    batched SVD; that block's sigma_1 - sigma_2; and the (S, F, w) block
+    norms, or None for one block of one frame, which has nothing to choose.
+    """
+    rows, frames, w = stacks.shape[:3]
+    _, _, p, q = space.basis.shape
+    offsets = np.zeros(frames) if offsets is None else offsets
+    if frames * w == 1:
+        norms, chosen, offset = None, stacks[:, 0, 0], offsets[0]
+        basis = space.basis[None, :, 0]
+    else:
+        norms = block_norms(stacks)
+        top = (norms - offsets[:, None]).reshape(rows, -1).argmax(axis=-1)
+        f, k = np.divmod(top, w)
+        chosen, offset = stacks[np.arange(rows), f, k], offsets[f]
+        basis = space.basis[:, k].swapaxes(0, 1)
+    sigma, u, v, gap = top_singular_triple(chosen)
+    t = np.einsum("sip,skpq,sjq->sijk", np.conj(u.reshape(rows, -1, p)),
+                  basis, v.reshape(rows, -1, q))
+    return sigma - offset, np.conj(t), gap, norms
+
+
 def grid_value_and_grad(space: ConcreteOpSpace, grid: np.ndarray):
     """Norm of the concrete matrix of a grid, its gradient, and a smoothness
     flag (False near a degenerate top singular value). For an
     (..., n1, n2, d) stack of grids: arrays of norms and gradients over the
-    leading axes, and whether every grid of the stack is smooth.
-
-    The gap is taken against the top block's second singular value and
-    against the runner-up block, since either can take over the norm.
+    leading axes, and whether every grid of the stack is smooth. The gap
+    is taken against the top block's second singular value and against
+    the runner-up block, since either can take over the norm.
     """
     grid = np.asarray(grid, dtype=np.complex128)
     lead = grid.shape[:-3]
-    stack = space.grid_blocks(grid.reshape(-1, *grid.shape[-3:]))
-    w = stack.shape[1]
-    norms = block_norms(stack) if w > 1 else None
-    sigma, grad, gap = stack_value_and_grad(
-        space, stack, norms.argmax(axis=-1) if w > 1 else None)
-    if w > 1:
-        gap = np.minimum(gap, sigma - np.partition(norms, w - 2, axis=-1)[:, w - 2])
+    stacks = space.grid_blocks(grid.reshape(-1, 1, *grid.shape[-3:]))
+    sigma, grad, gap, norms = top_value_and_grad(space, stacks)
+    if norms is not None:
+        gap = np.minimum(gap, sigma - np.partition(norms[:, 0], -2)[:, -2])
     smooth = bool((gap > GAP_TOL * np.maximum(sigma, 1.0)).all())
     sigma = sigma.reshape(lead) if lead else float(sigma[0])
     return sigma, grad.reshape(grid.shape), smooth
-
-
-def stack_value_and_grad(space: ConcreteOpSpace, stack: np.ndarray,
-                         top: np.ndarray | None = None):
-    """Block norms (S,), gradients (S, n1, n2, d) and gaps (S,) of S grids,
-    from their (S, w, n1 p, n2 q) block stack and, when w > 1, the (S,)
-    index of the block each row is taken at: its top block for the grid's
-    norm, or any block for that block's own norm.
-
-    Each row's gradient comes from the top singular pair of its block, one
-    batched SVD over the S chosen blocks; its gap is the block's
-    sigma_1 - sigma_2.
-    """
-    _, w, p, q = space.basis.shape
-    rows = stack.shape[0]
-    if w > 1:
-        chosen = stack[np.arange(rows), top]
-        basis, spec = space.basis[:, top].swapaxes(0, 1), "sip,skpq,sjq->sijk"
-    else:
-        chosen = stack[:, 0]
-        basis, spec = space.basis[:, 0], "sip,kpq,sjq->sijk"
-    sigma, u, v, gap = top_singular_triple(chosen)
-    t = np.einsum(spec, np.conj(u.reshape(rows, -1, p)), basis,
-                  v.reshape(rows, -1, q))
-    return sigma, np.conj(t), gap
 
 
 def ambient_product(space: ConcreteOpSpace, a, b, c) -> np.ndarray:
@@ -176,27 +176,14 @@ class SlotProblem:
         for each row of an (S, d) stack."""
         grids = self._grids(c)
         lead = grids.shape[:-4]
-        # one stack for excesses and gradients; one frame needs no argmax
-        # and one block no norm
         stacks = self.space.grid_blocks(grids.reshape(-1, *self.frames.shape))
-        rows, frames, w = stacks.shape[:3]
-        if frames == 1:
-            chosen, offset = stacks[:, 0], self.offsets[0]
-            norms = block_norms(chosen) if w > 1 else None
-        else:
-            norms = block_norms(stacks)
-            pick = (np.arange(rows),
-                    (norms.max(axis=-1) - self.offsets).argmax(axis=-1))
-            chosen, offset, norms = stacks[pick], self.offsets[pick[1]], norms[pick]
-        sigma, grad, _ = stack_value_and_grad(
-            self.space, chosen, norms.argmax(axis=-1) if w > 1 else None)
-        excess = sigma - offset
+        excess, grad, _, _ = top_value_and_grad(self.space, stacks,
+                                                self.offsets)
         grad = grad[:, self.slot[0], self.slot[1], :]
         if min(excess.tolist()) <= 0.0:
             # inside the feasible set the hinge is flat at zero
             inside = excess <= 0.0
-            excess[inside] = 0.0
-            grad[inside] = 0.0
+            excess[inside] = grad[inside] = 0.0
         if not lead:
             return float(excess[0]), grad[0]
         return excess.reshape(lead), grad.reshape(*lead, self.dim)
@@ -285,9 +272,8 @@ class Pieces:
         self.ranked = excess[self.order]
         self.f = float(self.ranked[0])
         self.svds = None        # (u, s, vh) of the blocks of a prefix of pieces
-        ball = space.grid_blocks(self.c[None, None, None, :])
-        top = block_norms(ball).argmax(axis=-1) if ball.shape[1] > 1 else None
-        norm, g, _ = stack_value_and_grad(space, ball, top)
+        ball = space.grid_blocks(self.c.reshape(1, 1, 1, 1, -1))
+        norm, g, _, _ = top_value_and_grad(space, ball)
         self.slack = max(0.0, 1.0 - float(norm[0]))
         self.h = _real(g[0, 0, 0]) if self.slack <= ON_SPHERE else None
         self.reach = space.coeff_radius() + float(np.linalg.norm(self.c))
@@ -304,7 +290,7 @@ class Pieces:
         of (U z)(V z)* has worst excess(y) >= f - eps + <g_z, y - c>. z runs
         over e_a and (e_a + w e_b)/sqrt(2), w in {1, -1, i, -i}, a < b: a
         polyhedral inner approximation of the spectral eps-subdifferential.
-        g_z is read as `stack_value_and_grad` reads a top pair's gradient,
+        g_z is read as `top_value_and_grad` reads a top pair's gradient,
         conj(<U z, B_slot V z>) over the basis, from the cross terms
         M_ab = <u_a, B_slot v_b>; z = e_0 gives the top pair's own.
         """
@@ -324,12 +310,8 @@ class Pieces:
         i, j = problem.slot
         left = u[:, :, :n].reshape(m, -1, p, n)[:, i]
         right = np.conj(vh[:, :n]).swapaxes(1, 2).reshape(m, -1, q, n)[:, j]
-        if w > 1:
-            cross = np.einsum("mpa,kmpq,mqb->mabk", np.conj(left),
-                              space.basis[:, k], right)
-        else:
-            cross = np.einsum("mpa,kpq,mqb->mabk", np.conj(left),
-                              space.basis[:, 0], right)
+        cross = np.einsum("mpa,kmpq,mqb->mabk", np.conj(left),
+                          space.basis[:, k], right)
         z, support = _unit_mixes(n)
         g = np.einsum("az,mabk,bz->mzk", np.conj(z), cross, z)
         g = np.conj(g[support[None, :] < near[:, None]])

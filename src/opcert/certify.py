@@ -29,6 +29,14 @@ bound), so a PASS through the search needs a worst defect within cert_tol
 from converged searches; it is evidence from a multistart search, not a
 proof. ``upper_route`` names what the upper side rests on: ``concrete``
 when the bound settled every direction, ``search`` otherwise.
+
+On a point-backed space (``space.diagonal``) the level-1 row search of
+`funcspace.scalar_unitary_check` decides every direction and level. At
+each point w the blocks of u_n and x are u(w) I and x(w), so the row and
+column blocks share the squared norm max_w (|u(w)|^2 + |x(w)|^2). And if
+x has norm one and xi* x(w) eta = 1 for unit xi, eta where |x(w)| peaks,
+f = xi* x eta has norm one and |f| <= |x| pointwise, so the level-1
+defect of f is at least the level-n defect of x.
 """
 
 from __future__ import annotations
@@ -164,6 +172,8 @@ def _certify(space, u, directions, max_level, config, name) -> CertificateReport
     config.validate()
     if max_level < 1:
         raise InvalidInputError("max_level must be at least 1")
+    if space.diagonal:
+        directions, max_level = ("row",), 1
     bounds = _concrete_bounds(space, uc)
     detail = {}
     searched = []        # whether each searched direction converged

@@ -44,12 +44,8 @@ def scalar_unitary_check(space: ConcreteOpSpace, g=None,
                          ) -> CertificateReport:
     """Does g/|g| pair with every norm-one f at |[f g]| = sqrt(2)?
 
-    The rule of `certify` on the level-one row defect of g/|g|. At each
-    point the row and column blocks are scalars times the identity, so
-    they share their norm at every level and one direction decides; a
-    function space carries the minimal structure, so level one is the
-    criterion, and a PASS from the concrete bound 1 - min_w |g(w)|^2/|g|^2
-    holds at every level anyway.
+    The rule of `certify` on the level-one row defect of g/|g|, which
+    decides a point-backed space (the `certify` docstring says why).
     """
     _point_backed(space)
     gc = space.unit_coeffs(g)

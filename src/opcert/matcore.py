@@ -118,16 +118,6 @@ def top_singular_triple(m: np.ndarray):
     return sigma, left, right, gap
 
 
-def block2x2(a, b, c, d) -> np.ndarray:
-    """Concatenate four blocks [[a, b], [c, d]] with shape validation."""
-    a, b, c, d = map(as_cmat, (a, b, c, d))
-    if a.shape[0] != b.shape[0] or c.shape[0] != d.shape[0]:
-        raise InvalidInputError("block rows disagree")
-    if a.shape[1] != c.shape[1] or b.shape[1] != d.shape[1]:
-        raise InvalidInputError("block columns disagree")
-    return np.block([[a, b], [c, d]])
-
-
 def _hermitian_stack(m, name: str) -> tuple[np.ndarray, float]:
     """A square matrix or (..., n, n) stack checked hermitian, with the
     largest norm in it (at least 1) as the scale for relative tolerances."""

@@ -228,7 +228,7 @@ def _z_slack(problem, at, g, eps, ys):
 
 def _z_columns(at, eps, conj_left=True):
     """The z-piece gradients of `Pieces.z_subgradients` built one z at a
-    time from the singular pairs, the way `stack_value_and_grad` reads a
+    time from the singular pairs, the way `top_value_and_grad` reads a
     top pair: the slot entry of conj(<U z, B V z>) over the basis. With
     conj_left=False the left vector is U conj(z), a phase conjugated on
     one side only."""

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from opcert.blocks import column_with_unit, row_with_unit
 from opcert.certify import (certify_coisometry, certify_isometry,
                             certify_unitary)
 from opcert.errors import InvalidInputError, PreconditionError
-from opcert.funcspace import catalog_names, catalog_space
-from opcert.opspace import ConcreteOpSpace, make_space
+from opcert.funcspace import (catalog_names, catalog_space,
+                              scalar_unitary_check)
+from opcert.opspace import ConcreteOpSpace, make_space, space_from_points
 from opcert.solver import SolverConfig, maximize_over_sphere
 from opcert.sysdetect import find_partner
 from test_hermit import random_spans
@@ -149,9 +152,9 @@ def test_near_unit_lands_inconclusive():
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_a_catalog_unit_takes_one_stacked_call_per_sweep(name, monkeypatch):
-    # the concrete bound settles both directions of every catalog unit: no
-    # search runs, and each direction evaluates its level-1 witness u/|u|
-    # once, as a one-row stack
+    # the concrete bound settles every catalog unit: no search runs, and
+    # each direction evaluates its level-1 witness u/|u| once, as a one-row
+    # stack; a point-backed space has one direction to settle, the row
     rows = []
     inner = certify._DefectProblem.value_and_grad
 
@@ -163,13 +166,52 @@ def test_a_catalog_unit_takes_one_stacked_call_per_sweep(name, monkeypatch):
         raise AssertionError("a bound-settled unit ran a search")
     monkeypatch.setattr(certify._DefectProblem, "value_and_grad", counted)
     monkeypatch.setattr(certify, "maximize_over_sphere", no_search)
-    rep = certify_unitary(catalog_space(name), max_level=2)
+    space = catalog_space(name)
+    rep = certify_unitary(space, max_level=2)
     assert rep.passed
-    assert rows == [1, 1]
+    assert rows == ([1] if space.diagonal else [1, 1])
     assert rep.diagnostics["upper_route"] == "concrete"
     assert rep.witness["level"] == 1 and rep.witness["direction"] == "row"
     assert rep.margin == SolverConfig.cert_tol \
         - rep.diagnostics["row_defect_bound"]
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(3, 12),
+       d=st.integers(1, 3))
+def test_a_point_backed_space_certifies_in_one_search(seed, m, d):
+    # a random span of point values and a random norm-one g, far from
+    # unimodular, so that no concrete bound settles it
+    rng = np.random.default_rng(seed)
+    space = space_from_points(rng.standard_normal((d, m))
+                              + 1j * rng.standard_normal((d, m)))
+    gc = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    gc = gc / space.norm(gc)
+
+    def row_defect(n, x):
+        problem = certify._DefectProblem(space, gc, n, "row")
+        return problem.value_and_grad(x.reshape(-1))[0]
+
+    # f = xi* x eta, from the top pair of x where |x(w)| peaks, has a
+    # level-1 defect at least the level-2 defect of x
+    x = rng.standard_normal((2, 2, d)) + 1j * rng.standard_normal((2, 2, d))
+    x = x / space.grid_norm(x)
+    values = np.einsum("ijk,kw->wij", x, space.basis[:, :, 0, 0])
+    u, _, vh = np.linalg.svd(values[np.argmax(np.linalg.norm(
+        values, 2, axis=(1, 2)))])
+    f = np.einsum("i,ijk,j->k", np.conj(u[:, 0]), x, np.conj(vh[0]))
+    assert space.norm(f) == pytest.approx(1.0, abs=1e-12)
+    assert row_defect(2, x) <= row_defect(1, f[None, None]) + 1e-12
+    # so one level-1 search decides both directions at every level
+    scalar = scalar_unitary_check(space, g=gc)
+    with mock.patch.object(certify, "maximize_over_sphere",
+                           wraps=maximize_over_sphere) as search:
+        for check in (certify_unitary, certify_isometry):
+            search.reset_mock()
+            rep = check(space, gc, max_level=2)
+            assert search.call_count == 1
+            assert rep.verdict == scalar.verdict
+            assert rep.margin == pytest.approx(scalar.margin, abs=1e-12)
 
 
 def _random_unit_space(rng, w, p, q, smin):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from opcert.errors import InvalidInputError
-from opcert.matcore import (adjoint, as_cmat, batched_spectral_norm, block2x2,
+from opcert.matcore import (adjoint, as_cmat, batched_spectral_norm,
                             block_diag, block_norms, herm_eigen, psd_sqrt,
                             real_kernel, row_span, spectral_norm,
                             top_singular_triple)
@@ -137,33 +137,6 @@ def test_top_singular_triple_rank_one_gap():
     sigma, _, _, gap = top_singular_triple(m)
     assert sigma == pytest.approx(2.0)
     assert gap == pytest.approx(2.0)
-
-
-def test_block2x2_assembles():
-    a = np.eye(2)
-    b = np.zeros((2, 3))
-    c = np.zeros((1, 2))
-    d = np.ones((1, 3))
-    m = block2x2(a, b, c, d)
-    assert m.shape == (3, 5)
-    npt.assert_array_equal(m[:2, :2], a)
-    npt.assert_array_equal(m[2:, 2:], d)
-
-
-def test_block2x2_zero_offdiagonal_norm_is_max():
-    rng = np.random.default_rng(10)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    d = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    m = block2x2(a, np.zeros((2, 3)), np.zeros((3, 2)), d)
-    assert spectral_norm(m) == pytest.approx(
-        max(spectral_norm(a), spectral_norm(d)), abs=1e-12)
-
-
-def test_block2x2_rejects_mismatched_blocks():
-    with pytest.raises(InvalidInputError):
-        block2x2(np.eye(2), np.zeros((3, 2)), np.zeros((2, 2)), np.eye(2))
-    with pytest.raises(InvalidInputError):
-        block2x2(np.eye(2), np.zeros((2, 2)), np.zeros((2, 3)), np.eye(2))
 
 
 def test_herm_eigen_ascending_and_rejects():

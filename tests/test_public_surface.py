@@ -48,3 +48,9 @@ def test_no_setting_goes_unset():
 def test_no_import_goes_unused():
     # a deletion leaves no import behind in src/opcert or tests
     assert _tool("unused_imports").scan(ROOT) == []
+
+
+def test_no_definition_lives_only_for_tests():
+    # a function, class or constant of src/opcert that only tests read is
+    # dead code that its tests keep alive
+    assert _tool("unused_imports").unused_definitions(ROOT) == []

@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from opcert.blocks import SlotProblem, grid_value_and_grad, t_frames
+from opcert.blocks import (SlotProblem, grid_value_and_grad, t_frames,
+                           top_value_and_grad)
 from opcert.certify import _DefectProblem
 from opcert.cstar import recover_product
 from opcert.errors import InvalidInputError, SolverError
@@ -230,6 +231,53 @@ def test_scalar_gradient_real_direction():
     val, grad, smooth = grid_value_and_grad(space, grid)
     assert val == pytest.approx(1.0)
     assert grad.reshape(-1)[0] == pytest.approx(1.0 + 0j)
+
+
+@pytest.mark.parametrize("name, frames", [
+    ("m2-full", 1), ("m2-full", 4), ("circle-1zzbar", 1), ("two-circles", 3)])
+def test_the_top_piece_matches_a_search_over_every_block(name, frames):
+    # one block of one frame takes the shortcut; every other case chooses
+    # among (frame, block) pieces
+    space = catalog_space(name)
+    d, w = space.basis.shape[:2]
+    rng = np.random.default_rng(frames)
+    grids = rng.standard_normal((3, frames, 2, 2, d)) \
+        + 1j * rng.standard_normal((3, frames, 2, 2, d))
+    offsets = rng.uniform(0.0, 2.0, frames)
+    stacks = space.grid_blocks(grids)
+    excess, grad, gap, norms = top_value_and_grad(space, stacks, offsets)
+    assert (norms is None) == (frames * w == 1)
+    for s in range(3):
+        svds = [[np.linalg.svd(stacks[s, f, k]) for k in range(w)]
+                for f in range(frames)]
+        sv = np.array([[svd[1] for svd in row] for row in svds])
+        if norms is not None:
+            npt.assert_allclose(norms[s], sv[..., 0], rtol=0, atol=1e-12)
+        f, k = np.unravel_index(np.argmax(sv[..., 0] - offsets[:, None]),
+                                (frames, w))
+        assert excess[s] == pytest.approx(sv[f, k, 0] - offsets[f], abs=1e-12)
+        assert gap[s] == pytest.approx(sv[f, k, 0] - sv[f, k, 1], abs=1e-12)
+        # the top pair of the top block against that block's basis
+        u, _, vh = svds[f][k]
+        left, right = u[:, 0].reshape(2, -1), np.conj(vh[0]).reshape(2, -1)
+        ref = [[[np.conj(np.vdot(left[i], space.basis[l, k] @ right[j]))
+                 for l in range(d)] for j in range(2)] for i in range(2)]
+        npt.assert_allclose(grad[s], ref, rtol=0, atol=1e-12)
+
+
+def test_one_dense_frame_reads_as_the_top_of_two():
+    # the shortcut and the general reader agree: a second frame that can
+    # never be on top leaves the first frame's reading
+    space = catalog_space("m2-full")
+    rng = np.random.default_rng(5)
+    grids = rng.standard_normal((4, 2, 2, 2, 4)) \
+        + 1j * rng.standard_normal((4, 2, 2, 2, 4))
+    stacks = space.grid_blocks(grids)
+    one = top_value_and_grad(space, stacks[:, :1], np.array([0.5]))
+    two = top_value_and_grad(space, stacks, np.array([0.5, 1e9]))
+    assert one[3] is None and two[3].shape == (4, 2, 1)
+    for a, b in zip(one[:3], two[:3]):
+        npt.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def _objectives():
