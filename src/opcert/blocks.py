@@ -25,9 +25,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .matcore import adjoint, block_norms, top_singular_triple
+from .matcore import adjoint, block_norms, nnls, top_singular_triple
 from .opspace import ConcreteOpSpace
 from .solver import SolverConfig
 
@@ -272,6 +271,7 @@ class Pieces:
         self.ranked = excess[self.order]
         self.f = float(self.ranked[0])
         self.svds = None        # (u, s, vh) of the blocks of a prefix of pieces
+        self.columns = {}       # eps -> its z_subgradients, built once
         ball = space.grid_blocks(self.c.reshape(1, 1, 1, 1, -1))
         norm, g, _, _ = top_value_and_grad(space, ball)
         self.slack = max(0.0, 1.0 - float(norm[0]))
@@ -293,7 +293,10 @@ class Pieces:
         g_z is read as `top_value_and_grad` reads a top pair's gradient,
         conj(<U z, B_slot V z>) over the basis, from the cross terms
         M_ab = <u_a, B_slot v_b>; z = e_0 gives the top pair's own.
+        The columns of each eps are built once and shared, read-only.
         """
+        if eps in self.columns:
+            return self.columns[eps]
         space, problem = self.problem.space, self.problem
         m = int(np.count_nonzero(self.ranked >= self.f - eps))
         _, w, p, q = space.basis.shape
@@ -314,8 +317,10 @@ class Pieces:
                           space.basis[:, k], right)
         z, support = _unit_mixes(n)
         g = np.einsum("az,mabk,bz->mzk", np.conj(z), cross, z)
-        g = np.conj(g[support[None, :] < near[:, None]])
-        return _real(g).T
+        g = _real(np.conj(g[support[None, :] < near[:, None]])).T
+        g.flags.writeable = False
+        self.columns[eps] = g
+        return g
 
     def descent(self, eps: float):
         """(-r/|r|, |r|) for the shortest r = sum lambda_z g_z + mu h over the

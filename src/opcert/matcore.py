@@ -6,6 +6,8 @@ public function validates and raises InvalidInputError on mismatch.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -13,6 +15,11 @@ from .errors import InvalidInputError
 HERMITICITY_TOL = 1e-9
 EIG_CLAMP = 1e-9
 RANK_TOL = 1e-9
+# a column entering nnls whose part outside the span of the passive ones
+# is this small (its largest entry is 1) lies in that span
+NNLS_INDEPENDENT = 1e-14
+# the rounding unit of an nnls dual coefficient, per m |b| |a_j|
+NNLS_ROUNDING = 10.0 * float(np.finfo(float).eps)
 
 
 def as_cmat(m) -> np.ndarray:
@@ -169,3 +176,91 @@ def real_kernel(columns: np.ndarray) -> np.ndarray:
         return np.eye(n)
     rank = int(np.sum(s > RANK_TOL * s[0]))
     return vt[rank:]
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """The x >= 0 minimizing |a x - b| for a real (m, n) matrix a and an
+    (m,) vector b, and that least residual: the active-set method of
+    Lawson and Hanson (Solving Least Squares Problems, 1974, ch. 23), in
+    their Householder form.
+
+    Each column is first scaled to largest entry 1. The passive columns
+    enter one at a time, largest dual coefficient w_j = a_j . (b - a x)
+    first; the k-th to enter is reflected onto the first k rows, so that
+    on the passive columns Q^T a is upper triangular, x is the inverse of
+    that triangle (grown by a row and a column as each column enters)
+    times Q^T b, and w reads the rows below it, without the cancellation
+    of b - a x. A w_j at the rounding of those rows
+    (NNLS_ROUNDING) counts as 0. A coefficient <= 0 steps x back to the
+    boundary of x >= 0, and the rest is factored again. An entering
+    column that lies in the span of the passive ones, or whose
+    coefficient would come out <= 0, entered on rounding: it sits out
+    until the next exchange (LH's w_j = 0), or it would enter forever.
+    Raises RuntimeError after 3 n entering steps, and InvalidInputError
+    on input that is not finite.
+    """
+    m, n = a.shape
+    size = np.abs(a).max(axis=0, initial=0.0)
+    if not (math.isfinite(size.max(initial=0.0)) and np.isfinite(b).all()):
+        raise InvalidInputError("nnls needs finite input")
+    size[size == 0.0] = 1.0
+    ab = np.empty((m, n + 1))
+    np.divide(a, size, out=ab[:, :n])
+    ab[:, n] = b
+    # w_j read below the triangle carries rounding of about
+    # m eps (|b| |a_j's rows there| + |b's rows there| |a_j|)
+    rounding = NNLS_ROUNDING * m * np.sqrt(np.einsum("ij,ij->j", ab, ab))
+    qab = ab.copy()                   # Q^T [a b]
+    x, order = np.zeros(n), []        # the passive columns, in entering order
+    inv = np.zeros((0, 0))            # the inverse of the passive triangle
+    w = _dual(qab, rounding)          # 0 on the passive columns
+    for _ in range(3 * n):
+        j = int(w.argmax())
+        k, cols = len(order), order + [j]
+        if not w[j] > 0.0:
+            return x / size, float(np.linalg.norm(qab[k:, n]))
+        v = qab[k:, j].copy()
+        out = math.sqrt(v @ v)          # a_j's part outside the passive span
+        if out > NNLS_INDEPENDENT:
+            # the reflection I - v v^T that takes a_j's rows k.. to row k;
+            # the last row of the triangle gives x_j
+            alpha = -out if v[0] >= 0.0 else out
+            v[0] -= alpha
+            v /= math.sqrt(out * abs(v[0]))     # |v|^2 was 2 out |v_0|
+            x_j = (qab[k, n] - v[0] * (v @ qab[k:, n])) / alpha
+        if not (out > NNLS_INDEPENDENT and x_j > 0.0):
+            w[j] = 0.0
+            continue
+        grown = np.zeros((k + 1, k + 1))
+        grown[:k, :k] = inv
+        grown[:k, k] = (inv @ qab[:k, j]) / -alpha
+        grown[k, k] = 1.0 / alpha
+        inv = grown
+        qab[k:] -= np.outer(v, v @ qab[k:])
+        qab[k, j], qab[k + 1:, j] = alpha, 0.0
+        z = inv @ qab[:k + 1, n]
+        while z.size and z.min() <= 0.0:
+            xp, neg = x[cols], np.flatnonzero(z <= 0.0)
+            ratio = xp[neg] / (xp[neg] - z[neg])
+            xp = np.maximum(xp + ratio.min() * (z - xp), 0.0)
+            xp[neg[ratio.argmin()]] = 0.0
+            x[cols] = xp
+            cols = [c for c, t in zip(cols, xp.tolist()) if t > 0.0]
+            q, r = np.linalg.qr(ab[:, cols], mode="complete")
+            qab = q.T @ ab
+            qab[:, cols] = r
+            inv = np.linalg.inv(r[:len(cols)])
+            z = inv @ qab[:len(cols), n]
+        x[cols] = z
+        order = cols
+        w = _dual(qab[len(cols):], rounding)
+    raise RuntimeError("nnls: iteration limit reached")
+
+
+def _dual(rows: np.ndarray, rounding: np.ndarray) -> np.ndarray:
+    """nnls's w from the rows of Q^T [a b] below the passive triangle,
+    with the entries at rounding level set to 0."""
+    w = rows[:, :-1].T @ rows[:, -1]
+    norms = np.sqrt(np.einsum("ij,ij->j", rows, rows))
+    w[w <= rounding[-1] * norms[:-1] + norms[-1] * rounding[:-1]] = 0.0
+    return w

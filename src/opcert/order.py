@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import InvalidInputError
 from .hermit import delta_span, is_u_positive
-from .matcore import adjoint, herm_eigen
+from .matcore import adjoint, herm_eigen, nnls
 from .opspace import ConcreteOpSpace
 from .report import FAIL, PASS, CertificateReport
 from .tro import licenses
@@ -46,6 +45,10 @@ class Cone:
         # of every membership NNLS
         self.frobenius = np.stack([_frob_vec(self.space, g) for g in gens],
                                   axis=1) if gens.shape[0] else None
+        # least squares weights over all reals come from the pseudo-inverse;
+        # where they are >= 0 they are also the NNLS weights
+        self.pinv = np.linalg.pinv(self.frobenius) if gens.shape[0] \
+            else None
 
 
 def _frob_vec(space: ConcreteOpSpace, coeffs: np.ndarray) -> np.ndarray:
@@ -59,8 +62,11 @@ def cone_membership(cone: Cone, x) -> tuple[float, np.ndarray]:
     b = _frob_vec(cone.space, xc)
     if cone.generators.shape[0] == 0:
         return float(np.linalg.norm(b)), np.zeros(0)
-    weights, resid = nnls(cone.frobenius, b)
-    return float(resid), weights
+    weights = cone.pinv @ b
+    if weights.min() < 0.0:
+        weights, resid = nnls(cone.frobenius, b)
+        return float(resid), weights
+    return float(np.linalg.norm(cone.frobenius @ weights - b)), weights
 
 
 def norm_order_unit_check(cone: Cone, u=None,
@@ -81,10 +87,12 @@ def norm_order_unit_check(cone: Cone, u=None,
     for _ in range(ORDER_UNIT_SAMPLES):
         r = rng.standard_normal(hb.shape[0])
         samples.append(r @ hb)
+    # the samples' norms in one call: a call per sample costs more than its SVD
+    norms = space.grid_norm(np.array(samples)[:, None, None, :])
     worst = -1.0
     witness = None
-    for xc in samples:
-        g = space.norm(xc) * uc - xc
+    for xc, n in zip(samples, norms.tolist()):
+        g = n * uc - xc
         res, _ = cone_membership(cone, g)
         rel = res / max(1.0, float(np.linalg.norm(_frob_vec(space, g))))
         if rel > worst:

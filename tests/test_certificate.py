@@ -133,6 +133,44 @@ def test_tampered_multipliers_still_bound_the_minimum():
     assert multi >= 3
 
 
+def test_each_eps_builds_its_columns_once(monkeypatch):
+    # lower_bound reads an eps's z-pieces for the NNLS and again in bound:
+    # one build per eps, shared read-only, and a bound from them equals
+    # one from freshly built columns
+    space = catalog_space("m2-full")
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    problem = _partner_problem(space, x / space.norm(x), (10.0,))
+    c = _ball_points(space, rng, 1, sphere=True)[0]
+    built, asked = [], []
+    mixes, columns = blocks._unit_mixes, Pieces.z_subgradients
+    monkeypatch.setattr(blocks, "_unit_mixes",
+                        lambda n: built.append(n) or mixes(n))
+    monkeypatch.setattr(Pieces, "z_subgradients",
+                        lambda self, eps: asked.append(eps)
+                        or columns(self, eps))
+    problem.lower_bound(c)
+    assert len(asked) > len(set(asked)) == len(built)
+    at = Pieces(problem, c)
+    for eps in EPS_LADDER:
+        g = at.z_subgradients(eps)
+        assert at.z_subgradients(eps) is g and not g.flags.writeable
+        lam, mu = blocks._shortest(g, at.h)
+        assert at.bound(eps, lam, mu) == Pieces(problem, c).bound(eps, lam,
+                                                                   mu)
+
+
+def test_shortest_takes_equal_weights_at_the_nnls_limit(monkeypatch):
+    def limited(a, b):
+        raise RuntimeError("nnls: iteration limit reached")
+    monkeypatch.setattr(blocks, "nnls", limited)
+    g = np.arange(12.0).reshape(4, 3)
+    for h in (None, np.ones(4)):
+        lam, mu = blocks._shortest(g, h)
+        np.testing.assert_array_equal(lam, np.full(3, 1.0 / 3.0))
+        assert mu == 0.0
+
+
 def test_a_fail_rests_on_a_certified_bound(monkeypatch):
     # circle-1z at 60 points: x = z has no partner, but without the bound
     # no search settles, and the verdicts stay inconclusive

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import nnls as scipy_nnls
 
+from opcert.blocks import SIMPLEX_WEIGHT
 from opcert.errors import InvalidInputError
 from opcert.matcore import (adjoint, as_cmat, batched_spectral_norm,
-                            block_diag, block_norms, herm_eigen, psd_sqrt,
-                            real_kernel, row_span, spectral_norm,
+                            block_diag, block_norms, herm_eigen, nnls,
+                            psd_sqrt, real_kernel, row_span, spectral_norm,
                             top_singular_triple)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
@@ -254,3 +256,89 @@ def test_real_kernel_of_a_tall_input_matches_the_full_svd():
     assert k.shape == want.shape == (2, 6)
     npt.assert_allclose(k.T @ k, want.T @ want, atol=1e-12)
     npt.assert_allclose(k @ stacked.T, 0.0, atol=1e-10)
+
+
+# entries 0 or 1e-50 to 10 in size: below that the checks' own products
+# (1e-9 |a_j| |b| and the like) underflow
+normal = st.one_of(st.just(0.0), st.floats(1e-50, 10.0),
+                   st.floats(-10.0, -1e-50))
+
+
+@st.composite
+def nnls_problems(draw):
+    """(a, b) of 2-12 rows and 1-8 columns: plain, with the last column a
+    copy of the first or the first tilted by 1e-3 to 1e-12, or with the
+    heavily weighted sum-to-one row of `blocks._shortest`."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(1, 8))
+    a = draw(arrays(np.float64, (m, n), elements=normal))
+    b = draw(arrays(np.float64, m, elements=normal))
+    kind = draw(st.sampled_from(["plain", "copy", "tilt", "simplex"]))
+    if kind == "copy":
+        a[:, -1] = a[:, 0]
+    elif kind == "tilt":
+        tilt = draw(arrays(np.float64, m, elements=normal))
+        a[:, -1] = a[:, 0] + 10.0 ** -draw(st.integers(3, 12)) * tilt
+    elif kind == "simplex":
+        weight = SIMPLEX_WEIGHT * max(1.0, float(np.abs(a).max()))
+        a = np.vstack([a, np.full(n, weight)])
+        b = np.r_[np.zeros(m), weight]
+    return a, b
+
+
+def _assert_nnls_optimal(a, b, x, res):
+    """x >= 0, res its residual, no larger than the residual of scipy's x
+    beyond rounding, and the KKT signs: w = a^T (b - a x) is <= 0 off the
+    support and 0 on it, up to rounding. Rounding is in units of the size
+    of the terms of a x - b, and of |a_j|_1 times that for w_j; 1-norms,
+    since squares of tiny entries underflow. (scipy's own residual is
+    not read: beside columns of entries near 1e-274 it can be off.)"""
+    want_x, _ = scipy_nnls(a, b)
+    want = np.linalg.norm(a @ want_x - b)
+    scale = np.abs(a) @ np.maximum(x, want_x) + np.abs(b)
+    scale = float(scale.sum())
+    assert (x >= 0.0).all()
+    assert res == pytest.approx(np.linalg.norm(a @ x - b), abs=1e-12 * scale)
+    assert res <= want + 1e-12 * scale
+    w = a.T @ (b - a @ x)
+    kkt = 1e-9 * np.abs(a).sum(axis=0) * scale
+    assert (w <= kkt).all()
+    assert (np.abs(w) <= kkt)[x > 0.0].all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(nnls_problems())
+def test_nnls_matches_scipy(problem):
+    a, b = problem
+    _assert_nnls_optimal(a, b, *nnls(a, b))
+
+
+def test_nnls_keeps_out_a_column_that_enters_on_rounding():
+    # the columns differ by 4e-18 and 6e-17: after one enters, the other's
+    # w_j is above rounding but its part outside the passive span is not.
+    # It sits out until the next exchange (LH's w_j = 0); without that it
+    # would enter again at every step until the iteration limit
+    a = np.array([[-0.004, -0.004000000000000004],
+                  [0.004, 0.0040000000000000565]])
+    b = np.array([-0.2, 1.8])
+    x, res = nnls(a, b)
+    assert np.count_nonzero(x) == 1
+    _assert_nnls_optimal(a, b, x, res)
+
+
+def test_nnls_hand_values():
+    a = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    x, res = nnls(a, np.array([2.0, 1.0, 1.0]))
+    npt.assert_allclose(x, [1.5, 1.0])
+    assert res == pytest.approx(np.sqrt(0.5))
+    x, res = nnls(a, -np.ones(3))
+    npt.assert_array_equal(x, [0.0, 0.0])
+    assert res == pytest.approx(np.sqrt(3.0))
+
+
+def test_nnls_rejects_non_finite_input():
+    a = np.eye(2)
+    with pytest.raises(InvalidInputError):
+        nnls(a, np.array([1.0, np.nan]))
+    a[0, 1] = np.inf
+    with pytest.raises(InvalidInputError):
+        nnls(a, np.ones(2))

@@ -5,6 +5,7 @@ from opcert import order
 from opcert.errors import InvalidInputError
 from opcert.funcspace import catalog_closure, catalog_entry, catalog_space
 from opcert.hermit import delta_span, operator_system_check
+from opcert.matcore import nnls
 from opcert.opspace import make_space
 from opcert.order import (Cone, cone_equals_delta_plus, cone_membership,
                           norm_order_unit_check)
@@ -51,6 +52,28 @@ def test_membership_positively_homogeneous():
     d1, _ = cone_membership(cone, x)
     d3, _ = cone_membership(cone, 3.0 * x)
     assert d3 == pytest.approx(3.0 * d1, rel=1e-10)
+
+
+def test_membership_reads_nonnegative_least_squares_weights_directly():
+    # where the least squares weights over all reals are >= 0 they are the
+    # NNLS weights and no NNLS runs; the distance is the NNLS one on both
+    # routes, here with dependent generators (E11 + E22 = I)
+    cone = psd_cone()
+    rng = np.random.default_rng(5)
+    routes = set()
+    for _ in range(40):
+        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        if len(routes) % 2:
+            x = rng.uniform(0.0, 1.0, 5) @ PSD_GENERATORS
+        b = order._frob_vec(cone.space, x)
+        routes.add(bool((cone.pinv @ b).min() >= 0.0))
+        dist, weights = cone_membership(cone, x)
+        _, want = nnls(cone.frobenius, b)
+        assert dist == pytest.approx(want, abs=1e-12 * np.linalg.norm(b))
+        assert (weights >= 0.0).all()
+        assert dist == pytest.approx(
+            np.linalg.norm(cone.frobenius @ weights - b), abs=1e-12)
+    assert routes == {False, True}
 
 
 def test_norm_order_unit_fails_on_truncated_psd_cone():
@@ -138,4 +161,4 @@ def test_a_cone_flattens_its_generators_once(monkeypatch):
     rep = norm_order_unit_check(cone)
     # the unit and each sample: one membership and one scale each
     assert len(flattened) == 2 * (1 + rep.diagnostics["samples"])
-    assert (rep.verdict, rep.margin) == ("pass", 9.999999993994883e-07)
+    assert (rep.verdict, rep.margin) == ("pass", 9.999999996763171e-07)

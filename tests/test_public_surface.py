@@ -1,5 +1,7 @@
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +16,16 @@ UNSET_DEFAULTS = [
     "__init__(iterate)", "ambient_system_check(u)", "catalog_closure(points)",
     "min_space(points)", "recover_product_left(config)",
     "recover_product_left(t)"]
+
+
+def test_importing_opcert_loads_no_scipy():
+    # numpy is the one numerical dependency at run time; scipy is for tests
+    code = ("import sys, opcert, opcert.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_public_name_resolves_once():
