@@ -16,8 +16,8 @@ The partner and product searches share one objective, `SlotProblem`: the
 worst excess max_t (|[[t u, b12], [b21, t v]]| - offset_t)+ over a stack
 of `t_frames`, as a function of the one off-diagonal slot left free. Its
 `lower_bound` certifies how low that excess can go over the ball, and its
-`descent_steps` give an eps-descent step, both from the `Pieces` of one
-point.
+`descent_step` takes an eps-descent step, line search included, both from
+the `Pieces` of one point.
 """
 
 from __future__ import annotations
@@ -210,25 +210,26 @@ class SlotProblem:
                     break
         return best
 
-    def descent_steps(self, c) -> np.ndarray:
-        """The (m, d) trial points of an eps-descent step from the point c
-        of the ball: c + s d, pulled back into the ball, for each distinct
-        direction d of `Pieces.descent` at eps = f * DESCENT_EPS and each s
-        of STEP_LADDER times f / |r|, the step that would reach 0 at slope
-        |r|. (0, d) when no eps gives a direction."""
+    def descent_step(self, c):
+        """The point an eps-descent step from the point c of the ball moves
+        to, or None when no eps gives a direction. The trial points are
+        c + s d, pulled back into the ball, for each direction d of
+        `Pieces.descent` at eps = f * DESCENT_EPS and each s of STEP_LADDER
+        times f / |r|, the step that would reach 0 at slope |r|; the step
+        moves to the first of those with the least worst excess, read from
+        block norms alone."""
         at = Pieces(self, c)
-        rows, dirs = [], []
+        rows = []
         for frac in DESCENT_EPS:
             d, size = at.descent(frac * at.f)
-            # an eps that adds or drops no piece repeats a direction
-            if d is not None and not any(np.array_equal(d, e) for e in dirs):
-                dirs.append(d)
+            if d is not None:
                 rows.append(at.c + (at.f / size) * STEP_LADDER[:, None] * d)
         if not rows:
-            return np.empty((0, self.dim), dtype=np.complex128)
+            return None
         rows = np.concatenate(rows)
         # pulled back into the ball; c / 1.0 is c, bit for bit
-        return rows / np.maximum(self.norm(rows), 1.0)[:, None]
+        rows /= np.maximum(self.norm(rows), 1.0)[:, None]
+        return rows[self._hinges(self._grids(rows)).max(axis=-1).argmin()]
 
 
 def _real(g: np.ndarray) -> np.ndarray:

@@ -27,8 +27,8 @@ Problems expose a flat complex variable vector and take a stack of them:
     norm(c)         constraint norms (S,) of the stack (operator norms)
     lower_bound(c)  (minimize only) a lower bound on the minimum over the
                     ball, certified at the point c of the ball, or -inf
-    descent_steps(c) (minimize only) the (m, dim) trial points, in the
-                    ball, of an eps-descent step from the point c
+    descent_step(c) (minimize only) the point of the ball an eps-descent
+                    step from the point c moves to, or None
 
 A row's results must not depend on the other rows of its stack: the
 objectives in this package compute every row with its own products and
@@ -36,14 +36,15 @@ one batched LAPACK call, so a run is bitwise the same alone and stacked.
 
 `_run_stack` steps a stack of runs in lockstep, each with its own level,
 step and stop rules: every iteration makes one value_and_grad call on the
-runs still going and one norm call on the runs that stepped. Each iterate
-is evaluated once: a start's value comes with the gradient of its first
-step, and a run that ends at its budget ends on the value of its last
-iterate, so K iterations cost K + 1 evaluations. A maximize sweep runs
-every start whatever happens, so it hands all of them over as one stack;
-for a catalog unitary every start stops at iteration 1 on a zero
-subgradient, and the whole sweep is one stacked call. A minimization is
-a stack of one run.
+runs still going and one norm call on the runs that stepped, by a plain
+step or an eps-descent step alike. Each iterate is evaluated once: a
+start's value comes with the gradient of its first step, and a run that
+ends at its budget ends on the value of its last iterate, so K
+iterations cost K + 1 evaluations. A maximize sweep runs every start
+whatever happens, so it hands all of them over as one stack; for a
+catalog unitary every start stops at iteration 1 on a zero subgradient,
+and the whole sweep is one stacked call. A minimization is a stack of
+one run.
 
 Each iteration of a run steps along its gradient, at kinks too: there the
 top singular pair of the active (t, block) gives a subgradient of the
@@ -52,10 +53,10 @@ Optim. 1992). Where the minimum itself is such a kink (a cold m2-full
 product has its two top singular values tied there) those steps zigzag,
 so past its DESCENT_FROM-th stall checkpoint a minimize run takes
 eps-descent steps instead (Kiwiel, Methods of Descent for
-Nondifferentiable Optimization, 1985): the problem's descent_steps gives
-line-search points along eps-steepest descent directions at its
-incumbent, they join the iteration's stacked value_and_grad call, and
-the run moves to the best of them.
+Nondifferentiable Optimization, 1985): the problem's descent_step runs a
+line search along eps-steepest descent directions at its incumbent and
+gives the one point the run moves to, which is evaluated like any other
+iterate.
 
 The step rule combines the guaranteed-safe decay schedule s0/sqrt(k) with a
 Polyak-style step toward an adaptively tightened level; the effective step
@@ -132,6 +133,8 @@ class SolverConfig:
                    for n in (self.starts, self.max_iters)):
             raise InvalidInputError("starts and max_iters must be positive "
                                     "integers")
+        if not (isinstance(self.root_seed, Integral) and self.root_seed >= 0):
+            raise InvalidInputError("root_seed must be an integer >= 0")
         valid_t_grid(self.t_grid)
 
 
@@ -218,12 +221,12 @@ class _Run:
     times the ball's euclidean diameter, far below stat_tol.
 
     A minimize run is given its problem, whose lower_bound `_certify`
-    reads and whose descent_steps `_descend` reads.
+    reads and whose descent_step `_descend` reads.
     """
 
     def __init__(self, config, c, f, sign, target, problem):
         self.config, self.sign, self.target = config, sign, target
-        self.problem = problem       # minimize: lower_bound, descent_steps
+        self.problem = problem       # minimize: lower_bound, descent_step
         self.descents = 0            # eps-descent steps taken
         self.descend_after = DESCENT_FROM * config.stall_window \
             if sign > 0 else math.inf
@@ -296,21 +299,20 @@ class _Run:
         return self.c - sign * step * (g / gnorm)
 
     def _descend(self, f: float, g: np.ndarray):
-        """An eps-descent step from the incumbent: the problem's trial
-        points, or None when the run stops. A run stops as one whose level
-        collapsed when no direction descends, or when its last eps-step
-        found no point below its incumbent, since its next step would be
-        the same."""
+        """An eps-descent step from the incumbent: the problem's point, or
+        None when the run stops. A run stops as one whose level collapsed
+        when no direction descends, or when its last eps-step found no
+        point below its incumbent, since its next step would be the same."""
         if float(np.linalg.norm(g)) < self.flat:
             return self._stop("target" if self.at_target(f) else
                               "zero_subgradient")
-        rows = () if self.descents and self.since_improve else \
-            self.problem.descent_steps(self.best_c)
-        if not len(rows):
+        c = None if self.descents and self.since_improve else \
+            self.problem.descent_step(self.best_c)
+        if c is None:
             return self._stop("certified" if self._certify()
                               else "level_collapse")
         self.descents += 1
-        return rows
+        return c
 
     def retract(self, c: np.ndarray, n: float) -> None:
         """Move to the stepped point c of norm n, pulled back into the ball
@@ -333,10 +335,9 @@ def _run_stack(problem, config, starts, sign, target) -> list:
 
     Every iteration steps the runs still going from one
     problem.value_and_grad call, then makes one problem.norm call on the
-    runs that stepped and one value_and_grad call on their new iterates,
-    with the trial rows of any eps-descent step (see `_land`); each run
-    follows the rules of `_Run` on its own, so a start ends bitwise the
-    same alone and in any stack. Returns one `_Run` per start.
+    runs that stepped and one value_and_grad call on their new iterates;
+    each run follows the rules of `_Run` on its own, so a start ends
+    bitwise the same alone and in any stack. Returns one `_Run` per start.
     """
     c = np.array(starts, dtype=np.complex128)
     f, g = _evaluate(problem, c)
@@ -344,22 +345,19 @@ def _run_stack(problem, config, starts, sign, target) -> list:
                         problem if sign > 0 else None)
                    for ck, fk in zip(c, f)]
     for it in range(1, config.max_iters + 1):
-        stepped, steps, descending = [], [], False
+        stepped, steps = [], []
         for r, fk, gk in zip(live, f, g):
             r.iterations = it
             ck = r.step(fk, gk)
             if ck is not None:
                 stepped.append(r)
                 steps.append(ck)
-                descending |= ck.ndim > 1
         if not stepped:
             return runs
-        live = stepped
-        if descending:
-            f, g = _land(problem, live, steps)
-        else:
-            _retract(problem, live, steps)
-            f, g = _evaluate(problem, _stack([r.c for r in live]))
+        live, c = stepped, _stack(steps)
+        for r, ck, n in zip(live, c, problem.norm(c).tolist()):
+            r.retract(ck, n)
+        f, g = _evaluate(problem, _stack([r.c for r in live]))
     for r, fk in zip(live, f):
         r.finish(fk)
     return runs
@@ -368,34 +366,6 @@ def _run_stack(problem, config, starts, sign, target) -> list:
 def _stack(rows: list) -> np.ndarray:
     # a single row needs a view, not the copy np.array makes
     return rows[0][None] if len(rows) == 1 else np.array(rows)
-
-
-def _retract(problem, runs, steps) -> None:
-    """Move runs to their stepped points, pulled back by one norm call."""
-    c = _stack(steps)
-    for r, ck, n in zip(runs, c, problem.norm(c).tolist()):
-        r.retract(ck, n)
-
-
-def _land(problem, live, steps):
-    """Values and gradients of the runs' next iterates when some took an
-    eps-descent step, from one stacked evaluation of every run's rows: a
-    plain step's retracted point, or an eps-descent step's trial rows
-    (already in the ball), of which the run moves to the best (the first
-    of equals)."""
-    plain = [(r, ck) for r, ck in zip(live, steps) if ck.ndim == 1]
-    if plain:
-        _retract(problem, *zip(*plain))
-    rows = [r.c[None] if ck.ndim == 1 else ck for r, ck in zip(live, steps)]
-    f, g = _evaluate(problem, np.concatenate(rows))
-    fs, gs, at = [], [], 0
-    for r, ck in zip(live, rows):
-        k = min(range(at, at + len(ck)), key=f.__getitem__)
-        r.c = ck[k - at]
-        fs.append(f[k])
-        gs.append(g[k])
-        at += len(ck)
-    return fs, gs
 
 
 def _reduce(runs, sign) -> SolveResult:
@@ -432,7 +402,7 @@ def minimize_over_ball(problem, config: SolverConfig | None = None, *,
     found a global minimum, which needs the objective to be convex; a run
     whose problem.lower_bound settles it stops too (see the module
     docstring), and a run past its DESCENT_FROM-th stall checkpoint steps
-    by problem.descent_steps. ``certified_min`` marks a value within
+    by problem.descent_step. ``certified_min`` marks a value within
     cert_tol of its lower bound.
     """
     config = config or SolverConfig()

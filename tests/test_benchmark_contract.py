@@ -75,9 +75,9 @@ def test_a_traced_catalog_pass_reports_every_contract_metric(workload,
     # workloads runs long enough to take an eps-descent step, so their
     # verdicts and margins are those of plain subgradient runs
     descents = []
-    descent_steps = SlotProblem.descent_steps
-    monkeypatch.setattr(SlotProblem, "descent_steps", lambda self, c:
-                        descents.append(1) or descent_steps(self, c))
+    descent_step = SlotProblem.descent_step
+    monkeypatch.setattr(SlotProblem, "descent_step", lambda self, c:
+                        descents.append(1) or descent_step(self, c))
     _, ctx = _perfbench_module("prepare").setup(str(tmp_path), workload)
     ctx["workdir"] = str(tmp_path)
     workloads = _perfbench_module("workloads")

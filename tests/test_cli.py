@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from opcert.blocks import ambient_product
 from opcert.cli import main
 from opcert.funcspace import catalog_space, g_hermitian_solve
 from opcert.hermit import is_u_hermitian, is_u_positive
+from opcert.matcore import block_diag
 from opcert.opspace import make_space
 from opcert.serialize import SpaceFile, dumps_canonical
 
@@ -390,6 +392,13 @@ def test_seed_from_environment(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("OPSPACE_SEED", "not-a-number")
     assert main(["check", "unitary", "--space", space]) == 3
     capsys.readouterr()
+    # a negative seed is an input error, not a traceback's exit 1 (FAIL)
+    monkeypatch.setenv("OPSPACE_SEED", "-3")
+    assert main(["check", "system", "--space", space]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.delenv("OPSPACE_SEED")
+    assert main(["check", "system", "--space", space, "--seed", "-1"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_version_flag_exits_zero(capsys):
@@ -432,13 +441,23 @@ def test_entry_point_runs_in_subprocess():
     assert proc.stdout.splitlines() == NAMES
 
 
-def test_point_backed_recovery_reports_ambient_error(tmp_path):
+@pytest.mark.parametrize("kind", ["involution", "product"])
+def test_point_backed_recovery_reports_ambient_error(tmp_path, kind):
     # circle-1zzbar's ternary closure is not stable; the distance to
-    # u x* u comes from the blocks
+    # u x* u, or to v y* u, comes from the blocks
     report = tmp_path / "report.json"
-    code = main(["recover", "involution",
+    args = ["--x", "[0, 0.8, 0]"] if kind == "involution" else \
+        ["--v", "[0, 1, 0]", "--y", "[0.3, 0.4, 0]"]
+    code = main(["recover", kind,
                  "--space", write_catalog_file(tmp_path, "circle-1zzbar"),
-                 "--x", "[0, 0.8, 0]", "--t", "10", "--out", str(report)])
+                 *args, "--t", "10", "--out", str(report)])
     assert code == 0
     extra = json.loads(report.read_text())["extra"]
     assert 0.0 <= extra["ambient_error"] <= extra["bound"]
+    if kind == "product":
+        space = catalog_space("circle-1zzbar")
+        got = space.embed(np.array([complex(*p) for p in extra["recovered"]]))
+        truth = ambient_product(space, [0, 1, 0], [0.3, 0.4, 0],
+                                space.unit_coeffs())
+        dense = np.linalg.norm(got - block_diag(truth), 2)
+        assert abs(extra["ambient_error"] - dense) <= 1e-12

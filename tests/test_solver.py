@@ -95,6 +95,8 @@ def test_config_validation():
         SolverConfig(t_grid=(1.0, -2.0)).validate()
     with pytest.raises(InvalidInputError):
         SolverConfig(t_grid=(1.0, float("inf"))).validate()
+    with pytest.raises(InvalidInputError, match="root_seed"):
+        SolverConfig(root_seed=-1).validate()
     SolverConfig().validate()
 
 
@@ -584,8 +586,8 @@ def test_a_stack_of_minimize_starts_runs_each_start_as_alone(make, max_iters,
 def test_a_cold_product_makes_two_calls_per_iteration(monkeypatch):
     # at a short budget the one run from 0 ends at its budget after one
     # one-row call per iteration; at the default budget it reaches the
-    # target within three stall windows of calls, two of plain steps and
-    # at most one of eps-descent steps
+    # target within three stall windows of one-row calls, two of plain
+    # steps and at most one of eps-descent steps
     calls = []
     value_and_grad = SlotProblem.value_and_grad
 
@@ -607,6 +609,8 @@ def test_a_cold_product_makes_two_calls_per_iteration(monkeypatch):
     assert rec.diagnostics["reached_target"]
     assert sum(rec.diagnostics["stops"].values()) == 1
     assert rec.diagnostics["descent_steps"] > 0
+    # an eps-descent step hands over one point, evaluated like any other
+    assert calls == [1] * len(calls)
     assert len(calls) <= 3 * SolverConfig.stall_window
     assert rec.achieved - rec.target <= SolverConfig.eps_stop
 
