@@ -214,7 +214,7 @@ def unitary_span_check(space: ConcreteOpSpace, u=None, *,
     _require_exact(closure)
     uc = space.unit_coeffs(u)
     unitaries = collect_unitaries(space, uc, closure)
-    rank = row_span(unitaries).shape[0]
+    rank = row_span(unitaries)[1].size
     ok = rank == space.dim
     return CertificateReport(
         name="unitary-span", verdict=PASS if ok else FAIL,

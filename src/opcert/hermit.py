@@ -132,9 +132,10 @@ def delta_span(space: ConcreteOpSpace, u=None, closure=None) -> DeltaSpan:
                 if is_u_hermitian(space, uc, c).passed]
         rows, route = np.reshape(keep, (-1, d)), "numerical"
     # re-orthonormalize in the real (2d) coordinates
-    flat = row_span(np.hstack([np.real(rows), np.imag(rows)]))
+    flat, _ = row_span(np.hstack([np.real(rows), np.imag(rows)]))
     real_basis = flat[:, :d] + 1j * flat[:, d:]
-    return DeltaSpan(real_basis=real_basis, complex_basis=row_span(real_basis),
+    complex_basis, _ = row_span(real_basis)
+    return DeltaSpan(real_basis=real_basis, complex_basis=complex_basis,
                      route=route)
 
 

@@ -15,6 +15,8 @@ from .errors import InvalidInputError
 HERMITICITY_TOL = 1e-9
 EIG_CLAMP = 1e-9
 RANK_TOL = 1e-9
+# row_span sketches an input with more rows and more columns than this
+SKETCH_WIDTH = 64
 # a column entering nnls whose part outside the span of the passive ones
 # is this small (its largest entry is 1) lies in that span
 NNLS_INDEPENDENT = 1e-14
@@ -93,15 +95,51 @@ def block_diag(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(w * p, w * q)
 
 
-def row_span(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the row space of an (N, M) array, cut at
-    singular values above RANK_TOL times the largest (real input, real rows)."""
-    if rows.shape[0] == 0:
-        return rows
+def row_span(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the row space of an (N, M) array and their
+    singular values, descending, cut at singular values above RANK_TOL
+    times the largest (real input, real rows).
+
+    An input with both dimensions above SKETCH_WIDTH is sketched first
+    (Halko, Martinsson and Tropp, SIAM Review 53, 2011): k fixed-seed
+    Gaussian combinations of the rows, k = SKETCH_WIDTH at first, have an
+    orthonormal row span V, and the exact SVD of the small (N, k) matrix
+    rows V* gives the singular values and, rotated by V, the rows. That
+    answer stands once the rows lie in V, |rows - (rows V*) V| at most
+    RANK_TOL times the largest singular value (Frobenius), with fewer
+    than k singular values above the cut; otherwise k doubles. The span
+    is then exact for rows moved by no more than the cut already
+    neglects; on rows whose neglected singular values are rounding, it
+    matches the single SVD's span to rounding. A k that reaches the
+    smaller dimension takes the single SVD of the rows, as every smaller
+    input does, so the branch follows the shape alone.
+    """
+    n, m = rows.shape
+    if n == 0:
+        return rows, np.zeros(0)
+    k = SKETCH_WIDTH
+    while min(n, m) > k:
+        gauss = np.random.default_rng(k).standard_normal((k, n))
+        # rows of q.T span the rows of the sketch: sketch.T = q r
+        q, _ = np.linalg.qr((gauss @ rows).T)
+        small = rows @ np.conj(q)
+        _, s, wh = np.linalg.svd(small, full_matrices=False)
+        rank = _rank(s)
+        missed = small @ q.T
+        missed -= rows
+        if rank < k and np.linalg.norm(missed) <= RANK_TOL * s[0]:
+            return wh[:rank] @ q.T, s[:rank]
+        k *= 2
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    rank = _rank(s)
+    return vh[:rank], s[:rank]
+
+
+def _rank(s: np.ndarray) -> int:
+    """How many of the descending singular values s pass the RANK_TOL cut."""
     if s.size == 0 or s[0] == 0.0:
-        return vh[:0]
-    return vh[:int(np.sum(s > RANK_TOL * s[0]))]
+        return 0
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 def top_singular_triple(m: np.ndarray):
@@ -174,8 +212,7 @@ def real_kernel(columns: np.ndarray) -> np.ndarray:
     _, s, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < n)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(n)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
-    return vt[rank:]
+    return vt[_rank(s):]
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:

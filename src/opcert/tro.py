@@ -4,11 +4,15 @@ The closure is generated by iterating products a b* c of elements of the
 current span, blockwise on the space's (w, p, q) block stacks. Its growth
 is capped at min(w, 24) p q dimensions: a space of p x q matrices (w = 1)
 reaches its closure below that cap, so it runs to stability, while a
-point-backed space can generate very large function algebras. The checks
-that consume the closure remain valid on a truncated span because every
-necessary identity is either pointwise (and so holds for all diagonal
-operators at once) or is tested against elements the truncated span
-already contains. A truncated closure is reported with stable=False.
+point-backed space can generate very large function algebras. A span
+past the cap keeps its leading singular directions up to the last gap
+in its singular values at or below the cap, so that the kept span does
+not split a tied pair and depend on rounding (circle-1zzbar keeps 23).
+The checks that consume the closure remain valid on a truncated span
+because every necessary identity is either pointwise (and so holds for
+all diagonal operators at once) or is tested against elements the
+truncated span already contains. A truncated closure is reported with
+stable=False.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .blocks import ambient_product
 from .errors import PreconditionError
-from .matcore import adjoint, block_diag, block_norms, row_span
+from .matcore import RANK_TOL, adjoint, block_diag, block_norms, row_span
 from .opspace import MEMBERSHIP_TOL, ConcreteOpSpace
 from .report import FAIL, PASS, CertificateReport
 
@@ -45,12 +49,23 @@ class TroClosure:
         """Orthonormal (rr, w, q, q) basis of the span of the w* z."""
         z = self.z_basis
         prods = np.einsum("awps,bwpt->abwst", np.conj(z), z)
-        return _span_of(prods, z.shape[1], z.shape[3], z.shape[3])
+        return _span_of(prods, z.shape[1], z.shape[3], z.shape[3])[0]
 
 
-def _span_of(stacks: np.ndarray, w: int, p: int, q: int) -> np.ndarray:
-    """Orthonormal (k, w, p, q) basis of the span of a stack of block stacks."""
-    return row_span(stacks.reshape(-1, w * p * q)).reshape(-1, w, p, q)
+def _span_of(stacks: np.ndarray, w: int, p: int, q: int):
+    """Orthonormal (k, w, p, q) basis of the span of a stack of block
+    stacks, with its k singular values, descending."""
+    rows, s = row_span(stacks.reshape(-1, w * p * q))
+    return rows.reshape(-1, w, p, q), s
+
+
+def _gap_cut(s: np.ndarray, cap: int) -> int:
+    """The largest k <= cap with s[k-1] - s[k] above RANK_TOL s[0]: the
+    top-k span of singular values s, len(s) > cap, that splits no pair
+    tied within rounding. With no such k (s[0] ... s[cap] all tied) it is
+    the cap, so that the closure is never empty."""
+    gaps = np.flatnonzero(s[:cap] - s[1:cap + 1] > RANK_TOL * s[0])
+    return int(gaps[-1]) + 1 if gaps.size else cap
 
 
 def generate_tro(space: ConcreteOpSpace,
@@ -61,24 +76,29 @@ def generate_tro(space: ConcreteOpSpace,
     in the middle slot, which reaches the same closure as full triples at
     stability. Growth stops at min(w, 24) p q dimensions: that runs a
     space of p x q matrices to stability, and caps a point-backed space at
-    min(points, 24). A truncated closure is flagged unstable.
+    min(points, 24). A span past the cap is cut to its top k singular
+    directions, k the largest at or below the cap where the singular
+    values s of its generation drop, s[k-1] - s[k] > RANK_TOL s[0]
+    (`_gap_cut`; the cap itself if they never drop there); such a
+    truncated closure is flagged unstable.
     """
     d, w, p, q = space.basis.shape
     gens = space.basis / np.linalg.norm(space.basis.reshape(d, -1),
                                         axis=1).reshape(d, 1, 1, 1)
-    basis = _span_of(gens, w, p, q)
+    basis, s = _span_of(gens, w, p, q)
     cap = min(w, DIAG_MAX_DIM) * p * q
     stable = False
     generations = 0
     while not stable and basis.shape[0] <= cap:
         generations += 1
         prods = np.einsum("awps,bwts,cwtq->abcwpq", basis, np.conj(gens), basis)
-        new = _span_of(np.concatenate([basis, prods.reshape(-1, w, p, q)]),
-                       w, p, q)
+        stack = np.concatenate([basis, prods.reshape(-1, w, p, q)])
+        del prods       # a copy is in the stack; the span's peak is lower
+        new, s = _span_of(stack, w, p, q)
         stable = new.shape[0] == basis.shape[0]
         basis = new
     if basis.shape[0] > cap:
-        basis = basis[:cap]
+        basis = basis[:_gap_cut(s, cap)]
         stable = False
     return TroClosure(space=space, z_basis=basis, stable=stable,
                       generations=generations, envelope_exact=envelope_exact)

@@ -8,10 +8,10 @@ from scipy.optimize import nnls as scipy_nnls
 
 from opcert.blocks import SIMPLEX_WEIGHT
 from opcert.errors import InvalidInputError
-from opcert.matcore import (adjoint, as_cmat, batched_spectral_norm,
-                            block_diag, block_norms, herm_eigen, nnls,
-                            psd_sqrt, real_kernel, row_span, spectral_norm,
-                            top_singular_triple)
+from opcert.matcore import (RANK_TOL, SKETCH_WIDTH, adjoint, as_cmat,
+                            batched_spectral_norm, block_diag, block_norms,
+                            herm_eigen, nnls, psd_sqrt, real_kernel,
+                            row_span, spectral_norm, top_singular_triple)
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -177,14 +177,48 @@ def test_row_span_cuts_at_relative_rank():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
     rows = np.vstack([a, a[0] + 2j * a[1], 1e-12 * a[0] + a[1]])
-    span = row_span(rows)
+    span, s = row_span(rows)
     assert span.shape == (2, 5)
+    npt.assert_allclose(s, np.linalg.svd(rows, compute_uv=False)[:2])
     npt.assert_allclose(span @ adjoint(span), np.eye(2), atol=1e-12)
     # every input row lies in the span
     npt.assert_allclose(rows @ adjoint(span) @ span, rows, atol=1e-12)
-    assert row_span(np.vstack([a, 1e-10 * a[:1]])).shape == (2, 5)
-    assert row_span(np.zeros((3, 4))).shape == (0, 4)
-    assert row_span(np.zeros((0, 4))).shape == (0, 4)
+    assert row_span(np.vstack([a, 1e-10 * a[:1]]))[0].shape == (2, 5)
+    for zero in (np.zeros((3, 4)), np.zeros((0, 4)), np.zeros((70, 80))):
+        span, s = row_span(zero)
+        assert span.shape == (0, zero.shape[1]) and s.shape == (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(SKETCH_WIDTH + 1, 200), st.integers(SKETCH_WIDTH + 1, 200),
+       st.integers(1, 100), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_a_sketched_row_span_matches_the_plain_svd_cut(n, m, rank, complex_,
+                                                        seed):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, n, m)
+
+    def orthonormal(k):
+        a = rng.standard_normal((k, rank))
+        if complex_:
+            a = a + 1j * rng.standard_normal((k, rank))
+        return np.linalg.qr(a)[0]
+
+    # singular values over 1 ... 1e-8, none within 10x of the RANK_TOL cut
+    s = np.sort(10.0 ** rng.uniform(-8.0, 0.0, rank))[::-1]
+    s[0] = 1.0
+    rows = (orthonormal(n) * s) @ adjoint(orthonormal(m))
+    span, values = row_span(rows)
+    _, s_plain, vh = np.linalg.svd(rows, full_matrices=False)
+    plain = vh[:int(np.sum(s_plain > RANK_TOL * s_plain[0]))]
+    assert span.shape == plain.shape == (rank, m)
+    assert np.isrealobj(span) == (not complex_)
+    npt.assert_allclose(values, s_plain[:rank], rtol=0.0, atol=1e-12)
+    npt.assert_allclose(span @ adjoint(span), np.eye(rank), atol=1e-12)
+    # both spans are exact for the rows moved by rounding, so their
+    # projectors may differ by rounding over the smallest kept singular
+    # value (Wedin, BIT 12, 1972): 1e-10 at s_r = 1e-3, 1e-5 at 1e-8
+    moved = np.linalg.norm(adjoint(span) @ span - adjoint(plain) @ plain, 2)
+    assert moved <= 1e-13 * s_plain[0] / s_plain[rank - 1]
 
 
 def test_block_norm_is_the_norm_of_the_block_diagonal_matrix():

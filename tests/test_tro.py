@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from opcert import matcore
 from opcert.errors import PreconditionError
-from opcert.funcspace import catalog_closure
-from opcert.matcore import adjoint
-from opcert.opspace import make_space
+from opcert.funcspace import catalog_closure, catalog_names, catalog_space
+from opcert.matcore import SKETCH_WIDTH, adjoint
+from opcert.opspace import make_space, space_from_points
 from opcert.tro import (ambient_system_check, ambient_unitary_check,
                         generate_tro, involution, same_involution_check,
                         transfer_check)
@@ -12,6 +13,12 @@ from opcert.tro import (ambient_system_check, ambient_unitary_check,
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 E21 = np.array([[0, 0], [1, 0]], dtype=np.complex128)
 E22 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
+POINT_BACKED = ("circle-1zzbar", "circle-1z", "two-circles")
+
+
+def _projector(z_basis: np.ndarray) -> np.ndarray:
+    flat = z_basis.reshape(z_basis.shape[0], -1)
+    return flat.T @ np.conj(flat)
 
 
 def test_sym3_closure_rank_and_stability():
@@ -139,3 +146,55 @@ def test_transfer_verdicts():
     zc[1] = 1.0
     moved = transfer_check(circle, one, zc)   # x -> z x leaves the span
     assert moved.verdict == "fail"
+
+
+@pytest.mark.parametrize("name", POINT_BACKED)
+def test_a_capped_closure_does_not_depend_on_the_point_order(name):
+    # circle-1zzbar's last generation has a tied pair of singular values
+    # at the cap (s[23] = s[24]); a cut between them moved with rounding
+    closure = catalog_closure(name)
+    values = closure.space.basis[:, :, 0, 0]
+    perm = np.random.default_rng(1).permutation(values.shape[1])
+    shuffled = generate_tro(space_from_points(values[:, perm]))
+    back = np.zeros_like(shuffled.z_basis)
+    back[:, perm] = shuffled.z_basis
+    assert not closure.stable and not shuffled.stable
+    assert shuffled.rank == closure.rank == (23 if name == "circle-1zzbar"
+                                             else 24)
+    assert np.linalg.norm(_projector(closure.z_basis) - _projector(back),
+                          2) <= 1e-10
+
+
+def test_a_cap_inside_a_tie_keeps_the_cap():
+    # the 30 point masses of l-infinity^30 have equal singular values, so
+    # no gap lies at or below the cap; the closure keeps 24, not 0
+    closure = generate_tro(space_from_points(np.eye(30)))
+    assert (closure.rank, closure.stable) == (24, False)
+    diagonal = np.arange(30.0)
+    assert ambient_unitary_check(closure, diagonal).verdict == "fail"
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_sketched_closure_matches_the_plain_svd_one(name, monkeypatch):
+    sketched = catalog_closure(name)
+    # a sketch as wide as any input takes row_span's single-SVD branch
+    monkeypatch.setattr(matcore, "SKETCH_WIDTH", 10 ** 9)
+    plain = catalog_closure(name)
+    assert (sketched.rank, sketched.stable) == (plain.rank, plain.stable)
+    assert np.linalg.norm(_projector(sketched.z_basis)
+                          - _projector(plain.z_basis), 2) <= 1e-10
+
+
+def test_point_backed_closures_take_no_big_svd(monkeypatch):
+    spaces = [catalog_space(name) for name in POINT_BACKED]
+    svd, sizes = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kwargs):
+        sizes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(matcore.np.linalg, "svd", recording_svd)
+    for space in spaces:
+        generate_tro(space)
+    assert sizes
+    assert [s for s in sizes if min(s[-2:]) > SKETCH_WIDTH] == []
