@@ -14,8 +14,11 @@ of it even at a kink (a tied top); `smooth` is a diagnostic of the kink.
 
 The partner and product searches share one objective, `SlotProblem`: the
 worst excess max_t (|[[t u, b12], [b21, t v]]| - offset_t)+ over a stack
-of `t_frames`, as a function of the one off-diagonal slot left free. Its
-`lower_bound` certifies how low that excess can go over the ball, and its
+of `t_frames`, as a function of the one off-diagonal slot left free. A
+`SlotProblem` is a stack of R such problems, and row r of a stack of slot
+values is evaluated against problem r, so a check stage hands all its
+searches to the solver at once. The `lower_bound` of a one-problem stack
+certifies how low that excess can go over the ball, and its
 `descent_step` takes an eps-descent step, line search included, both from
 the `Pieces` of one point.
 """
@@ -48,7 +51,8 @@ def top_value_and_grad(space: ConcreteOpSpace, stacks: np.ndarray,
                        offsets=None):
     """The worst excess of each row of an (S, F, w, n1 p, n2 q) stack of F
     frames (`grid_blocks` of (n1, n2, d) grids) over its (frame, block)
-    pieces, block norm less frame offset (0 without offsets); its
+    pieces, block norm less frame offset (0 without offsets; (F,) offsets
+    serve every row, (S, F) ones give each row its own); its
     (S, n1, n2, d) gradient from the top block's top singular pair, one
     batched SVD; that block's sigma_1 - sigma_2; and the (S, F, w) block
     norms, or None for one block of one frame, which has nothing to choose.
@@ -57,13 +61,16 @@ def top_value_and_grad(space: ConcreteOpSpace, stacks: np.ndarray,
     _, _, p, q = space.basis.shape
     offsets = np.zeros(frames) if offsets is None else offsets
     if frames * w == 1:
-        norms, chosen, offset = None, stacks[:, 0, 0], offsets[0]
+        norms, chosen, offset = None, stacks[:, 0, 0], offsets[..., 0]
         basis = space.basis[None, :, 0]
     else:
+        # one row of offsets serves every row of the stack
+        offsets = np.reshape(offsets, (-1, frames))
         norms = block_norms(stacks)
-        top = (norms - offsets[:, None]).reshape(rows, -1).argmax(axis=-1)
+        top = (norms - offsets[..., None]).reshape(rows, -1).argmax(axis=-1)
         f, k = np.divmod(top, w)
-        chosen, offset = stacks[np.arange(rows), f, k], offsets[f]
+        chosen = stacks[np.arange(rows), f, k]
+        offset = offsets[np.arange(rows) if len(offsets) > 1 else 0, f]
         basis = space.basis[:, k].swapaxes(0, 1)
     sigma, u, v, gap = top_singular_triple(chosen)
     t = np.einsum("sip,skpq,sjq->sijk", np.conj(u.reshape(rows, -1, p)),
@@ -130,29 +137,43 @@ def two_by_two(space: ConcreteOpSpace, b11, b12, b21, b22) -> np.ndarray:
 
 def t_frames(space: ConcreteOpSpace, ts, u, b12, b21, v=None) -> np.ndarray:
     """(T, 2, 2, d) stack of the grids [[t u, b12], [b21, t v]] over ts,
-    with v = u when not given; None is a zero off-diagonal block."""
-    ts = np.asarray(ts, dtype=float)
-    frames = np.zeros((ts.size, 2, 2, space.dim), dtype=np.complex128)
-    frames[:, 0, 0] = ts[:, None] * u
-    frames[:, 1, 1] = ts[:, None] * (u if v is None else v)
-    if b12 is not None:
-        frames[:, 0, 1] = b12
-    if b21 is not None:
-        frames[:, 1, 0] = b21
+    with v = u when not given; None is a zero off-diagonal block. Entries
+    given as (..., d) stacks of coefficient vectors give an
+    (..., T, 2, 2, d) stack of such stacks, one per row."""
+    ts = np.asarray(ts, dtype=float)[:, None]
+    v = u if v is None else v
+    entries = {(0, 0): ts * np.asarray(u)[..., None, :],
+               (1, 1): ts * np.asarray(v)[..., None, :]}
+    for ij, b in (((0, 1), b12), ((1, 0), b21)):
+        if b is not None:
+            entries[ij] = np.asarray(b)[..., None, :]
+    # (..., T, d), broadcast over the entries' leading axes
+    shape = np.broadcast(*entries.values()).shape
+    frames = np.zeros(shape[:-1] + (2, 2, shape[-1]), dtype=np.complex128)
+    for (i, j), b in entries.items():
+        frames[..., i, j, :] = b
     return frames
 
 
 class SlotProblem:
     """Worst excess max_T (|grid_T| - offset_T)+ as a function of one slot
-    of a (T, 2, 2, d) stack of frames; convex in the slot."""
+    of a (T, 2, 2, d) stack of frames; convex in the slot. A stack of R
+    such problems has (R, T, 2, 2, d) frames and offsets broadcast to
+    (R, T); a (T, 2, 2, d) stack of frames is one problem."""
 
     def __init__(self, space: ConcreteOpSpace, frames, slot, offsets):
         self.space = space
-        self.frames = np.asarray(frames, dtype=np.complex128)
+        frames = np.asarray(frames, dtype=np.complex128)
+        self.frames = frames.reshape((-1,) + frames.shape[-4:])
         self.slot = slot
         self.offsets = np.broadcast_to(np.asarray(offsets, dtype=float),
-                                       self.frames.shape[:1])
+                                       self.frames.shape[:2])
         self.dim = space.dim
+
+    def take(self, rows) -> "SlotProblem":
+        """The stack of the problems ``rows``, in that order."""
+        return SlotProblem(self.space, self.frames[rows], self.slot,
+                           self.offsets[rows])
 
     def norm(self, c: np.ndarray):
         """Norm of a slot value, or of each row of a (..., d) stack."""
@@ -160,22 +181,27 @@ class SlotProblem:
         return self.space.grid_norm(c[..., None, None, :])
 
     def _grids(self, c: np.ndarray) -> np.ndarray:
-        """(..., T, 2, 2, d) grids for a (..., d) stack of slot values."""
+        """(..., T, 2, 2, d) grids for a (..., d) stack of slot values: row
+        r in the frames of problem r, or every row in those of a
+        one-problem stack."""
         c = np.asarray(c, dtype=np.complex128)
-        grids = np.empty(c.shape[:-1] + self.frames.shape, dtype=np.complex128)
+        grids = np.empty(c.shape[:-1] + self.frames.shape[1:],
+                         dtype=np.complex128)
         grids[...] = self.frames
         grids[..., self.slot[0], self.slot[1], :] = c[..., None, :]
         return grids
 
     def _hinges(self, grids: np.ndarray) -> np.ndarray:
+        """The (..., T) hinges of `_grids`."""
         return np.maximum(self.space.grid_norm(grids) - self.offsets, 0.0)
 
     def value_and_grad(self, c: np.ndarray):
-        """Worst excess and its subgradient in the slot, for a slot value or
-        for each row of an (S, d) stack."""
+        """Worst excess and its subgradient in the slot, for a slot value of
+        a one-problem stack or for each row of an (S, d) stack, row r
+        against problem r (or against the one problem)."""
         grids = self._grids(c)
         lead = grids.shape[:-4]
-        stacks = self.space.grid_blocks(grids.reshape(-1, *self.frames.shape))
+        stacks = self.space.grid_blocks(grids.reshape(-1, *grids.shape[-4:]))
         excess, grad, _, _ = top_value_and_grad(self.space, stacks,
                                                 self.offsets)
         grad = grad[:, self.slot[0], self.slot[1], :]
@@ -238,8 +264,9 @@ def _real(g: np.ndarray) -> np.ndarray:
 
 
 class Pieces:
-    """First-order data of a `SlotProblem` at a point c of the ball, from
-    which `bound` certifies a lower bound on its minimum over the ball.
+    """First-order data of a one-problem `SlotProblem` at a point c of the
+    ball, from which `bound` certifies a lower bound on its minimum over
+    the ball.
 
     A piece is one (t, block) pair: phi_i(y) = (norm of that block of
     frame t) - offset_t, convex in the slot y. Let f be the worst excess at
@@ -264,9 +291,11 @@ class Pieces:
     def __init__(self, problem: SlotProblem, c):
         space = problem.space
         self.problem = problem
+        # the offsets of the one problem of the stack
+        (self.offsets,) = problem.offsets
         self.c = np.asarray(c, dtype=np.complex128)
         self.stacks = space.grid_blocks(problem._grids(self.c))
-        excess = (block_norms(self.stacks) - problem.offsets[:, None]).ravel()
+        excess = (block_norms(self.stacks) - self.offsets[:, None]).ravel()
         # pieces by falling excess: those within eps of f are a prefix
         self.order = np.argsort(-excess, kind="stable")
         self.ranked = excess[self.order]
@@ -308,7 +337,7 @@ class Pieces:
         # singular values fall, so the near-top pairs are a prefix; the top
         # one is within eps by the choice of pieces, whatever the rounding
         near = np.maximum(
-            np.count_nonzero(s - problem.offsets[t][:, None] >= self.f - eps,
+            np.count_nonzero(s - self.offsets[t][:, None] >= self.f - eps,
                              axis=1), 1)
         n = int(near.max())
         i, j = problem.slot

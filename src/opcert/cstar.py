@@ -17,7 +17,12 @@ the unitaries other than the unit come from `hermitian_to_unitaries`, which
 needs it, and product closure is
 the ambient membership check of each v adjoint(e) u. There is no
 intrinsic escape search; the product searches run only for the table,
-which recovers every product intrinsically.
+which recovers every product intrinsically. The table's searches are
+independent, and each ends at iteration 1 from its warm start on the
+catalog, so they run as two stacks of problems (`solver.minimize_stack`):
+the d partner searches of the basis, then the k d product searches of
+the pairs of a collected unitary and a basis element. A single recovery
+is the one-row stack of the same code.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ from .hermit import delta_span, is_u_hermitian
 from .matcore import EIG_CLAMP, adjoint, block_diag, psd_sqrt, row_span
 from .opspace import ConcreteOpSpace, Element
 from .report import FAIL, PASS, CertificateReport
-from .solver import SolverConfig, minimize_over_ball
-from .sysdetect import (RECOVERY_T, detect_operator_system, find_partner,
-                        recovery_bound)
+from .solver import SolverConfig, minimize_stack
+from .sysdetect import (RECOVERY_T, ball_basis, detect_operator_system,
+                        partner_searches, recovery_bound)
 from .tro import ambient_unitary_check
 
 DEDUPE_TOL = 1e-6
@@ -55,37 +60,47 @@ class RecoveredProduct:
     diagnostics: dict
 
 
-def _solve_product(space, uc, vc, given, slot, t, config, warm_start=False):
+def _product_searches(space, uc, vs, givens, slot, t, config,
+                      warm_start=False) -> list:
+    """The product search of each row of the (R, d) unitaries vs and
+    given factors, in slot at t, as `recover_product` (slot (1, 0)) and
+    `recover_product_left` (slot (0, 1)) describe it, run as one stack of
+    R problems (`solver.minimize_stack`): one RecoveredProduct per row,
+    each bitwise as its search alone. A warm start is the projected
+    ambient product; the block norm is still evaluated from scratch, so it
+    cannot fake feasibility."""
     config = config or SolverConfig()
     if not 0 < t < np.inf:
         raise InvalidInputError("t must be positive and finite")
-    ng = space.norm(given)
-    if ng > 1.0 + 1e-9:
+    ng = space.grid_norm(givens[:, None, None, :])
+    if ng.max() > 1.0 + 1e-9:
         raise InvalidInputError("given factor must lie in the unit ball")
-    target = float(np.sqrt(t * t + ng * ng))
-    y, z = (given, None) if slot == (1, 0) else (None, given)
-    problem = SlotProblem(space, t_frames(space, (t,), uc, y, z, vc), slot,
-                          target)
-    # the product the search recovers: v adjoint(given) u for slot (1, 0),
-    # u adjoint(given) v for slot (0, 1)
-    truth = ambient_product(space, *((vc, given, uc) if slot == (1, 0)
-                                     else (uc, given, vc)))
-    # the excess of the block norm over the target, minimized to 0; a warm
-    # start is the projected ambient product, and the block norm is still
-    # evaluated from scratch, so it cannot fake feasibility
-    start = None
+    targets = np.sqrt(t * t + ng * ng)
+    y, z = (givens, None) if slot == (1, 0) else (None, givens)
+    problem = SlotProblem(space, t_frames(space, (t,), uc, y, z, vs), slot,
+                          targets[:, None])
+    # the products the searches recover: v adjoint(given) u for slot
+    # (1, 0), u adjoint(given) v for slot (0, 1)
+    truth = ambient_product(space, *((vs, givens, uc) if slot == (1, 0)
+                                     else (uc, givens, vs)))
+    starts = np.zeros_like(givens)
     if warm_start:
         proj, _, member = space.relative_membership(truth)
-        start = -proj if member else None
-    res = minimize_over_ball(problem, config, target=0.0, start=start)
-    escaped = res.lower >= config.fail_tol
-    if escaped:
-        _require_ternary_unitary(space, vc, slot, config)
-    return RecoveredProduct(
-        element=space.element(-res.coeffs), escaped=bool(escaped),
-        achieved=target + res.value, target=target,
-        bound=recovery_bound(t, res.value), ambient_truth=block_diag(truth),
-        converged=res.converged, diagnostics=res.diagnostics)
+        starts[member] = -proj[member]
+    # the excess of the block norm over the target, minimized to 0
+    results = minimize_stack(problem, config, target=0.0, starts=starts)
+    out = []
+    for vc, target, blocks, res in zip(vs, targets.tolist(), truth, results):
+        escaped = res.lower >= config.fail_tol
+        if escaped:
+            _require_ternary_unitary(space, vc, slot, config)
+        out.append(RecoveredProduct(
+            element=space.element(-res.coeffs), escaped=bool(escaped),
+            achieved=target + res.value, target=target,
+            bound=recovery_bound(t, res.value),
+            ambient_truth=block_diag(blocks), converged=res.converged,
+            diagnostics=res.diagnostics))
+    return out
 
 
 def _require_ternary_unitary(space, vc, slot, config):
@@ -122,7 +137,8 @@ def recover_product(space: ConcreteOpSpace, u, v, y, t: float = RECOVERY_T,
     instead of echoing the ambient product back.
     """
     uc, vc, yc = space.as_coeffs(u), space.as_coeffs(v), space.as_coeffs(y)
-    return _solve_product(space, uc, vc, yc, (1, 0), t, config)
+    return _product_searches(space, uc, vc[None], yc[None], (1, 0), t,
+                             config)[0]
 
 
 def recover_product_left(space: ConcreteOpSpace, u, v, z,
@@ -132,7 +148,8 @@ def recover_product_left(space: ConcreteOpSpace, u, v, z,
     candidate for u adjoint(z) v. Requires v to act as an isometry, which
     is certified before an escape is flagged (PreconditionError if not)."""
     uc, vc, zc = space.as_coeffs(u), space.as_coeffs(v), space.as_coeffs(z)
-    return _solve_product(space, uc, vc, zc, (0, 1), t, config)
+    return _product_searches(space, uc, vc[None], zc[None], (0, 1), t,
+                             config)[0]
 
 
 @dataclass
@@ -242,41 +259,36 @@ class ProductTable:
 
 
 def _assemble_table(space, uc, unitaries, t_table, config):
+    """The product table at t_table: the partner searches of the d basis
+    elements as one stack, then the product searches of the k d pairs
+    (collected unitary, basis element) as a second."""
     d = space.dim
     k = unitaries.shape[0]
     alpha, *_ = np.linalg.lstsq(unitaries.T, np.eye(d, dtype=np.complex128),
                                 rcond=None)
     alpha = alpha.T                       # rows: basis element over unitaries
-    iota = np.zeros((d, d), dtype=np.complex128)
-    scales = np.zeros(d)
-    iota_err = np.zeros(d)
-    for j, e in enumerate(np.eye(d, dtype=np.complex128)):
-        s = max(1.0, space.norm(e))
-        scales[j] = s
-        r = find_partner(space, uc, e / s, t_grid=(t_table,), config=config)
-        if r.residual >= config.fail_tol:
-            raise PreconditionError("involution unavailable for a basis element")
-        iota[j] = -r.y_coeffs
-        iota_err[j] = recovery_bound(t_table, r.residual)
-    prods = np.zeros((k, d, d), dtype=np.complex128)
-    call_bound = np.zeros((k, d))
-    for ki in range(k):
-        for j in range(d):
-            ic = iota[j]
-            n = space.norm(ic)
-            rescale = max(n, 1.0)
-            rp = _solve_product(space, uc, unitaries[ki], ic / rescale,
-                                (1, 0), t_table, config, warm_start=True)
-            prods[ki, j] = rp.element.coeffs * rescale * scales[j]
-            call_bound[ki, j] = rp.bound + iota_err[j]
+    basis, scales = ball_basis(space)
+    partners = partner_searches(space, uc, basis, (t_table,), config)
+    if any(r.residual >= config.fail_tol for r in partners):
+        raise PreconditionError("involution unavailable for a basis element")
+    iota = -np.array([r.y_coeffs for r in partners])
+    iota_err = np.array([recovery_bound(t_table, r.residual)
+                         for r in partners])
+    rescale = np.maximum(space.grid_norm(iota[:, None, None, :]), 1.0)
+    # row (ki, j) of the stack is the product of unitary ki and iota_j
+    products = _product_searches(
+        space, uc, np.repeat(unitaries, d, axis=0),
+        np.tile(iota / rescale[:, None], (k, 1)), (1, 0), t_table, config,
+        warm_start=True)
+    prods = np.array([p.element.coeffs for p in products]).reshape(k, d, d) \
+        * rescale[:, None] * scales[:, None]
+    call_bound = np.array([p.bound for p in products]).reshape(k, d) \
+        + iota_err
     entries = np.einsum("ik,kjm->ijm", alpha, prods)
     bounds = np.einsum("ik,kj->ij", np.abs(alpha), call_bound) * scales[None, :]
-    memb = np.zeros((d, d))
-    eye = np.eye(d)
-    for i in range(d):
-        for j in range(d):
-            memb[i, j] = space.relative_membership(
-                ambient_product(space, eye[i], uc, eye[j]))[1]
+    eye = np.eye(d, dtype=np.complex128)
+    memb = space.relative_membership(
+        ambient_product(space, eye[:, None], uc, eye[None]))[1]
     return ProductTable(space=space, entries=entries, residual_bounds=bounds,
                         membership_residuals=memb, t_table=t_table,
                         unitary_coeffs=unitaries, alpha=alpha)
@@ -291,8 +303,11 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
     basis element e, the ambient membership check (``escape_gap`` and
     ``worst_escape_gap`` are relative membership residuals). Every stage
     after the first needs an envelope-exact closure: without one, a space
-    that passes the first stage raises PreconditionError. A PASS ends with
-    the product table at TABLE_T.
+    that passes the first stage raises PreconditionError. The closure
+    check takes every product's membership at once, and the first product
+    outside the space, unitary by unitary and basis element by basis
+    element, decides a FAIL. A PASS ends with the product table at
+    TABLE_T, whose searches run as two stacks (`_assemble_table`).
     """
     config = config or SolverConfig()
     uc = space.unit_coeffs(u)
@@ -310,26 +325,25 @@ def detect_cstar(space: ConcreteOpSpace, u=None,
             name="cstar", verdict=FAIL, margin=span_rep.margin,
             witness={"stage": "unitary-span"}, diagnostics=diag), None
     unitaries = span_rep.witness["unitary_coeffs"]
-    d = space.dim
-    worst_escape = 0.0
-    for ki in range(unitaries.shape[0]):
-        for j, e in enumerate(np.eye(d, dtype=np.complex128)):
-            e = e / max(1.0, space.norm(e))
-            _, gap, member = space.relative_membership(
-                ambient_product(space, unitaries[ki], e, uc))
-            worst_escape = max(worst_escape, gap)
-            if not member:
-                diag["escape_gap"] = gap
-                return CertificateReport(
-                    name="cstar", verdict=FAIL, margin=-gap,
-                    witness={"stage": "product-closure",
-                             "unitary_index": ki, "basis_index": j},
-                    diagnostics=diag), None
-    diag["worst_escape_gap"] = worst_escape
+    basis, _ = ball_basis(space)
+    # every product v adjoint(e) u at once; the first outside the space,
+    # unitary by unitary, decides
+    _, gaps, member = space.relative_membership(
+        ambient_product(space, unitaries[:, None], basis[None], uc))
+    if not member.all():
+        ki, j = (int(i) for i in np.argwhere(~member)[0])
+        gap = float(gaps[ki, j])
+        diag["escape_gap"] = gap
+        return CertificateReport(
+            name="cstar", verdict=FAIL, margin=-gap,
+            witness={"stage": "product-closure",
+                     "unitary_index": ki, "basis_index": j},
+            diagnostics=diag), None
+    diag["worst_escape_gap"] = max(0.0, float(gaps.max()))
     table = _assemble_table(space, uc, unitaries, TABLE_T, config)
     diag["table_bound"] = float(table.residual_bounds.max())
     unit_err = 0.0
-    for e in np.eye(d, dtype=np.complex128):
+    for e in np.eye(space.dim, dtype=np.complex128):
         left = table.multiply(uc, e)
         right = table.multiply(e, uc)
         unit_err = max(unit_err,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .matcore import adjoint, block_diag, block_norms
+from .matcore import adjoint, block_diag, block_norms, vector_norms
 
 GRAM_MIN_EIG = 1e-10
 MEMBERSHIP_TOL = 1e-6
@@ -110,8 +110,14 @@ class ConcreteOpSpace:
         return self.unit
 
     def blocks(self, coeffs) -> np.ndarray:
-        """The (w, p, q) block stack of a coefficient vector."""
-        return (self.as_coeffs(coeffs) @ self._flat).reshape(self.basis.shape[1:])
+        """The (w, p, q) block stack of a coefficient vector, or the
+        (..., w, p, q) stacks of the rows of an (..., d) array of them,
+        each bitwise as alone (a one-row matmul per row)."""
+        if not (isinstance(coeffs, np.ndarray) and coeffs.ndim > 1):
+            return (self.as_coeffs(coeffs) @ self._flat).reshape(
+                self.basis.shape[1:])
+        return np.matmul(coeffs[..., None, :], self._flat).reshape(
+            coeffs.shape[:-1] + self.basis.shape[1:])
 
     def embed(self, coeffs) -> np.ndarray:
         """Concrete ambient matrix of a coefficient vector."""
@@ -172,24 +178,31 @@ class ConcreteOpSpace:
         extra = float(np.linalg.norm(off)) ** 2
         return coeffs, float(np.sqrt(res * res + extra))
 
-    def membership_blocks(self, blocks) -> tuple[np.ndarray, float]:
+    def membership_blocks(self, blocks):
         """Least-squares coefficients and Frobenius residual of a (w, p, q)
-        block stack against the span."""
+        block stack against the span; for an (..., w, p, q) stack of them,
+        arrays over the leading axes, each row bitwise as alone (one-row
+        matmuls, `vector_norms`)."""
         b = np.asarray(blocks, dtype=np.complex128)
-        if b.shape != self.basis.shape[1:]:
+        if b.shape[-3:] != self.basis.shape[1:]:
             raise InvalidInputError(
                 f"block stack {self.basis.shape[1:]} expected, got {b.shape}")
-        vec = b.reshape(-1)
-        coeffs = self._pinv() @ vec
-        res = float(np.linalg.norm(vec - self._vectors() @ coeffs))
-        return coeffs, res
+        vec = b.reshape(b.shape[:-3] + (-1,))
+        coeffs = np.matmul(self._pinv(), vec[..., None])[..., 0]
+        fit = np.matmul(self._vectors(), coeffs[..., None])[..., 0]
+        res = vector_norms(vec - fit)
+        return coeffs, res if res.ndim else float(res)
 
-    def relative_membership(self, blocks) -> tuple[np.ndarray, float, bool]:
+    def relative_membership(self, blocks):
         """Least-squares coefficients of a (w, p, q) block stack, its
         residual relative to max(1, Frobenius norm of the stack), and
-        whether that residual is within MEMBERSHIP_TOL."""
-        coeffs, res = self.membership_blocks(blocks)
-        rel = res / max(1.0, float(np.linalg.norm(blocks)))
+        whether that residual is within MEMBERSHIP_TOL; arrays over the
+        leading axes for an (..., w, p, q) stack of them."""
+        b = np.asarray(blocks, dtype=np.complex128)
+        coeffs, res = self.membership_blocks(b)
+        size = vector_norms(b.reshape(b.shape[:-3] + (-1,)))
+        rel = res / np.maximum(1.0, size)
+        rel = rel if rel.ndim else float(rel)
         return coeffs, rel, rel <= MEMBERSHIP_TOL
 
 

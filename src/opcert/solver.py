@@ -8,7 +8,9 @@ The objective of `minimize_over_ball` must be convex, and the result's
 `lower` is a lower bound on its minimum. A minimization makes one run,
 from the caller's start or from 0: convexity leaves no local minimum to
 escape, and a stall is detected by the bound below and stepped past by
-the eps-descent steps.
+the eps-descent steps. `minimize_stack` minimizes a stack of R different
+problems, one run each, in lockstep; `minimize_over_ball` is its R = 1
+case.
 A zero subgradient certifies a global minimum (Rockafellar, Convex
 Analysis, Thm 27.1), so a run that stops on one has its value as `lower`
 as well as the upper bound. Where the minimum is a kink that the run does
@@ -29,7 +31,12 @@ Problems expose a flat complex variable vector and take a stack of them:
                     ball, certified at the point c of the ball, or -inf
     descent_step(c) (minimize only) the point of the ball an eps-descent
                     step from the point c moves to, or None
+    take(rows)      (minimize only) the stack of the problems ``rows``
 
+A minimization's problem is a stack of problems: value_and_grad evaluates
+row r of c against problem r, and lower_bound and descent_step belong to
+a stack of one problem, which take([r]) gives. A problem that stands for
+every row returns itself from take.
 A row's results must not depend on the other rows of its stack: the
 objectives in this package compute every row with its own products and
 one batched LAPACK call, so a run is bitwise the same alone and stacked.
@@ -43,8 +50,12 @@ ends at its budget ends on the value of its last iterate, so K
 iterations cost K + 1 evaluations. A maximize sweep runs every start
 whatever happens, so it hands all of them over as one stack; for a
 catalog unitary every start stops at iteration 1 on a zero subgradient,
-and the whole sweep is one stacked call. A minimization is a stack of
-one run.
+and the whole sweep is one stacked call. A minimize stack is a stack of
+problems, one run each: a check stage hands its independent searches
+over as one stack (the product table's k d products, a system check's
+basis partners), and since every catalog search ends at iteration 1
+from its warm start, the stage costs one stacked call, not one solver
+entry per search.
 
 Each iteration of a run steps along its gradient, at kinks too: there the
 top singular pair of the active (t, block) gives a subgradient of the
@@ -76,6 +87,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral, Real
 from typing import ClassVar
 
@@ -220,13 +232,14 @@ class _Run:
     |g| |y - c| then makes the value of such a stop the minimum up to |g|
     times the ball's euclidean diameter, far below stat_tol.
 
-    A minimize run is given its problem, whose lower_bound `_certify`
-    reads and whose descent_step `_descend` reads.
+    A minimize run is given its stack of problems and its row there; its
+    own problem, whose lower_bound `_certify` reads and whose descent_step
+    `_descend` reads, is taken from the stack when first read.
     """
 
-    def __init__(self, config, c, f, sign, target, problem):
+    def __init__(self, config, c, f, sign, target, stack, row):
         self.config, self.sign, self.target = config, sign, target
-        self.problem = problem       # minimize: lower_bound, descent_step
+        self.stack, self.row = stack, row
         self.descents = 0            # eps-descent steps taken
         self.descend_after = DESCENT_FROM * config.stall_window \
             if sign > 0 else math.inf
@@ -241,6 +254,11 @@ class _Run:
         self.iterations = 0
         self.why = None              # the stop reason, one of STOP_REASONS
 
+    @cached_property
+    def problem(self):
+        """The run's own one-problem stack (minimize only)."""
+        return self.stack.take([self.row])
+
     def at_target(self, v: float) -> bool:
         return self.sign > 0 and v - self.target <= self.config.eps_stop
 
@@ -252,7 +270,7 @@ class _Run:
         above the target; True once the best bound settles the run: it is
         fail_tol above the target, or within cert_tol of the incumbent."""
         config = self.config
-        if self.problem is None or self.best_f - self.target < config.fail_tol:
+        if self.stack is None or self.best_f - self.target < config.fail_tol:
             return False
         self.lower = max(self.lower, self.problem.lower_bound(self.best_c))
         return (self.lower - self.target >= config.fail_tol
@@ -333,27 +351,35 @@ class _Run:
 def _run_stack(problem, config, starts, sign, target) -> list:
     """Projected subgradient runs from a stack of starts, in lockstep.
 
-    Every iteration steps the runs still going from one
-    problem.value_and_grad call, then makes one problem.norm call on the
-    runs that stepped and one value_and_grad call on their new iterates;
-    each run follows the rules of `_Run` on its own, so a start ends
-    bitwise the same alone and in any stack. Returns one `_Run` per start.
+    A maximize sweep runs every start on the one problem. A minimize stack
+    is a stack of problems, one per start: row k of each call is evaluated
+    against problem k, and run k reads lower_bound and descent_step from
+    its own one-problem stack, problem.take([k]). Every iteration
+    steps the runs still going from one problem.value_and_grad call, then
+    makes one problem.norm call on the runs that stepped and one
+    value_and_grad call on their new iterates, against the problems of
+    those runs (problem.take) when some have stopped; each run follows the
+    rules of `_Run` on its own, so a start ends bitwise the same alone and
+    in any stack. Returns one `_Run` per start.
     """
     c = np.array(starts, dtype=np.complex128)
     f, g = _evaluate(problem, c)
-    runs = live = [_Run(config, ck, fk, sign, target,
-                        problem if sign > 0 else None)
-                   for ck, fk in zip(c, f)]
+    stack = problem if sign > 0 else None
+    runs = live = [_Run(config, ck, fk, sign, target, stack, k)
+                   for k, (ck, fk) in enumerate(zip(c, f))]
     for it in range(1, config.max_iters + 1):
-        stepped, steps = [], []
-        for r, fk, gk in zip(live, f, g):
+        stepped, going, steps = [], [], []
+        for k, (r, fk, gk) in enumerate(zip(live, f, g)):
             r.iterations = it
             ck = r.step(fk, gk)
             if ck is not None:
                 stepped.append(r)
+                going.append(k)
                 steps.append(ck)
         if not stepped:
             return runs
+        if sign > 0 and len(stepped) < len(live):
+            problem = problem.take(going)
         live, c = stepped, _stack(steps)
         for r, ck, n in zip(live, c, problem.norm(c).tolist()):
             r.retract(ck, n)
@@ -389,10 +415,29 @@ def _reduce(runs, sign) -> SolveResult:
                        lower=float(lower))
 
 
+def minimize_stack(problem, config: SolverConfig | None, *,
+                   target: float, starts) -> list:
+    """Minimize each problem of a stack of R problems over the ball in one
+    run each, from its row of the (R, dim) ``starts`` pulled back into the
+    ball; the runs go in lockstep (`_run_stack`), and each ends bitwise as
+    it would alone. One `SolveResult` per problem, as `minimize_over_ball`
+    describes it; ``target`` bounds every problem from below.
+    """
+    config = config or SolverConfig()
+    config.validate()
+    c = np.asarray(starts, dtype=np.complex128)
+    n = problem.norm(c)
+    # c / 1.0 is c, bit for bit
+    c = c / np.maximum(n, 1.0)[:, None]
+    return [_reduce([r], +1) for r in _run_stack(problem, config, c, +1,
+                                                  target)]
+
+
 def minimize_over_ball(problem, config: SolverConfig | None = None, *,
                        target: float = 0.0, start=None) -> SolveResult:
     """Minimize a convex objective over {c : problem.norm(c) <= 1} in one
-    run, from ``start`` pulled back into the ball, or from 0.
+    run, from ``start`` pulled back into the ball, or from 0: the one-row
+    `minimize_stack`.
 
     The returned value is an upper bound on the true minimum (it is attained
     by the returned feasible point), and ``lower`` a lower bound.
@@ -405,13 +450,9 @@ def minimize_over_ball(problem, config: SolverConfig | None = None, *,
     by problem.descent_step. ``certified_min`` marks a value within
     cert_tol of its lower bound.
     """
-    config = config or SolverConfig()
-    config.validate()
     c = np.zeros((1, problem.dim), dtype=np.complex128) if start is None \
         else np.asarray(start, dtype=np.complex128).reshape(1, problem.dim)
-    n = problem.norm(c)[0]
-    return _reduce(_run_stack(problem, config, c if n <= 1.0 else c / n, +1,
-                              target), +1)
+    return minimize_stack(problem, config, target=target, starts=c)[0]
 
 
 def maximize_over_sphere(problem, config: SolverConfig | None = None, *,

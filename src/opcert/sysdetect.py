@@ -13,6 +13,11 @@ element's lower bound reaches fail_tol. At a single large t the minimizing
 partner pins down the involution: iota(x) = -y agrees with the ambient
 u adjoint(x) u up to 1/t + 1/t^2, which is how the involution is
 recovered constructively.
+The system check searches the basis elements as one stack of problems
+(`solver.minimize_stack`), and the random samples as a second only when
+no basis element certified a FAIL: the first element in order whose
+search certifies fail_tol decides, which is the answer of searching the
+elements one at a time. `find_partner` is the one-row stack.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .errors import InvalidInputError, PreconditionError
 from .hermit import operator_system_check
 from .opspace import ConcreteOpSpace, Element
 from .report import FAIL, INCONCLUSIVE, PASS, CertificateReport, verdict_of
-from .solver import SolverConfig, minimize_over_ball, valid_t_grid
+from .solver import SolverConfig, minimize_stack, valid_t_grid
 
 RECOVERY_T = 100.0      # t of a single-t recovery, error bound 1/t + 1/t^2
 SYSTEM_SAMPLES = 3      # random elements detect_operator_system searches
@@ -57,6 +62,37 @@ class PartnerSearchResult:
     diagnostics: dict
 
 
+def ball_basis(space: ConcreteOpSpace):
+    """The basis elements scaled into the unit ball, e / max(1, |e|), as
+    the rows of a (d, d) array, and their (d,) scales max(1, |e|)."""
+    eye = np.eye(space.dim, dtype=np.complex128)
+    scales = np.maximum(1.0, space.grid_norm(eye[:, None, None, :]))
+    return eye / scales[:, None], scales
+
+
+def partner_searches(space, uc, xs, ts, config, warm_start=True) -> list:
+    """The partner search of each row of the (R, d) elements xs over the t
+    grid ts, as `find_partner` describes it, run as one stack of R
+    problems (`solver.minimize_stack`): one PartnerSearchResult per row,
+    each bitwise as its search alone."""
+    tt = np.asarray(ts, dtype=float)
+    problem = SlotProblem(space, t_frames(space, tt, uc, xs, None), (1, 0),
+                          np.sqrt(tt ** 2 + 1.0))
+    starts = np.zeros_like(xs)
+    if warm_start:
+        inv, _, member = space.relative_membership(
+            ambient_product(space, uc, xs, uc))
+        starts[member] = -inv[member]
+    results = minimize_stack(problem, config, target=0.0, starts=starts)
+    per_t = problem._hinges(problem._grids(np.array([r.coeffs
+                                                     for r in results])))
+    return [PartnerSearchResult(
+        x_coeffs=xc, y_coeffs=res.coeffs, residual=float(res.value),
+        lower=res.lower, per_t_residual=hinges, t_grid=ts,
+        converged=res.converged, diagnostics=res.diagnostics)
+        for xc, res, hinges in zip(xs, results, per_t)]
+
+
 def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
                  config: SolverConfig | None = None,
                  starts: int | None = None,
@@ -78,7 +114,8 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
     that want the returned point to reflect only the t-constrained
     geometry disable it. ``starts`` does nothing: the search makes one
     run whatever it is, and the keyword stays only because the benchmark
-    workloads (perfbench/workloads.py) pass it.
+    workloads (perfbench/workloads.py) pass it. The search is the one-row
+    stack of the searches `detect_operator_system` runs together.
     """
     config = config or SolverConfig()
     uc = space.unit_coeffs(u)
@@ -88,21 +125,7 @@ def find_partner(space: ConcreteOpSpace, u=None, x=None, t_grid=None,
     if space.norm(xc) > 1.0 + 1e-9:
         raise InvalidInputError("x must lie in the unit ball")
     ts = valid_t_grid(t_grid if t_grid is not None else config.t_grid)
-    tt = np.asarray(ts, dtype=float)
-    problem = SlotProblem(space, t_frames(space, tt, uc, xc, None), (1, 0),
-                          np.sqrt(tt ** 2 + 1.0))
-    start = None
-    if warm_start:
-        inv_coeffs, _, inv_member = space.relative_membership(
-            ambient_product(space, uc, xc, uc))
-        if inv_member:
-            start = -inv_coeffs
-    res = minimize_over_ball(problem, config, target=0.0, start=start)
-    per_t = problem._hinges(problem._grids(res.coeffs))
-    return PartnerSearchResult(
-        x_coeffs=xc, y_coeffs=res.coeffs, residual=float(res.value),
-        lower=res.lower, per_t_residual=per_t, t_grid=ts,
-        converged=res.converged, diagnostics=res.diagnostics)
+    return partner_searches(space, uc, xc[None], ts, config, warm_start)[0]
 
 
 def detect_operator_system(space: ConcreteOpSpace, u=None,
@@ -111,12 +134,15 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
     """Partner-based operator system detection over the basis and
     SYSTEM_SAMPLES random elements, after a level-2 unit certificate.
 
-    The elements are searched in order, and the search ends at the first
-    element whose partner search certifies a lower bound of at least
-    fail_tol: that element alone decides a certified FAIL and its margin,
-    so ``residuals`` in the diagnostics lists only the elements searched.
-    Otherwise the worst residual over all elements decides, with its own
-    lower bound.
+    The basis elements are searched as one stack, then the samples as a
+    second stack only when no basis element's partner search certified a
+    lower bound of at least fail_tol. The first element in order whose
+    search certifies such a bound decides a certified FAIL and its
+    margin, and ``residuals`` in the diagnostics lists the elements up to
+    it. Otherwise the worst residual over all elements decides, with its
+    own lower bound. This is the answer of searching the elements one at
+    a time and stopping at the first certified FAIL, with the same
+    searches.
     """
     config = config or SolverConfig()
     uc = space.unit_coeffs(u)
@@ -126,20 +152,24 @@ def detect_operator_system(space: ConcreteOpSpace, u=None,
         return CertificateReport(
             name="operator-system", verdict=unit_cert.verdict, margin=0.0,
             witness={"stage": "unit-certification"}, diagnostics=diag)
-    elements = [e / max(1.0, space.norm(e))
-                for e in np.eye(space.dim, dtype=np.complex128)]
+    basis, _ = ball_basis(space)
     rng = np.random.default_rng([config.root_seed, 23])
+    samples = []
     for _ in range(SYSTEM_SAMPLES):
         g = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         n = space.norm(g)
         if n > 1e-12:
-            elements.append(g / n)
+            samples.append(g / n)
+    ts = valid_t_grid(config.t_grid)
     partners = []
-    for xc in elements:
-        partners.append(find_partner(space, uc, xc, config=config))
-        worst = partners[-1]
+    for stage in (basis, np.reshape(samples, (-1, space.dim))):
+        if len(stage):
+            partners += partner_searches(space, uc, stage, ts, config)
         # a lower bound at or above fail_tol settles a FAIL
-        if worst.lower >= config.fail_tol:
+        fails = [r.lower >= config.fail_tol for r in partners]
+        if any(fails):
+            partners = partners[:fails.index(True) + 1]
+            worst = partners[-1]
             break
     else:
         worst = max(partners, key=lambda r: r.residual)

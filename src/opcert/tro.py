@@ -7,7 +7,9 @@ reaches its closure below that cap, so it runs to stability, while a
 point-backed space can generate very large function algebras. A span
 past the cap keeps its leading singular directions up to the last gap
 in its singular values at or below the cap, so that the kept span does
-not split a tied pair and depend on rounding (circle-1zzbar keeps 23).
+not split a tied pair and depend on rounding (circle-1zzbar keeps 23);
+where the singular values are tied from the top to past the cap, the
+whole tied block is kept.
 The checks that consume the closure remain valid on a truncated span
 because every necessary identity is either pointwise (and so holds for
 all diagonal operators at once) or is tested against elements the
@@ -63,9 +65,13 @@ def _gap_cut(s: np.ndarray, cap: int) -> int:
     """The largest k <= cap with s[k-1] - s[k] above RANK_TOL s[0]: the
     top-k span of singular values s, len(s) > cap, that splits no pair
     tied within rounding. With no such k (s[0] ... s[cap] all tied) it is
-    the cap, so that the closure is never empty."""
-    gaps = np.flatnonzero(s[:cap] - s[1:cap + 1] > RANK_TOL * s[0])
-    return int(gaps[-1]) + 1 if gaps.size else cap
+    the smallest k past the cap with such a gap, or len(s): the whole tied
+    block is kept, so that the closure is never empty and never splits
+    the tie."""
+    gaps = np.flatnonzero(s[:-1] - s[1:] > RANK_TOL * s[0]) + 1
+    below = gaps[gaps <= cap]
+    return int(below[-1]) if below.size else int(gaps[0]) if gaps.size \
+        else len(s)
 
 
 def generate_tro(space: ConcreteOpSpace,
@@ -79,8 +85,9 @@ def generate_tro(space: ConcreteOpSpace,
     min(points, 24). A span past the cap is cut to its top k singular
     directions, k the largest at or below the cap where the singular
     values s of its generation drop, s[k-1] - s[k] > RANK_TOL s[0]
-    (`_gap_cut`; the cap itself if they never drop there); such a
-    truncated closure is flagged unstable.
+    (`_gap_cut`; if they never drop there, at the first drop past the
+    cap, or not at all: the 30 tied point masses of l-infinity^30 keep
+    all 30); such a closure is flagged unstable.
     """
     d, w, p, q = space.basis.shape
     gens = space.basis / np.linalg.norm(space.basis.reshape(d, -1),

@@ -277,7 +277,7 @@ def _z_columns(at, eps, conj_left=True):
     for piece in at.order[:int(np.count_nonzero(at.ranked >= at.f - eps))]:
         t, k = divmod(int(piece), w)
         u, s, vh = np.linalg.svd(at.stacks[t, k])
-        n = max(1, int(np.count_nonzero(s - problem.offsets[t] >= at.f - eps)))
+        n = max(1, int(np.count_nonzero(s - at.offsets[t] >= at.f - eps)))
         for z in blocks._unit_mixes(n)[0].T:
             left = u[:, :n] @ (z if conj_left else np.conj(z))
             right = np.conj(vh[:n]).T @ z

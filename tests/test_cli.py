@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from opcert.blocks import ambient_product
+import opcert.cli as cli
 from opcert.cli import main
 from opcert.funcspace import catalog_space, g_hermitian_solve
 from opcert.hermit import is_u_hermitian, is_u_positive
@@ -461,3 +462,42 @@ def test_point_backed_recovery_reports_ambient_error(tmp_path, kind):
                                 space.unit_coeffs())
         dense = np.linalg.norm(got - block_diag(truth), 2)
         assert abs(extra["ambient_error"] - dense) <= 1e-12
+
+
+def test_one_parser_serves_every_request_of_a_process(tmp_path, monkeypatch,
+                                                      capsys):
+    # main builds its parser once per process; check, recover and catalog
+    # requests, interleaved, write the bytes that they write with a fresh
+    # parser each
+    space = write_catalog_file(tmp_path, "m2-full")
+    requests = [
+        ["check", "system", "--space", space, "--seed", "3"],
+        ["recover", "product", "--space", space, "--v", "[1, 0, 0, 0]",
+         "--y", "[0, 0.8, 0, 0]", "--t", "10"],
+        ["catalog", "emit", "m2-sym3"],
+        ["check", "unitary", "--space", space, "--level", "1"],
+        ["recover", "involution", "--space", space, "--x", "[0, 0.5, 0, 0]"],
+        ["catalog", "emit", "circle-1z", "--points", "12"],
+        ["check", "hermitian", "--space", space, "--element",
+         "[0.2, 0, 0, 0.5]"]]
+
+    def run(tag):
+        written = []
+        for k, argv in enumerate(requests):
+            out = tmp_path / f"{tag}-{k}.json"
+            code = main(argv + ["--out", str(out)])
+            written.append((code, capsys.readouterr().out, out.read_bytes()))
+        return written
+
+    builds, build = [], cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counted)
+    once = run("once")
+    assert len(builds) == 1
+    monkeypatch.setattr(cli, "_parser", build)
+    assert run("fresh") == once

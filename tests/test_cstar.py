@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import opcert.cstar as cstar
+from opcert.blocks import SlotProblem
 from opcert.cstar import (collect_unitaries, detect_cstar,
                           hermitian_to_unitaries, recover_product,
                           recover_product_left, unitary_span_check)
@@ -10,7 +11,7 @@ from opcert.funcspace import catalog_closure, catalog_entry, catalog_space
 from opcert.matcore import adjoint
 from opcert.opspace import make_space
 from opcert.solver import SolverConfig
-from opcert.sysdetect import involution_error_bound
+from opcert.sysdetect import SYSTEM_SAMPLES, involution_error_bound
 from opcert.tro import ambient_unitary_check, generate_tro
 
 
@@ -249,14 +250,44 @@ def test_escape_stage_reads_ambient_membership(monkeypatch):
 
 def test_table_still_recovers_products_intrinsically(monkeypatch):
     escape = _count_calls(monkeypatch, cstar, "recover_product")
-    solves = _count_calls(monkeypatch, cstar, "_solve_product")
+    stacks = []
+    searches = cstar._product_searches
+
+    def counted(space, uc, vs, givens, *args, **kwargs):
+        stacks.append(len(givens))
+        return searches(space, uc, vs, givens, *args, **kwargs)
+
+    monkeypatch.setattr(cstar, "_product_searches", counted)
     space = catalog_space("m2-full")
     report, table = detect_cstar(space, closure=catalog_closure("m2-full"))
     assert report.passed and table is not None
     assert report.diagnostics["worst_escape_gap"] == 3.982803220822353e-16
     assert escape == []
-    # one search per (unitary, basis element) pair of the table
-    assert len(solves) == table.unitary_coeffs.shape[0] * space.dim
+    # one search per (unitary, basis element) pair of the table, all of
+    # them rows of one stack
+    assert stacks == [table.unitary_coeffs.shape[0] * space.dim]
+
+
+def test_the_searches_of_detect_cstar_do_not_grow_with_the_table(
+        monkeypatch):
+    # every search of a stage is a row of one stacked call, and each
+    # catalog search ends at iteration 1 from its warm start: one call for
+    # the system stage's basis, one for its samples, one for the table's
+    # partners and one for its k d products (one per search, 39 calls, when
+    # each search ran alone)
+    calls = []
+    value_and_grad = SlotProblem.value_and_grad
+
+    def counted(self, c):
+        calls.append(len(c))
+        return value_and_grad(self, c)
+
+    monkeypatch.setattr(SlotProblem, "value_and_grad", counted)
+    space = catalog_space("m2-full")
+    report, table = detect_cstar(space, closure=catalog_closure("m2-full"))
+    assert report.passed
+    k, d = table.unitary_coeffs.shape[0], space.dim
+    assert calls == [d, SYSTEM_SAMPLES, d, k * d]
 
 
 def test_recover_product_reports_stop_reasons():

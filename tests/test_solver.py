@@ -1,16 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import opcert.cstar as cstar
 from opcert.blocks import (SlotProblem, grid_value_and_grad, t_frames,
                            top_value_and_grad)
 from opcert.certify import _DefectProblem
-from opcert.cstar import recover_product
+from opcert.cstar import detect_cstar, recover_product
 from opcert.errors import InvalidInputError, SolverError
-from opcert.funcspace import catalog_entry, catalog_space
+from opcert.funcspace import catalog_closure, catalog_entry, catalog_space
 from opcert.opspace import make_space
-from opcert.solver import (SolverConfig, _run_stack, _sphere_starts,
-                           maximize_over_sphere, minimize_over_ball)
+from opcert.solver import (DEFAULT_T_GRID, SolverConfig, _run_stack,
+                           _sphere_starts, maximize_over_sphere,
+                           minimize_over_ball, minimize_stack)
+from test_hermit import random_spans
 
 E12 = np.array([[0, 1], [0, 0]], dtype=np.complex128)
 E21 = np.array([[0, 0], [1, 0]], dtype=np.complex128)
@@ -43,7 +48,15 @@ def _tangent_bound(problem, c):
     return f - np.linalg.norm(g) * (1.0 + np.linalg.norm(c))
 
 
-class _Quadratic:
+class _OneProblem:
+    """A minimize problem that stands for every row of a stack, so the
+    stack of any of its rows is itself."""
+
+    def take(self, rows):
+        return self
+
+
+class _Quadratic(_OneProblem):
     """f(y) = |y - a|^2 with the euclidean ball constraint."""
 
     def __init__(self, a):
@@ -74,7 +87,7 @@ class _Linear:
         return np.real(c[..., 0]), g
 
 
-class _NonFinite:
+class _NonFinite(_OneProblem):
     dim = 1
 
     def norm(self, c):
@@ -397,7 +410,7 @@ def test_stacked_defect_checks_the_bracket_of_every_row():
     npt.assert_array_equal(info.value.iterate, c[2])
 
 
-class _Hinge:
+class _Hinge(_OneProblem):
     """f(c) = max(|c - a| - r, 0): flat at its minimum 0 on a small ball,
     where value_and_grad returns a zero gradient, as SlotProblem does
     inside its feasible set."""
@@ -442,7 +455,7 @@ def test_budget_runs_are_counted_and_not_certified():
     assert not maximize_over_sphere(_Linear(), SolverConfig()).certified_min
 
 
-class _Kink:
+class _Kink(_OneProblem):
     """f(c) = 1 + |Re c|, minimum 1 at the zero start: a kink where the
     gradient is never zero, so no run stops on its own; lower_bound
     returns a given valid bound."""
@@ -560,23 +573,76 @@ def _circle_1z_partner():
                     (0.25, 32.0))
 
 
-@pytest.mark.parametrize("make, max_iters, why", [
-    (_cold_m2_product, SHORT_ITERS, "budget"),
-    (_circle_1z_partner, SolverConfig().max_iters, "certified"),
-    (_cold_m2_product, SolverConfig().max_iters, "target"),
-], ids=["m2-full-product", "circle-1z-partner", "m2-full-product-descent"])
-def test_a_stack_of_minimize_starts_runs_each_start_as_alone(make, max_iters,
-                                                             why):
-    # the descent case: every start takes eps-descent steps, whose trial
-    # rows share the stacked calls with the other starts' rows
-    problem = make()
+def _copies(make):
+    """A stack of copies of one problem, one per seeded `_ball_starts`
+    start."""
+    def build():
+        problem = make()
+        starts = _ball_starts(problem, 6)
+        return problem.take([0] * len(starts)), starts
+    return build
+
+
+def _table_products():
+    """The m2-full product table's k d problems, as detect_cstar stacks
+    them, each started cold at 0: the runs reach the target after plain
+    steps alone or after eps-descent steps too."""
+    stacks = []
+
+    def recorded(problem, config, *, target, starts):
+        stacks.append(problem)
+        return minimize_stack(problem, config, target=target, starts=starts)
+
+    with mock.patch.object(cstar, "minimize_stack", recorded):
+        detect_cstar(catalog_space("m2-full"),
+                     closure=catalog_closure("m2-full"))
+    (products,) = stacks
+    return products, np.zeros((len(products.frames), products.dim),
+                              dtype=np.complex128)
+
+
+def _span_partners(seed, index):
+    """Partner problems over the default t grid of the basis and three
+    random elements of the index-th space of test_hermit.random_spans,
+    started cold at 0."""
+    space = list(random_spans(np.random.default_rng(seed)))[index][1]
+    rng = np.random.default_rng(index)
+    d = space.dim
+    xs = np.concatenate([np.eye(d), rng.standard_normal((3, d))
+                         + 1j * rng.standard_normal((3, d))])
+    xs /= np.maximum(1.0, space.grid_norm(xs[:, None, None, :]))[:, None]
+    return lambda: (_partner(space, space.unit_coeffs(), xs, DEFAULT_T_GRID),
+                    np.zeros_like(xs))
+
+
+@pytest.mark.parametrize("make, max_iters, whys, descends", [
+    (_copies(_cold_m2_product), SHORT_ITERS, {"budget"}, {False}),
+    (_copies(_circle_1z_partner), SolverConfig().max_iters, {"certified"},
+     {False}),
+    (_copies(_cold_m2_product), SolverConfig().max_iters, {"target"},
+     {True}),
+    (_table_products, SolverConfig().max_iters, {"target"}, {False, True}),
+    # span{I, N}: N and the random elements have no partner, and their
+    # searches certify a FAIL
+    (_span_partners(15, 3), SolverConfig().max_iters,
+     {"target", "certified"}, {False, True}),
+    # span{I, A, A*}: every element has one
+    (_span_partners(16, 0), SolverConfig().max_iters, {"target"},
+     {False, True}),
+], ids=["m2-full-product", "circle-1z-partner", "m2-full-product-descent",
+        "m2-full-table", "span-partners-fail", "span-partners-system"])
+def test_a_stack_of_minimize_starts_runs_each_start_as_alone(
+        make, max_iters, whys, descends):
+    # a stack of problems, one per start: each row runs as its problem's
+    # one-row stack would alone, though the rows share every call, the
+    # eps-descent steps' line searches included
+    stack, starts = make()
     config = SolverConfig(max_iters=max_iters)
-    starts = _ball_starts(problem, 6)
-    stacked = _run_stack(problem, config, starts, +1, 0.0)
-    assert {r.why for r in stacked} == {why}
-    assert all((r.descents > 0) == (why == "target") for r in stacked)
-    for c0, run in zip(starts, stacked):
-        (alone,) = _run_stack(problem, config, [c0], +1, 0.0)
+    stacked = _run_stack(stack, config, starts, +1, 0.0)
+    assert {r.why for r in stacked} == whys
+    assert {r.descents > 0 for r in stacked} == descends
+    for k, (c0, run) in enumerate(zip(starts, stacked)):
+        (alone,) = _run_stack(stack.take([k]), config, [c0], +1, 0.0)
         assert (alone.best_f, alone.lower) == (run.best_f, run.lower)
         npt.assert_array_equal(alone.best_c, run.best_c)
         assert (alone.iterations, alone.why, alone.descents) == \
@@ -621,6 +687,9 @@ class _Counted:
     def __init__(self, problem):
         self.problem, self.dim = problem, problem.dim
         self.calls = {}             # method name -> rows of each call
+
+    def take(self, rows):
+        return self
 
     def __getattr__(self, name):
         def call(c):

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 
+import opcert.cstar as cstar
+import opcert.sysdetect as sysdetect
 from opcert.blocks import two_by_two
+from opcert.certify import certify_unitary
+from opcert.cstar import detect_cstar
 from opcert.errors import InvalidInputError, PreconditionError
-from opcert.funcspace import catalog_entry, catalog_space
+from opcert.funcspace import (catalog_closure, catalog_entry, catalog_names,
+                              catalog_space)
 from opcert.matcore import adjoint
 from opcert.opspace import make_space
-from opcert.solver import SolverConfig
-from opcert.sysdetect import (detect_operator_system, find_partner,
-                              involution_error_bound, recover_involution,
-                              t1_insufficiency_probe)
+from opcert.report import CertificateReport, verdict_of
+from opcert.serialize import dumps_report
+from opcert.solver import SolverConfig, minimize_over_ball
+from opcert.sysdetect import (SYSTEM_SAMPLES, detect_operator_system,
+                              find_partner, involution_error_bound,
+                              recover_involution, t1_insufficiency_probe)
+from opcert.tro import generate_tro
+from test_hermit import random_spans
 
 E12_COEFFS = [0, 1.0, 0, 0]
 
@@ -202,3 +211,97 @@ def test_warm_start_is_the_exact_partner_for_a_non_real_unit():
     assert r.diagnostics["best_start"] == 0
     assert r.diagnostics["iterations"] <= 1
     np.testing.assert_allclose(r.y_coeffs, [0, 0, 1.0, 0], atol=1e-12)
+
+
+def _system_one_at_a_time(space, config):
+    """detect_operator_system's report without a closure, built the way
+    it was before its searches ran as stacks: one find_partner per
+    element, basis first, then the samples, up to the first certified
+    FAIL."""
+    uc = space.unit_coeffs()
+    unit_cert = certify_unitary(space, uc, config=config)
+    diag = {"unit_verdict": unit_cert.verdict}
+    if not unit_cert.passed:
+        return CertificateReport(
+            name="operator-system", verdict=unit_cert.verdict, margin=0.0,
+            witness={"stage": "unit-certification"}, diagnostics=diag)
+    elements = [e / max(1.0, space.norm(e))
+                for e in np.eye(space.dim, dtype=np.complex128)]
+    rng = np.random.default_rng([config.root_seed, 23])
+    for _ in range(SYSTEM_SAMPLES):
+        g = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+        n = space.norm(g)
+        if n > 1e-12:
+            elements.append(g / n)
+    partners = []
+    for xc in elements:
+        partners.append(find_partner(space, uc, xc, config=config))
+        worst = partners[-1]
+        if worst.lower >= config.fail_tol:
+            break
+    else:
+        worst = max(partners, key=lambda r: r.residual)
+    diag["residuals"] = np.array([r.residual for r in partners])
+    diag["worst_residual"] = worst.residual
+    return CertificateReport(
+        name="operator-system",
+        verdict=verdict_of(worst.lower, worst.residual),
+        margin=config.cert_tol - worst.residual,
+        witness={"x_coeffs": worst.x_coeffs}, diagnostics=diag)
+
+
+def _one_row_at_a_time(problem, config, *, target, starts):
+    """minimize_stack as R one-row stacks, in row order."""
+    return [minimize_over_ball(problem.take([k]), config, target=target,
+                               start=c) for k, c in enumerate(starts)]
+
+
+def _stage_spaces():
+    """(id, space, closure, the element that decides a FAIL): the catalog,
+    six of test_hermit.random_spans (three span{I, A, A*}, three
+    span{I, N}, where the basis element N decides a FAIL), and span{I,
+    N/100}, where a sampled element decides it."""
+    for name in catalog_names():
+        yield (name, catalog_space(name), catalog_closure(name),
+               "basis" if name in ("m2-upper", "circle-1z") else None)
+    spans = list(random_spans(np.random.default_rng(15)))
+    for k, (system, space) in enumerate(spans[:6]):
+        yield (f"span-{k}", space, generate_tro(space, envelope_exact=True),
+               None if system else "basis")
+    basis = spans[3][1].basis[:, 0]
+    small = make_space([basis[0], 0.01 * basis[1]], unit=[1.0, 0])
+    yield ("span-3-small", small, generate_tro(small, envelope_exact=True),
+           "sample")
+
+
+STAGE_SPACES = list(_stage_spaces())
+
+
+@pytest.mark.parametrize("space, closure, decider",
+                         [s[1:] for s in STAGE_SPACES],
+                         ids=[s[0] for s in STAGE_SPACES])
+def test_stacked_stages_answer_as_one_search_at_a_time(space, closure,
+                                                       decider, monkeypatch):
+    config = SolverConfig()
+    stacked = detect_operator_system(space, config=config)
+    decided = len(stacked.diagnostics["residuals"]) - 1
+    assert (None if stacked.verdict != "fail" else
+            "basis" if decided < space.dim else "sample") == decider
+    report = _system_one_at_a_time(space, config)
+    assert dumps_report([stacked], "system", 7, "0") == \
+        dumps_report([report], "system", 7, "0")
+    cstar_stacked, table = detect_cstar(space, config=config, closure=closure)
+    for module in (sysdetect, cstar):
+        monkeypatch.setattr(module, "minimize_stack", _one_row_at_a_time)
+    assert dumps_report([detect_operator_system(space, config=config)],
+                        "system", 7, "0") == \
+        dumps_report([stacked], "system", 7, "0")
+    cstar_alone, table_alone = detect_cstar(space, config=config,
+                                            closure=closure)
+    assert dumps_report([cstar_stacked], "cstar", 7, "0") == \
+        dumps_report([cstar_alone], "cstar", 7, "0")
+    assert (table is None) == (table_alone is None)
+    if table is not None:
+        for field in ("entries", "residual_bounds", "membership_residuals"):
+            np.testing.assert_array_equal(getattr(table, field),
+                                          getattr(table_alone, field))

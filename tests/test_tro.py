@@ -165,13 +165,24 @@ def test_a_capped_closure_does_not_depend_on_the_point_order(name):
                           2) <= 1e-10
 
 
-def test_a_cap_inside_a_tie_keeps_the_cap():
+def test_a_cap_inside_a_tie_keeps_the_whole_tie():
     # the 30 point masses of l-infinity^30 have equal singular values, so
-    # no gap lies at or below the cap; the closure keeps 24, not 0
+    # no gap lies at or below the cap; the closure keeps all 30, not 24
+    # of them picked by rounding, nor 0
     closure = generate_tro(space_from_points(np.eye(30)))
-    assert (closure.rank, closure.stable) == (24, False)
+    assert (closure.rank, closure.stable) == (30, False)
     diagonal = np.arange(30.0)
     assert ambient_unitary_check(closure, diagonal).verdict == "fail"
+
+
+def test_a_cut_inside_a_tie_does_not_depend_on_the_point_order():
+    perm = np.random.default_rng(1).permutation(30)
+    closure = generate_tro(space_from_points(np.eye(30)))
+    shuffled = generate_tro(space_from_points(np.eye(30)[:, perm]))
+    back = np.zeros_like(shuffled.z_basis)
+    back[:, perm] = shuffled.z_basis
+    assert np.linalg.norm(_projector(closure.z_basis) - _projector(back),
+                          2) <= 1e-10
 
 
 @pytest.mark.parametrize("name", catalog_names())
