@@ -51,21 +51,19 @@ def top_value_and_grad(space: ConcreteOpSpace, stacks: np.ndarray,
                        offsets=None):
     """The worst excess of each row of an (S, F, w, n1 p, n2 q) stack of F
     frames (`grid_blocks` of (n1, n2, d) grids) over its (frame, block)
-    pieces, block norm less frame offset (0 without offsets; (F,) offsets
-    serve every row, (S, F) ones give each row its own); its
+    pieces, block norm less frame offset (0 without offsets; (1, F)
+    offsets serve every row, (S, F) ones give each row its own); its
     (S, n1, n2, d) gradient from the top block's top singular pair, one
     batched SVD; that block's sigma_1 - sigma_2; and the (S, F, w) block
     norms, or None for one block of one frame, which has nothing to choose.
     """
     rows, frames, w = stacks.shape[:3]
     _, _, p, q = space.basis.shape
-    offsets = np.zeros(frames) if offsets is None else offsets
+    offsets = np.zeros((1, frames)) if offsets is None else offsets
     if frames * w == 1:
-        norms, chosen, offset = None, stacks[:, 0, 0], offsets[..., 0]
+        norms, chosen, offset = None, stacks[:, 0, 0], offsets[:, 0]
         basis = space.basis[None, :, 0]
     else:
-        # one row of offsets serves every row of the stack
-        offsets = np.reshape(offsets, (-1, frames))
         norms = block_norms(stacks)
         top = (norms - offsets[..., None]).reshape(rows, -1).argmax(axis=-1)
         f, k = np.divmod(top, w)
@@ -138,20 +136,19 @@ def two_by_two(space: ConcreteOpSpace, b11, b12, b21, b22) -> np.ndarray:
 def t_frames(space: ConcreteOpSpace, ts, u, b12, b21, v=None) -> np.ndarray:
     """(T, 2, 2, d) stack of the grids [[t u, b12], [b21, t v]] over ts,
     with v = u when not given; None is a zero off-diagonal block. Entries
-    given as (..., d) stacks of coefficient vectors give an
-    (..., T, 2, 2, d) stack of such stacks, one per row."""
+    given as (R, d) stacks of coefficient vectors, one per problem, give
+    an (R, T, 2, 2, d) stack of such stacks."""
     ts = np.asarray(ts, dtype=float)[:, None]
     v = u if v is None else v
-    entries = {(0, 0): ts * np.asarray(u)[..., None, :],
-               (1, 1): ts * np.asarray(v)[..., None, :]}
-    for ij, b in (((0, 1), b12), ((1, 0), b21)):
-        if b is not None:
-            entries[ij] = np.asarray(b)[..., None, :]
-    # (..., T, d), broadcast over the entries' leading axes
-    shape = np.broadcast(*entries.values()).shape
-    frames = np.zeros(shape[:-1] + (2, 2, shape[-1]), dtype=np.complex128)
-    for (i, j), b in entries.items():
-        frames[..., i, j, :] = b
+    lead = max((np.shape(b)[:-1] for b in (u, v, b12, b21) if b is not None),
+               key=len)
+    frames = np.zeros(lead + (len(ts), 2, 2, space.dim), dtype=np.complex128)
+    frames[..., 0, 0, :] = ts * np.asarray(u)[..., None, :]
+    frames[..., 1, 1, :] = ts * np.asarray(v)[..., None, :]
+    if b12 is not None:
+        frames[..., 0, 1, :] = np.asarray(b12)[..., None, :]
+    if b21 is not None:
+        frames[..., 1, 0, :] = np.asarray(b21)[..., None, :]
     return frames
 
 

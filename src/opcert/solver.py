@@ -368,18 +368,19 @@ def _run_stack(problem, config, starts, sign, target) -> list:
     runs = live = [_Run(config, ck, fk, sign, target, stack, k)
                    for k, (ck, fk) in enumerate(zip(c, f))]
     for it in range(1, config.max_iters + 1):
-        stepped, going, steps = [], [], []
-        for k, (r, fk, gk) in enumerate(zip(live, f, g)):
+        stepped, steps = [], []
+        for r, fk, gk in zip(live, f, g):
             r.iterations = it
             ck = r.step(fk, gk)
             if ck is not None:
                 stepped.append(r)
-                going.append(k)
                 steps.append(ck)
         if not stepped:
             return runs
         if sign > 0 and len(stepped) < len(live):
-            problem = problem.take(going)
+            # a run that stopped has its stop reason
+            problem = problem.take([k for k, r in enumerate(live)
+                                    if r.why is None])
         live, c = stepped, _stack(steps)
         for r, ck, n in zip(live, c, problem.norm(c).tolist()):
             r.retract(ck, n)
@@ -427,8 +428,9 @@ def minimize_stack(problem, config: SolverConfig | None, *,
     config.validate()
     c = np.asarray(starts, dtype=np.complex128)
     n = problem.norm(c)
-    # c / 1.0 is c, bit for bit
-    c = c / np.maximum(n, 1.0)[:, None]
+    if n.max() > 1.0:
+        # c / 1.0 is c, bit for bit
+        c = c / np.maximum(n, 1.0)[:, None]
     return [_reduce([r], +1) for r in _run_stack(problem, config, c, +1,
                                                   target)]
 

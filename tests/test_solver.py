@@ -252,32 +252,38 @@ def test_scalar_gradient_real_direction():
     ("m2-full", 1), ("m2-full", 4), ("circle-1zzbar", 1), ("two-circles", 3)])
 def test_the_top_piece_matches_a_search_over_every_block(name, frames):
     # one block of one frame takes the shortcut; every other case chooses
-    # among (frame, block) pieces
+    # among (frame, block) pieces; one row of offsets serves every grid,
+    # or each grid has its own
     space = catalog_space(name)
     d, w = space.basis.shape[:2]
     rng = np.random.default_rng(frames)
     grids = rng.standard_normal((3, frames, 2, 2, d)) \
         + 1j * rng.standard_normal((3, frames, 2, 2, d))
-    offsets = rng.uniform(0.0, 2.0, frames)
     stacks = space.grid_blocks(grids)
-    excess, grad, gap, norms = top_value_and_grad(space, stacks, offsets)
-    assert (norms is None) == (frames * w == 1)
-    for s in range(3):
-        svds = [[np.linalg.svd(stacks[s, f, k]) for k in range(w)]
-                for f in range(frames)]
-        sv = np.array([[svd[1] for svd in row] for row in svds])
-        if norms is not None:
-            npt.assert_allclose(norms[s], sv[..., 0], rtol=0, atol=1e-12)
-        f, k = np.unravel_index(np.argmax(sv[..., 0] - offsets[:, None]),
-                                (frames, w))
-        assert excess[s] == pytest.approx(sv[f, k, 0] - offsets[f], abs=1e-12)
-        assert gap[s] == pytest.approx(sv[f, k, 0] - sv[f, k, 1], abs=1e-12)
-        # the top pair of the top block against that block's basis
-        u, _, vh = svds[f][k]
-        left, right = u[:, 0].reshape(2, -1), np.conj(vh[0]).reshape(2, -1)
-        ref = [[[np.conj(np.vdot(left[i], space.basis[l, k] @ right[j]))
-                 for l in range(d)] for j in range(2)] for i in range(2)]
-        npt.assert_allclose(grad[s], ref, rtol=0, atol=1e-12)
+    for rows in (1, 3):
+        offsets = rng.uniform(0.0, 2.0, (rows, frames))
+        excess, grad, gap, norms = top_value_and_grad(space, stacks, offsets)
+        assert (norms is None) == (frames * w == 1)
+        for s in range(3):
+            svds = [[np.linalg.svd(stacks[s, f, k]) for k in range(w)]
+                    for f in range(frames)]
+            sv = np.array([[svd[1] for svd in row] for row in svds])
+            if norms is not None:
+                npt.assert_allclose(norms[s], sv[..., 0], rtol=0, atol=1e-12)
+            offset = offsets[s % rows]
+            f, k = np.unravel_index(np.argmax(sv[..., 0] - offset[:, None]),
+                                    (frames, w))
+            assert excess[s] == pytest.approx(sv[f, k, 0] - offset[f],
+                                              abs=1e-12)
+            assert gap[s] == pytest.approx(sv[f, k, 0] - sv[f, k, 1],
+                                           abs=1e-12)
+            # the top pair of the top block against that block's basis
+            u, _, vh = svds[f][k]
+            left, right = u[:, 0].reshape(2, -1), \
+                np.conj(vh[0]).reshape(2, -1)
+            ref = [[[np.conj(np.vdot(left[i], space.basis[l, k] @ right[j]))
+                     for l in range(d)] for j in range(2)] for i in range(2)]
+            npt.assert_allclose(grad[s], ref, rtol=0, atol=1e-12)
 
 
 def test_one_dense_frame_reads_as_the_top_of_two():
@@ -288,8 +294,8 @@ def test_one_dense_frame_reads_as_the_top_of_two():
     grids = rng.standard_normal((4, 2, 2, 2, 4)) \
         + 1j * rng.standard_normal((4, 2, 2, 2, 4))
     stacks = space.grid_blocks(grids)
-    one = top_value_and_grad(space, stacks[:, :1], np.array([0.5]))
-    two = top_value_and_grad(space, stacks, np.array([0.5, 1e9]))
+    one = top_value_and_grad(space, stacks[:, :1], np.array([[0.5]]))
+    two = top_value_and_grad(space, stacks, np.array([[0.5, 1e9]]))
     assert one[3] is None and two[3].shape == (4, 2, 1)
     for a, b in zip(one[:3], two[:3]):
         npt.assert_allclose(a, b, rtol=0, atol=1e-12)
