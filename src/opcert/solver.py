@@ -428,7 +428,7 @@ def minimize_stack(problem, config: SolverConfig | None, *,
     config.validate()
     c = np.asarray(starts, dtype=np.complex128)
     n = problem.norm(c)
-    if n.max() > 1.0:
+    if not (n <= 1.0).all():
         # c / 1.0 is c, bit for bit
         c = c / np.maximum(n, 1.0)[:, None]
     return [_reduce([r], +1) for r in _run_stack(problem, config, c, +1,
